@@ -33,6 +33,7 @@ cold pair is tracked for parity, the warm number for the win.  All three
 must agree bitwise with the sequential reference.
 """
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -40,9 +41,9 @@ import pytest
 
 from repro.analysis.preemption import expand_fully_preemptive
 from repro.experiments.figure6a import Figure6aConfig, _build_jobs, run_figure6a
-from repro.experiments.harness import _prepare_units, make_schedulers
+from repro.experiments.harness import make_schedulers
 from repro.offline.batched_solver import SolveMemo, plan_expansions
-from repro.runtime.batched import simulate_batch
+from repro.runtime.batched import BatchUnit, simulate_batch
 from repro.runtime.compiled import run_compiled
 
 #: Scaled-down sweep: divisor-friendly periods keep the NLP small.
@@ -76,10 +77,12 @@ def sim_units():
     processor = config.resolved_processor()
     units = []
     for job in _build_jobs(config, processor):
-        methods = make_schedulers(job.schedulers, processor)
-        _, job_units = _prepare_units(job.resolve_taskset(), processor, methods,
-                                      job.config)
-        units.extend(job_units)
+        expansion = expand_fully_preemptive(job.resolve_taskset())
+        for scheduler in make_schedulers(job.schedulers, processor).values():
+            units.append(BatchUnit(schedule=scheduler.schedule_expansion(expansion),
+                                   processor=processor, policy=copy.deepcopy(job.config.policy),
+                                   config=job.config.simulation_config(),
+                                   workload=job.config.workload))
     return units
 
 

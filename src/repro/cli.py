@@ -749,12 +749,17 @@ def _run_stats(args: argparse.Namespace) -> str:
     sections: List[str] = []
     for manifest in manifests:
         created = datetime.fromtimestamp(manifest.get("created_unix", 0.0), tz=timezone.utc)
+        dirty = " (dirty)" if manifest.get("git_dirty") else ""
+        env = manifest.get("environment", {})
         lines = [
             f"== {manifest.get('scenario', '?')}",
             "",
             f"created: {created.strftime('%Y-%m-%d %H:%M:%S')} UTC | "
-            f"git: {manifest.get('git_rev', 'unknown')[:12]} | "
+            f"git: {manifest.get('git_rev', 'unknown')[:12]}{dirty} | "
             f"config: {manifest.get('config_hash', '?')[:12]}",
+            f"environment: python {env.get('python', '?')} | numpy {env.get('numpy', '?')} | "
+            f"scipy {env.get('scipy', '?')} | {env.get('platform', '?')} | "
+            f"cpus: {env.get('cpu_count', '?')}",
             f"units: computed={manifest.get('computed', 0)} "
             f"skipped={manifest.get('skipped', 0)} | "
             f"elapsed: {manifest.get('elapsed_seconds', 0.0):.2f}s",

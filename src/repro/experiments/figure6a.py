@@ -46,10 +46,6 @@ class Figure6aConfig:
     #: Any value produces bitwise-identical results; see
     #: :func:`repro.experiments.harness.run_comparisons`.
     jobs: int = 1
-    #: Route the simulations through the batched structure-of-arrays engine
-    #: (:mod:`repro.runtime.batched`).  Bitwise-identical to the default
-    #: compiled path — this is purely a wall-clock knob.
-    batched: bool = False
 
     def resolved_processor(self) -> ProcessorModel:
         return self.processor if self.processor is not None else ideal_processor()
@@ -118,7 +114,7 @@ def _build_jobs(cfg: Figure6aConfig, processor: ProcessorModel) -> List[Comparis
                 units.append(random_comparison_job(
                     processor, taskset_config,
                     ComparisonConfig(n_hyperperiods=cfg.hyperperiods_per_taskset,
-                                     seed=cfg.seed, batched=cfg.batched),
+                                     seed=cfg.seed),
                     task_index, ratio_index, sample_index,
                     taskset_index=sample_index,
                 ))

@@ -15,7 +15,9 @@ picklable :class:`ComparisonJob` work units and executed by
 :func:`run_comparisons`, serially or on a :class:`concurrent.futures`
 process pool.  Every job carries its own explicitly derived RNG seeds (see
 :mod:`repro.experiments.seeding`), so the results are bitwise-identical
-regardless of worker count or completion order.
+regardless of worker count or completion order.  Both entry points share one
+executor, which plans a chunk of comparisons as one solver pool and then
+simulates it.
 """
 
 from __future__ import annotations
@@ -90,11 +92,12 @@ class ComparisonConfig:
     #: consulted when ``simulation`` is unset — an explicit
     #: :class:`SimulationConfig` carries its own ``fast_path`` and wins.
     fast_path: bool = True
-    #: Route the simulations through the structure-of-arrays engine of
-    #: :mod:`repro.runtime.batched`: one comparison advances all its method
-    #: simulations in lock-step, and :func:`iter_comparisons` additionally
-    #: batches *across* comparison jobs.  Bitwise-identical results either
-    #: way.  Like ``fast_path``, only consulted when ``simulation`` is unset.
+    #: Simulate through the structure-of-arrays engine of
+    #: :mod:`repro.runtime.batched` instead of one ``DVSSimulator.run`` per
+    #: method: one comparison advances all its method simulations in
+    #: lock-step, and :func:`iter_comparisons` runs a sweep whose jobs are
+    #: all batched as one lock-step chunk (one per worker).  Bitwise-identical
+    #: results either way.  The scenario ``[simulation] engine`` key sets it.
     batched: bool = False
     #: Record the typed event stream on every method's
     #: :class:`~repro.runtime.results.SimulationResult` (see
@@ -105,20 +108,13 @@ class ComparisonConfig:
     #: paper's strictly periodic model).  Only consulted when ``simulation``
     #: is unset.
     arrivals: Optional["ArrivalModel"] = None
-    #: Plan the offline schedules through the batched solver
-    #: (:mod:`repro.offline.batched_solver`): one comparison's NLP solves run
-    #: concurrently against a stacked evaluation, share the content-addressed
-    #: solve memo, and — in batch execution — join the solver pool of the
-    #: whole chunk.  Bitwise-identical schedules either way; ``False`` pins
-    #: the per-scheduler sequential solves (e.g. for equivalence sweeps).
-    batched_planning: bool = True
 
     def simulation_config(self) -> SimulationConfig:
         if self.simulation is not None:
             return self.simulation
         return SimulationConfig(n_hyperperiods=self.n_hyperperiods, seed=self.seed,
-                                fast_path=self.fast_path, batched=self.batched,
-                                trace=self.trace, arrivals=self.arrivals)
+                                fast_path=self.fast_path, trace=self.trace,
+                                arrivals=self.arrivals)
 
     def with_derived_seed(self, *path: int) -> "ComparisonConfig":
         """A copy whose seed is derived from ``(self.seed, *path)``.
@@ -154,11 +150,10 @@ class ComparisonResult:
 
     ``fallback_reasons`` tallies, per reason, how often this comparison's
     batched stages had to take a per-unit sequential path: keys are
-    ``"batch:<reason>"`` (a simulation unit fell back from the SoA engine
-    to the compiled loop) and ``"solve:<reason>"`` (an NLP solve fell back
-    from the stacked coordinator).  Empty when nothing fell back — and
-    always empty for non-batched runs, whose sequential paths are the
-    chosen route, not a fallback.
+    ``"batch:<reason>"`` (a simulation unit of a batched comparison fell
+    back from the SoA engine to the compiled loop) and ``"solve:<reason>"``
+    (an NLP solve fell back from the stacked coordinator).  Empty when
+    nothing fell back.
     """
 
     taskset_name: str
@@ -260,7 +255,7 @@ def default_schedulers(processor: ProcessorModel) -> Dict[str, VoltageScheduler]
 
 
 # --------------------------------------------------------------------- #
-# Single comparison
+# Comparison executor
 # --------------------------------------------------------------------- #
 def _resolve_solve_memo(solve_memo_root: Optional[str]) -> SolveMemo:
     """The solve memo for a worker: persistent when a store root is given.
@@ -284,58 +279,73 @@ def _resolve_solve_memo(solve_memo_root: Optional[str]) -> SolveMemo:
     )
 
 
-def _plan_schedules(expansion, methods: Dict[str, VoltageScheduler],
-                    cfg: ComparisonConfig,
-                    solve_memo: Optional[SolveMemo],
-                    fallback_out: Optional[Dict[str, int]] = None) -> Dict[str, StaticSchedule]:
-    """Offline-plan one comparison's methods, batched or sequential per config.
+#: One comparison as the executor takes it: the task set, the processor, the
+#: ``{name: scheduler}`` methods (baseline included) and the shared settings.
+_Entry = Tuple[TaskSet, ProcessorModel, Mapping[str, VoltageScheduler], ComparisonConfig]
 
-    ``fallback_out``, when given, receives the ``solve_fallback_reason``
-    tally of the batched planner (sequential planning is a configuration
-    choice, not a fallback, and contributes nothing).
+
+def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[ComparisonResult]:
+    """Plan, then simulate, a chunk of comparisons; one result per entry, in order.
+
+    Planning is a single :func:`plan_expansions` call over every entry's
+    ``(expansion, methods)`` group, so the chunk's NLP solves share one
+    solver pool and the solve memo.  Every ``(entry, method)`` pair becomes
+    one :class:`BatchUnit` with its own deep-copied policy (a stateful policy
+    must not leak one method's runtime history into the next method's
+    simulation) and its own generator seeded with the entry's ``cfg.seed``
+    (paired comparison: every method sees the same workload realisations).
+    When every entry is batched the units advance together through one
+    :func:`simulate_batch` call; otherwise each runs through
+    ``DVSSimulator.run``.  Results are bitwise-identical either way, and for
+    any chunking of the same entries.
     """
-    if cfg.batched_planning:
-        group_reasons: Optional[List[Dict[str, int]]] = [] if fallback_out is not None else None
-        (schedules,) = plan_expansions(
-            [(expansion, methods)],
-            memo=solve_memo if solve_memo is not None else default_solve_memo(),
-            fallback_out=group_reasons,
-        )
-        if fallback_out is not None and group_reasons:
-            fallback_out.update(aggregate_fallback_reasons(group_reasons))
-        return schedules
-    return {name: scheduler.schedule_expansion(expansion)
-            for name, scheduler in methods.items()}
+    for _, _, methods, cfg in entries:
+        if cfg.baseline not in methods:
+            raise ExperimentError(
+                f"baseline {cfg.baseline!r} is not among the schedulers {sorted(methods)}"
+            )
+    plan_reasons: List[Dict[str, int]] = []
+    planned = plan_expansions(
+        [(expand_fully_preemptive(taskset), methods) for taskset, _, methods, _ in entries],
+        memo=solve_memo,
+        fallback_out=plan_reasons,
+    )
 
+    batched = all(cfg.batched for _, _, _, cfg in entries)
+    units: List[BatchUnit] = []
+    tallies: List[Dict[str, int]] = []
+    for (_, processor, _, cfg), schedules, reasons in zip(entries, planned, plan_reasons):
+        tally = {"solve:" + reason: count for reason, count in reasons.items()}
+        sim_config = cfg.simulation_config()
+        for schedule in schedules.values():
+            unit = BatchUnit(schedule=schedule, processor=processor,
+                             policy=copy.deepcopy(cfg.policy), config=sim_config,
+                             workload=cfg.workload, rng=np.random.default_rng(cfg.seed))
+            reason = batch_fallback_reason(unit) if batched else None
+            if reason is not None:
+                tally["batch:" + reason] = tally.get("batch:" + reason, 0) + 1
+            units.append(unit)
+        tallies.append(tally)
+    with _telemetry().span("sim.comparison"):
+        if batched:
+            simulations = simulate_batch(units)
+        else:
+            simulations = [
+                DVSSimulator(unit.processor, policy=unit.policy, config=unit.config)
+                .run(unit.schedule, unit.workload, unit.rng)
+                for unit in units
+            ]
 
-def _prepare_units(taskset: TaskSet, processor: ProcessorModel,
-                   methods: Dict[str, VoltageScheduler],
-                   cfg: ComparisonConfig,
-                   schedules: Optional[Dict[str, StaticSchedule]] = None,
-                   solve_memo: Optional[SolveMemo] = None,
-                   plan_fallback_out: Optional[Dict[str, int]] = None,
-                   ) -> Tuple[Dict[str, StaticSchedule], List[BatchUnit]]:
-    """Schedules plus one simulation work unit per method for one comparison.
-
-    Every unit carries its own deepcopied policy (a stateful policy must not
-    leak one method's runtime history into the next method's simulation) and
-    its own fresh generator seeded with ``cfg.seed`` (paired comparison:
-    every method sees the same workload realisations).  Pre-planned
-    ``schedules`` (from a cross-job batched planning pass) skip the planning
-    stage entirely.
-    """
-    if schedules is None:
-        expansion = expand_fully_preemptive(taskset)
-        schedules = _plan_schedules(expansion, methods, cfg, solve_memo,
-                                    fallback_out=plan_fallback_out)
-    sim_config = cfg.simulation_config()
-    units = [
-        BatchUnit(schedule=schedules[name], processor=processor,
-                  policy=copy.deepcopy(cfg.policy), config=sim_config,
-                  workload=cfg.workload, rng=np.random.default_rng(cfg.seed))
-        for name in schedules
-    ]
-    return schedules, units
+    results: List[ComparisonResult] = []
+    cursor = iter(simulations)
+    for (taskset, _, _, cfg), schedules, tally in zip(entries, planned, tallies):
+        outcomes = {
+            name: MethodOutcome(method=name, schedule=schedule, simulation=next(cursor))
+            for name, schedule in schedules.items()
+        }
+        results.append(ComparisonResult(taskset_name=taskset.name, outcomes=outcomes,
+                                        baseline=cfg.baseline, fallback_reasons=tally))
+    return results
 
 
 def compare_schedulers(taskset: TaskSet, processor: ProcessorModel,
@@ -343,42 +353,11 @@ def compare_schedulers(taskset: TaskSet, processor: ProcessorModel,
                        config: Optional[ComparisonConfig] = None,
                        solve_memo: Optional[SolveMemo] = None) -> ComparisonResult:
     """Schedule ``taskset`` with every scheduler and simulate all of them with paired randomness."""
-    cfg = config or ComparisonConfig()
-    methods = schedulers or default_schedulers(processor)
-    if cfg.baseline not in methods:
-        raise ExperimentError(
-            f"baseline {cfg.baseline!r} is not among the schedulers {sorted(methods)}"
-        )
-
-    fallback_reasons: Dict[str, int] = {}
-    plan_reasons: Dict[str, int] = {}
-    schedules, units = _prepare_units(taskset, processor, methods, cfg,
-                                      solve_memo=solve_memo,
-                                      plan_fallback_out=plan_reasons)
-    for reason, count in plan_reasons.items():
-        fallback_reasons["solve:" + reason] = count
-    if cfg.simulation_config().batched:
-        for unit in units:
-            reason = batch_fallback_reason(unit)
-            if reason is not None:
-                key = "batch:" + reason
-                fallback_reasons[key] = fallback_reasons.get(key, 0) + 1
-        # All methods advance in lock-step through the batched engine.
-        with _telemetry().span("sim.comparison"):
-            simulations = simulate_batch(units)
-    else:
-        with _telemetry().span("sim.comparison"):
-            simulations = [
-                DVSSimulator(processor, policy=unit.policy, config=unit.config)
-                .run(unit.schedule, unit.workload, unit.rng)
-                for unit in units
-            ]
-    outcomes = {
-        name: MethodOutcome(method=name, schedule=schedules[name], simulation=simulation)
-        for name, simulation in zip(schedules, simulations)
-    }
-    return ComparisonResult(taskset_name=taskset.name, outcomes=outcomes, baseline=cfg.baseline,
-                            fallback_reasons=fallback_reasons)
+    entry = (taskset, processor, schedulers or default_schedulers(processor),
+             config or ComparisonConfig())
+    (result,) = _compare_chunk(
+        [entry], solve_memo if solve_memo is not None else default_solve_memo())
+    return result
 
 
 # --------------------------------------------------------------------- #
@@ -443,90 +422,16 @@ def random_comparison_job(processor: ProcessorModel, taskset_config: RandomTaskS
     )
 
 
-def _execute_comparison_job(job: ComparisonJob,
-                            solve_memo_root: Optional[str] = None) -> ComparisonResult:
+def _run_chunk(jobs: Sequence[ComparisonJob],
+               solve_memo_root: Optional[str] = None) -> List[ComparisonResult]:
     """Worker entry point (module-level so the process pool can pickle it)."""
-    taskset = job.resolve_taskset()
-    schedulers = make_schedulers(job.schedulers, job.processor)
-    return compare_schedulers(taskset, job.processor, schedulers, job.config,
-                              solve_memo=_resolve_solve_memo(solve_memo_root))
-
-
-def _execute_comparison_batch(jobs: Sequence[ComparisonJob],
-                              solve_memo_root: Optional[str] = None,
-                              ) -> List[ComparisonResult]:
-    """Run many comparison jobs as one lock-step batch of simulation units.
-
-    Every ``(job, method)`` pair becomes one :class:`BatchUnit`; the batched
-    engine advances all of them together.  Offline planning is batched the
-    same way: the programs of every ``batched_planning`` job in the chunk
-    join one solver pool, so their SLSQP evaluations stack across jobs and
-    identical solves collapse into the memo.  Each unit still carries its
-    own generator and policy copy, so the results are bitwise-identical to
-    executing the jobs one by one (the batched engine's own contract).
-    Module-level so the process pool can pickle it.
-    """
-    solve_memo = _resolve_solve_memo(solve_memo_root)
-    entries = []
-    for job in jobs:
-        taskset = job.resolve_taskset()
-        methods = make_schedulers(job.schedulers, job.processor)
-        cfg = job.config
-        if cfg.baseline not in methods:
-            raise ExperimentError(
-                f"baseline {cfg.baseline!r} is not among the schedulers {sorted(methods)}"
-            )
-        entries.append((job, taskset, methods, cfg, expand_fully_preemptive(taskset)))
-
-    batchable = [index for index, (_, _, _, cfg, _) in enumerate(entries)
-                 if cfg.batched_planning]
-    group_reasons: List[Dict[str, int]] = []
-    planned = plan_expansions(
-        [(entries[index][4], entries[index][2]) for index in batchable],
-        memo=solve_memo,
-        fallback_out=group_reasons,
-    )
-    planned_schedules: Dict[int, Dict[str, StaticSchedule]] = dict(zip(batchable, planned))
-    plan_reasons: Dict[int, Dict[str, int]] = dict(zip(batchable, group_reasons))
-
-    prepared = []
-    units: List[BatchUnit] = []
-    for index, (job, taskset, methods, cfg, expansion) in enumerate(entries):
-        schedules = planned_schedules.get(index)
-        if schedules is None:
-            schedules = {name: scheduler.schedule_expansion(expansion)
-                         for name, scheduler in methods.items()}
-        schedules, job_units = _prepare_units(taskset, job.processor, methods, cfg,
-                                              schedules=schedules)
-        fallback_reasons = {
-            "solve:" + reason: count
-            for reason, count in plan_reasons.get(index, {}).items()
-        }
-        for unit in job_units:
-            reason = batch_fallback_reason(unit)
-            if reason is not None:
-                key = "batch:" + reason
-                fallback_reasons[key] = fallback_reasons.get(key, 0) + 1
-        prepared.append((taskset, cfg, schedules, fallback_reasons))
-        units.extend(job_units)
-    with _telemetry().span("sim.comparison_batch"):
-        simulations = simulate_batch(units)
-    results: List[ComparisonResult] = []
-    cursor = 0
-    for taskset, cfg, schedules, fallback_reasons in prepared:
-        outcomes = {}
-        for name in schedules:
-            outcomes[name] = MethodOutcome(method=name, schedule=schedules[name],
-                                           simulation=simulations[cursor])
-            cursor += 1
-        results.append(ComparisonResult(taskset_name=taskset.name, outcomes=outcomes,
-                                        baseline=cfg.baseline,
-                                        fallback_reasons=fallback_reasons))
-    return results
+    entries = [(job.resolve_taskset(), job.processor,
+                make_schedulers(job.schedulers, job.processor), job.config)
+               for job in jobs]
+    return _compare_chunk(entries, _resolve_solve_memo(solve_memo_root))
 
 
 def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
-                     chunksize: int = 1,
                      solve_memo_root: Optional[str] = None) -> Iterator[ComparisonResult]:
     """Execute comparison jobs, yielding each result as soon as it is known.
 
@@ -535,45 +440,34 @@ def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
     (the scenario result store) persist every finished unit immediately, so
     a run killed mid-sweep loses at most the units still in flight.
 
-    When every job opts into the batched engine
-    (``ComparisonConfig(batched=True)``), jobs are executed as lock-step
-    batches instead of one at a time — all jobs at once in-process, or one
-    contiguous chunk per worker on the pool.  Results are still yielded in
-    submission order and remain bitwise-identical; the trade-off is coarser
-    streaming (a batch's results all arrive when the batch completes).
+    Jobs run in chunks.  When every job opts into the batched engine
+    (``ComparisonConfig(batched=True)``), a chunk is all jobs in-process, or
+    one contiguous slice per worker on the pool, so each chunk's simulations
+    advance in lock-step; the trade-off is coarser streaming (a chunk's
+    results all arrive when the chunk completes).  Otherwise every job is
+    its own chunk.
     """
     if n_jobs < 1:
         raise ExperimentError("n_jobs must be at least 1")
     jobs = list(jobs)
-    if all(job.config.simulation_config().batched for job in jobs) and len(jobs) > 1:
-        if n_jobs == 1:
-            yield from _execute_comparison_batch(jobs, solve_memo_root=solve_memo_root)
-            return
+    if jobs and all(job.config.batched for job in jobs):
         workers = min(n_jobs, len(jobs))
-        # Contiguous, near-even chunks: worker w takes jobs[w::workers] would
-        # reorder results, so slice instead.
-        bounds = np.linspace(0, len(jobs), workers + 1).astype(int)
-        chunks = [jobs[bounds[w]:bounds[w + 1]] for w in range(workers)]
-        chunks = [chunk for chunk in chunks if chunk]
-        run_batch = functools.partial(_execute_comparison_batch,
-                                      solve_memo_root=solve_memo_root)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for batch in pool.map(run_batch, chunks):
-                yield from batch
+        # Slices, not strides: jobs[w::workers] would reorder the results.
+        bounds = [index * len(jobs) // workers for index in range(workers + 1)]
+        chunks = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    else:
+        chunks = [[job] for job in jobs]
+    run_chunk = functools.partial(_run_chunk, solve_memo_root=solve_memo_root)
+    if n_jobs == 1 or len(chunks) <= 1:
+        for chunk in chunks:
+            yield from run_chunk(chunk)
         return
-    if n_jobs == 1 or len(jobs) <= 1:
-        for job in jobs:
-            yield _execute_comparison_job(job, solve_memo_root=solve_memo_root)
-        return
-    workers = min(n_jobs, len(jobs))
-    run_job = functools.partial(_execute_comparison_job,
-                                solve_memo_root=solve_memo_root)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run_job, jobs, chunksize=chunksize)
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(chunks))) as pool:
+        for results in pool.map(run_chunk, chunks):
+            yield from results
 
 
 def run_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
-                    chunksize: int = 1,
                     solve_memo_root: Optional[str] = None) -> List[ComparisonResult]:
     """Execute a batch of comparison jobs, optionally on a process pool.
 
@@ -585,5 +479,4 @@ def run_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
     ``solve_memo_root`` (the scenario store's directory) makes the offline
     solve memo persistent, so resumed or repeated sweeps skip solved NLPs.
     """
-    return list(iter_comparisons(jobs, n_jobs=n_jobs, chunksize=chunksize,
-                                 solve_memo_root=solve_memo_root))
+    return list(iter_comparisons(jobs, n_jobs=n_jobs, solve_memo_root=solve_memo_root))

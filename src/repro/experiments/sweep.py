@@ -31,7 +31,6 @@ from .harness import (
     aggregate_fallback_reasons,
     random_comparison_job,
     run_comparisons,
-    warn_if_excessive_fallback,
 )
 
 __all__ = ["SweepConfig", "SweepResult", "run_sweep"]
@@ -55,10 +54,6 @@ class SweepConfig:
     baseline: str = "wcs"
     #: Worker processes (1 = serial); results are identical for any value.
     jobs: int = 1
-    #: Route the simulations through the structure-of-arrays batched engine
-    #: (bitwise-identical results; per-unit fallback reasons surface in
-    #: :meth:`SweepResult.fallback_summary`).
-    batched: bool = False
     processor: Optional[ProcessorModel] = None
     periods: Optional[Sequence[float]] = None
 
@@ -101,7 +96,7 @@ class SweepResult:
 
         Keys are prefixed ``"batch:"`` / ``"solve:"`` (see
         :class:`~repro.experiments.harness.ComparisonResult`); empty when no
-        batched stage fell back (always the case for non-batched sweeps).
+        batched stage fell back.
         """
         return aggregate_fallback_reasons(result.fallback_reasons for result in self.results)
 
@@ -159,8 +154,7 @@ def _build_jobs(cfg: SweepConfig, processor: ProcessorModel) -> List[ComparisonJ
         units.append(random_comparison_job(
             processor, taskset_config,
             ComparisonConfig(n_hyperperiods=cfg.n_hyperperiods, seed=cfg.seed,
-                             baseline=cfg.baseline, policy=get_policy(cfg.policy),
-                             batched=cfg.batched),
+                             baseline=cfg.baseline, policy=get_policy(cfg.policy)),
             sample_index,
             taskset_index=sample_index,
             schedulers=cfg.schedulers,
@@ -180,8 +174,6 @@ def run_sweep(config: Optional[SweepConfig] = None, *, verbose: bool = False) ->
         results = run_comparisons(units, n_jobs=cfg.jobs)
     elapsed = timer.elapsed_seconds
     sweep_result = SweepResult(config=cfg, results=results, elapsed_seconds=elapsed)
-    warn_if_excessive_fallback(sweep_result.fallback_summary(), sweep_result.total_units(),
-                               context=f"sweep ({cfg.n_tasksets} tasksets)")
     if verbose:
         for index, result in enumerate(results):
             best = [m for m in cfg.schedulers if m != cfg.baseline]

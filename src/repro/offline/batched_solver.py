@@ -25,9 +25,10 @@ solver trajectory:
 * **The solve memo** (:class:`SolveMemo`) is a content-addressed cache keyed —
   with the result store's hashing discipline (:func:`~repro.scenarios.store.signature_key`)
   — by everything solve-relevant: the task set, the horizon, the processor,
-  the workload mode, the solver options, the scenario set and the warm-start
-  vector.  ACS/WCS re-solves of identical task sets across policies, seeds
-  and resumed sweeps then cost one solve; backed by a
+  the workload mode, the solver options, the scenario set, the warm-start
+  vector and the numpy/scipy versions.  ACS/WCS re-solves of identical task
+  sets across policies, seeds and resumed sweeps then cost one solve; backed
+  by a
   :class:`~repro.scenarios.store.ResultStore` the memo survives a killed sweep.
 
 The determinism contract matches the runtime engines: for the same inputs, the
@@ -43,6 +44,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Generator, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 
 from ..core.errors import SchedulingError
 from ..power.processor import ProcessorModel
@@ -124,7 +126,9 @@ def solve_signature(task: NLPSolveTask) -> Dict[str, Any]:
     ``verbose`` is excluded (it only toggles solver chatter); every other
     option, the task set, the horizon, the processor physics, the workload
     mode, the scenario set and the warm start all shape the trajectory and
-    are therefore part of the key.
+    are therefore part of the key.  So does the solver build: SLSQP's
+    trajectory depends on the numpy and scipy versions, and a memo written
+    under one build must never be replayed as the answer under another.
     """
     # Lazy imports: pulling the reporting/scenario packages in at module load
     # would close an import cycle (scenarios.engine itself plans schedules).
@@ -147,6 +151,7 @@ def solve_signature(task: NLPSolveTask) -> Dict[str, Any]:
         "options": options,
         "scenarios": scenarios,
         "x0": None if task.x0 is None else [float(v) for v in np.asarray(task.x0, dtype=float)],
+        "build": {"numpy": np.__version__, "scipy": scipy.__version__},
     }
 
 

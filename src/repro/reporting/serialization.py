@@ -251,9 +251,6 @@ def sweep_result_to_dict(result: "SweepResult") -> Dict:
         "baseline": cfg.baseline,
         "jobs": cfg.jobs,
     }
-    # Non-default-only keys keep pre-existing sweep JSON byte-stable.
-    if cfg.batched:
-        config["batched"] = True
     data = {
         "config": config,
         "aggregate": {

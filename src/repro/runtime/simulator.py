@@ -89,15 +89,8 @@ class SimulationConfig:
         Run the compiled event loop of :mod:`repro.runtime.compiled`
         (default).  The reference loop is retained behind ``False`` for
         debugging and for the bitwise-equivalence suite; both paths produce
-        identical results for identical seeds.
-    batched:
-        Route the run through the structure-of-arrays engine of
-        :mod:`repro.runtime.batched` (takes precedence over ``fast_path``).
-        A single run gains little — the engine pays off when the harness
-        batches many work units into one lock-step advance — but results are
-        bitwise-identical to both scalar paths either way; configurations the
-        vectorized core does not cover fall back to the compiled loop per
-        unit (see the module docstring of :mod:`repro.runtime.batched`).
+        identical results for identical seeds.  Many runs at once go through
+        :func:`repro.runtime.batched.simulate_batch` instead.
     """
 
     n_hyperperiods: int = 1
@@ -110,7 +103,6 @@ class SimulationConfig:
     voltage_levels: Optional[VoltageLevels] = None
     quantization: str = "ceiling"
     fast_path: bool = True
-    batched: bool = False
 
     def __post_init__(self) -> None:
         if self.n_hyperperiods <= 0:
@@ -208,13 +200,6 @@ class DVSSimulator:
         """
         workload_model = workload if workload is not None else NormalWorkload()
         generator = rng if rng is not None else np.random.default_rng(self.config.seed)
-        if self.config.batched:
-            from .batched import BatchUnit, simulate_batch
-
-            unit = BatchUnit(schedule=schedule, processor=self.processor,
-                             policy=self.policy, config=self.config,
-                             workload=workload_model, rng=generator)
-            return simulate_batch([unit])[0]
         if self.config.fast_path:
             return self._run_compiled(schedule, workload_model, generator)
         return self._run_reference(schedule, workload_model, generator)

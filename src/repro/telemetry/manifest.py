@@ -1,9 +1,10 @@
 """Run manifests: one JSON document per scenario run, next to the store.
 
-A manifest answers "what ran, from which config, at which revision, and
-where did the time go" without replaying anything: config hash, git
-revision, unit accounting, stage timings aggregated from the telemetry
-spans, and the full counter dump.  ``repro run`` writes one per scenario
+A manifest answers "what ran, from which config, at which revision, in
+which environment, and where did the time go" without replaying anything:
+config hash, git revision and dirty flag, the Python/numpy/scipy versions,
+platform and core count, unit accounting, stage timings aggregated from the
+telemetry spans, and the full counter dump.  ``repro run`` writes one per scenario
 under ``<store>/manifests/`` (latest run wins), and ``repro stats``
 renders them.
 
@@ -19,10 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -42,21 +44,48 @@ def config_hash(document: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def git_revision(cwd: Optional[Union[str, Path]] = None) -> str:
-    """Current ``git`` commit hash, or ``"unknown"`` outside a checkout."""
+def git_state(cwd: Optional[Union[str, Path]] = None) -> Tuple[str, Optional[bool]]:
+    """``(commit hash, dirty)`` of the checkout, from one ``git status`` call.
+
+    ``git status --porcelain=v2 --branch`` reports the commit on its
+    ``# branch.oid`` header line and one line per modified or untracked
+    path.  Outside a checkout (or without ``git``) this is
+    ``("unknown", None)``.
+    """
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "status", "--porcelain=v2", "--branch"],
             cwd=str(cwd) if cwd is not None else None,
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
+        return "unknown", None
     if proc.returncode != 0:
-        return "unknown"
-    return proc.stdout.strip() or "unknown"
+        return "unknown", None
+    rev, dirty = "unknown", False
+    for line in proc.stdout.splitlines():
+        if line.startswith("# branch.oid "):
+            oid = line.split()[-1]
+            rev = "unknown" if oid == "(initial)" else oid
+        elif not line.startswith("#"):
+            dirty = True
+    return rev, dirty
+
+
+def environment() -> Dict[str, Any]:
+    """The interpreter, solver build, platform and core count of this process."""
+    import numpy
+    import scipy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def build_manifest(
@@ -73,13 +102,16 @@ def build_manifest(
 
     ``stage_timings``/``counters`` come from an enabled telemetry
     collector; with telemetry off the manifest still records the config
-    hash, revision, unit accounting, and wall-clock.
+    hash, revision, environment, unit accounting, and wall-clock.
     """
+    git_rev, git_dirty = git_state()
     manifest: Dict[str, Any] = {
         "manifest_format": MANIFEST_FORMAT,
         "scenario": scenario,
         "config_hash": config_hash(config),
-        "git_rev": git_revision(),
+        "git_rev": git_rev,
+        "git_dirty": git_dirty,
+        "environment": environment(),
         "created_unix": time.time(),
         "computed": computed,
         "skipped": skipped,

@@ -8,6 +8,7 @@ for more than half its units warns once.
 """
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -18,9 +19,10 @@ from repro.experiments.harness import (
     aggregate_fallback_reasons,
     compare_schedulers,
     make_schedulers,
+    run_comparisons,
     warn_if_excessive_fallback,
 )
-from repro.experiments.sweep import SweepConfig, run_sweep
+from repro.experiments.sweep import SweepConfig, SweepResult, _build_jobs, run_sweep
 from repro.power.presets import ideal_processor
 
 PROCESSOR = ideal_processor(fmax=1000.0)
@@ -70,15 +72,28 @@ class TestComparisonTallies:
 
 
 class TestSweepSummary:
+    CFG = SweepConfig(n_tasksets=2, n_tasks=2, n_hyperperiods=2,
+                      periods=(10.0, 20.0), schedulers=("max_speed", "wcs"),
+                      baseline="max_speed")
+
+    def batched_sweep(self, **config_changes):
+        """The sweep's jobs as one batched chunk, summarised like ``run_sweep``."""
+        jobs = [replace(job, config=replace(job.config, batched=True, **config_changes))
+                for job in _build_jobs(self.CFG, self.CFG.resolved_processor())]
+        result = SweepResult(config=self.CFG, results=run_comparisons(jobs))
+        warn_if_excessive_fallback(result.fallback_summary(), result.total_units(),
+                                   context="sweep")
+        return result
+
     def test_sweep_merges_tallies_and_warns_when_excessive(self):
-        cfg = SweepConfig(n_tasksets=2, n_tasks=2, n_hyperperiods=2,
-                          periods=(10.0, 20.0), schedulers=("max_speed", "wcs"),
-                          baseline="max_speed", batched=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fully vectorized sweep stays silent
-            clean = run_sweep(cfg)
+            clean = self.batched_sweep()
         assert clean.fallback_summary() == {}
         assert clean.total_units() == 4
+        with pytest.warns(RuntimeWarning, match="fell back for 4/4"):
+            traced = self.batched_sweep(trace=True)
+        assert traced.fallback_summary() == {"batch:trace": 4}
 
     def test_serialized_sweep_carries_the_summary(self):
         from repro.reporting.serialization import sweep_result_to_dict

@@ -23,6 +23,7 @@ from repro.offline import (
     solve_fallback_reason,
     solve_tasks,
 )
+from repro.offline.batched_solver import solve_signature
 from repro.offline.acs import ACSScheduler
 from repro.offline.baselines import ConstantSpeedScheduler, MaxSpeedScheduler
 from repro.offline.nlp import ReducedNLP, SolverOptions
@@ -178,6 +179,18 @@ class TestSolveMemo:
         first = memo.computed
         plan_expansions([(expansion, {"wcs": WCSScheduler(cmos)})], memo=memo)
         assert memo.computed > first
+
+    def test_solver_build_is_part_of_the_key(self, processor, two_task_set,
+                                             monkeypatch):
+        """A solve memoized under one scipy build is never replayed under another."""
+        import scipy
+
+        from repro.scenarios.store import signature_key
+
+        nlp = ReducedNLP(expand_fully_preemptive(two_task_set), processor)
+        here = signature_key(solve_signature(NLPSolveTask(nlp)))
+        monkeypatch.setattr(scipy, "__version__", scipy.__version__ + ".other")
+        assert signature_key(solve_signature(NLPSolveTask(nlp))) != here
 
     def test_run_program_rejects_programs_without_a_result(self, processor,
                                                            two_task_set):

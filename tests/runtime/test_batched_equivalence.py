@@ -1,7 +1,7 @@
 """Bitwise equivalence of the batched SoA engine and the compiled event loop.
 
-The batched engine (``SimulationConfig(batched=True)``, or ``simulate_batch``
-directly) promises *bitwise-identical* :class:`SimulationResult` aggregates to
+The batched engine (:func:`simulate_batch`) promises *bitwise-identical*
+:class:`SimulationResult` aggregates to
 the compiled fast path — which the existing suite in
 ``test_compiled_equivalence.py`` already holds bitwise-equal to the reference
 loop — for the same schedule, workload model and generator state.  These
@@ -68,15 +68,13 @@ def wcs_schedule(linear_processor, taskset):
 
 def run_both(processor, schedule, workload, policy, seed=20250729, **config_kwargs):
     """Run the batched engine and the compiled path from identical generator states."""
-    results = []
-    for batched in (True, False):
-        config = SimulationConfig(
-            n_hyperperiods=11, seed=seed, batched=batched, **config_kwargs,
-        )
-        simulator = DVSSimulator(processor, policy=policy, config=config)
-        rng = np.random.default_rng(seed)
-        results.append(simulator.run(schedule, workload, rng))
-    return results
+    config = SimulationConfig(n_hyperperiods=11, seed=seed, **config_kwargs)
+    (batched,) = simulate_batch([BatchUnit(
+        schedule=schedule, processor=processor, policy=policy, config=config,
+        workload=workload, rng=np.random.default_rng(seed))])
+    compiled = DVSSimulator(processor, policy=policy, config=config).run(
+        schedule, workload, np.random.default_rng(seed))
+    return batched, compiled
 
 
 def assert_identical(batched, compiled):

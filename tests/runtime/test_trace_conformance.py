@@ -185,20 +185,18 @@ def test_timeline_is_a_projection_of_the_trace(processor, wcs_schedule):
 
 
 def test_batched_engine_falls_back_when_traced(processor, wcs_schedule):
-    """batched=True with trace=True must take the per-unit compiled path and
-    still produce the identical event stream."""
-    from repro.runtime.batched import BatchUnit, batch_fallback_reason
+    """A traced unit in simulate_batch must take the per-unit compiled path
+    and still produce the identical event stream."""
+    from repro.runtime.batched import BatchUnit, batch_fallback_reason, simulate_batch
 
-    config = SimulationConfig(n_hyperperiods=7, seed=3, trace=True, batched=True)
+    config = SimulationConfig(n_hyperperiods=7, seed=3, trace=True)
     unit = BatchUnit(schedule=wcs_schedule, processor=processor,
-                     policy="greedy", config=config)
+                     policy="greedy", config=config, workload=NormalWorkload(),
+                     rng=np.random.default_rng(3))
     assert batch_fallback_reason(unit) == "trace"
 
-    simulator = DVSSimulator(processor, policy="greedy", config=config)
-    batched_result = simulator.run(
-        wcs_schedule, NormalWorkload(), np.random.default_rng(3))
-    plain = SimulationConfig(n_hyperperiods=7, seed=3, trace=True)
-    reference = DVSSimulator(processor, policy="greedy", config=plain).run(
+    (batched_result,) = simulate_batch([unit])
+    reference = DVSSimulator(processor, policy="greedy", config=config).run(
         wcs_schedule, NormalWorkload(), np.random.default_rng(3))
     assert batched_result.trace == reference.trace
     assert batched_result.total_energy == reference.total_energy
@@ -215,17 +213,16 @@ def test_batched_engine_matches_traced_oracle_for_arrivals(
     (untraced) batched aggregates must equal the traced compiled run —
     which in turn is event-equal to the reference loop.
     """
-    from repro.runtime.batched import BatchUnit, batch_fallback_reason
+    from repro.runtime.batched import BatchUnit, batch_fallback_reason, simulate_batch
 
     arrivals = SporadicArrivals(max_jitter=1.5)
-    config = SimulationConfig(n_hyperperiods=7, seed=11, batched=True,
-                              arrivals=arrivals)
+    config = SimulationConfig(n_hyperperiods=7, seed=11, arrivals=arrivals)
     unit = BatchUnit(schedule=wcs_schedule, processor=processor,
-                     policy=policy, config=config)
+                     policy=policy, config=config, workload=NormalWorkload(),
+                     rng=np.random.default_rng(11))
     assert batch_fallback_reason(unit) is None  # no longer a fallback
 
-    batched = DVSSimulator(processor, policy=policy, config=config).run(
-        wcs_schedule, NormalWorkload(), np.random.default_rng(11))
+    (batched,) = simulate_batch([unit])
     # Traced compiled run: the event-level oracle (itself checked against
     # the reference engine by test_sporadic_arrivals).
     traced_config = SimulationConfig(n_hyperperiods=7, seed=11, trace=True,

@@ -20,6 +20,7 @@ from repro.core.taskset import TaskSet
 from repro.offline.schedule import ScheduledSubInstance, StaticSchedule
 from repro.power.presets import ideal_processor
 from repro.power.transition import TransitionModel
+from repro.runtime.batched import BatchUnit, simulate_batch
 from repro.runtime.simulator import DVSSimulator, SimulationConfig
 from repro.workloads.distributions import FixedWorkload
 
@@ -85,7 +86,10 @@ def test_fringe_dispatch_charges_transition_at_vmax(processor, underbudgeted_sch
 def test_all_three_engines_agree_bitwise(processor, underbudgeted_schedule):
     compiled = run_engine(processor, underbudgeted_schedule, fast_path=True)
     reference = run_engine(processor, underbudgeted_schedule, fast_path=False)
-    batched = run_engine(processor, underbudgeted_schedule, batched=True)
+    (batched,) = simulate_batch([BatchUnit(
+        schedule=underbudgeted_schedule, processor=processor, policy="greedy",
+        config=SimulationConfig(n_hyperperiods=N_HYPERPERIODS, transition_model=TRANSITION),
+        workload=FixedWorkload(mode="wcec"), rng=np.random.default_rng(7))])
     for other in (reference, batched):
         assert compiled.total_energy == other.total_energy
         assert compiled.energy_per_hyperperiod == other.energy_per_hyperperiod

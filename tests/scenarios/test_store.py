@@ -136,16 +136,18 @@ class TestResume:
 
         store = ResultStore(tmp_path / "store")
         spec = ScenarioSpec.from_dict(SWEEP)
-        real_execute = harness._execute_comparison_job
+        real_compare = harness._compare_chunk
         calls = {"n": 0}
 
-        def dying_execute(job, **kwargs):
+        def dying_compare(entries, solve_memo):
+            # A compiled-engine sweep runs one job per chunk.
+            assert len(entries) == 1
             calls["n"] += 1
             if calls["n"] > 2:
                 raise RuntimeError("simulated crash mid-sweep")
-            return real_execute(job, **kwargs)
+            return real_compare(entries, solve_memo)
 
-        monkeypatch.setattr(harness, "_execute_comparison_job", dying_execute)
+        monkeypatch.setattr(harness, "_compare_chunk", dying_compare)
         with pytest.raises(RuntimeError, match="mid-sweep"):
             ScenarioEngine(store).run(spec)
         # The two units that finished before the crash are already stored...

@@ -126,6 +126,10 @@ class TestStats:
         assert "computed=1" in out
         assert "scenario.run" in out
         assert "1 run(s)" in out
+        import numpy
+        import scipy
+
+        assert f"numpy {numpy.__version__} | scipy {scipy.__version__}" in out
 
     def test_empty_store_reports_no_manifests(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path)]) == 0

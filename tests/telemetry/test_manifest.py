@@ -1,6 +1,10 @@
 """Run manifests: stable hashing, atomic writes, store-side reading."""
 
 import json
+import shutil
+import subprocess
+
+import pytest
 
 from repro.telemetry import (
     MANIFEST_FORMAT,
@@ -10,6 +14,7 @@ from repro.telemetry import (
     read_manifests,
     write_manifest,
 )
+from repro.telemetry.manifest import git_state
 
 
 class TestConfigHash:
@@ -31,6 +36,17 @@ class TestBuildManifest:
         assert manifest["elapsed_seconds"] == 0.5
         assert "git_rev" in manifest and "created_unix" in manifest
 
+    def test_records_the_environment(self):
+        import numpy
+        import scipy
+
+        manifest = build_manifest(scenario="demo", config={}, computed=0, skipped=0,
+                                  elapsed_seconds=0.0)
+        env = manifest["environment"]
+        assert env["numpy"] == numpy.__version__ and env["scipy"] == scipy.__version__
+        assert env["python"] and env["platform"] and env["cpu_count"] >= 1
+        assert manifest["git_dirty"] in (True, False, None)
+
     def test_optional_sections_only_when_present(self):
         bare = build_manifest(scenario="demo", config={}, computed=0, skipped=0,
                               elapsed_seconds=0.0)
@@ -41,6 +57,26 @@ class TestBuildManifest:
                               counters={"hits": 2})
         assert rich["stage_timings"]["run"]["count"] == 1
         assert rich["counters"] == {"hits": 2}
+
+
+class TestGitState:
+    @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+    def test_commit_and_dirty_flag_from_one_status_call(self, tmp_path):
+        assert git_state(tmp_path) == ("unknown", None)  # not a checkout
+
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                           cwd=tmp_path, check=True, capture_output=True)
+
+        git("init", "-q")
+        (tmp_path / "a.txt").write_text("a")
+        git("add", "a.txt")
+        git("commit", "-q", "-m", "a")
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
+                              capture_output=True, text=True).stdout.strip()
+        assert git_state(tmp_path) == (head, False)
+        (tmp_path / "a.txt").write_text("b")
+        assert git_state(tmp_path) == (head, True)
 
 
 class TestWriteAndRead:

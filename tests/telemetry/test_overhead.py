@@ -2,9 +2,9 @@
 
 Mirrors ``tests/runtime/test_trace_overhead.py``: every span class the
 collector can construct is replaced with a raising constructor, and a
-telemetry-off run of the full sweep pipeline (plan → batched simulate →
-aggregate) must still complete with bitwise-identical results — while a
-telemetry-on run must trip the guard.
+telemetry-off run of the full sweep pipeline (plan → simulate → aggregate,
+plus the same jobs as one batched chunk) must still complete with
+bitwise-identical results — while a telemetry-on run must trip the guard.
 
 ``Stopwatch`` is deliberately *excluded* from the tripwire list: the
 ``stage()`` sites (one per run, never per unit or per step) return a bare
@@ -13,17 +13,20 @@ working.  That is one small allocation per pipeline run, not a hot-loop
 cost.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.sweep import SweepConfig, run_sweep
-from repro.reporting.serialization import sweep_result_to_dict
+from repro.experiments.harness import run_comparisons
+from repro.experiments.sweep import SweepConfig, _build_jobs, run_sweep
+from repro.reporting.serialization import comparison_result_to_dict, sweep_result_to_dict
 from repro.telemetry import Telemetry, using
 
 #: Every class the collector allocates on the *enabled* path.
 SPAN_CLASS_NAMES = ("Span", "SpanHandle")
 
-TINY_SWEEP = SweepConfig(n_tasksets=1, n_tasks=2, n_hyperperiods=2,
-                         periods=(10.0, 20.0), batched=True)
+TINY_SWEEP = SweepConfig(n_tasksets=2, n_tasks=2, n_hyperperiods=2,
+                         periods=(10.0, 20.0))
 
 
 class _Tripwire:
@@ -42,18 +45,23 @@ def _arm_tripwires(monkeypatch):
         monkeypatch.setattr(core, name, _Tripwire(f"repro.telemetry.core.{name}"))
 
 
-def _normalised(result):
-    data = sweep_result_to_dict(result)
+def _run_pipeline():
+    """The tiny sweep, then its jobs again as one batched chunk; normalised."""
+    data = sweep_result_to_dict(run_sweep(TINY_SWEEP))
     data.pop("elapsed_seconds", None)
+    jobs = [replace(job, config=replace(job.config, batched=True))
+            for job in _build_jobs(TINY_SWEEP, TINY_SWEEP.resolved_processor())]
+    data["batched"] = [comparison_result_to_dict(result) for result in run_comparisons(jobs)]
     return data
 
 
 def test_telemetry_off_allocates_no_span_objects(monkeypatch):
-    baseline = run_sweep(TINY_SWEEP)
+    baseline = _run_pipeline()
     _arm_tripwires(monkeypatch)
-    guarded = run_sweep(TINY_SWEEP)
+    guarded = _run_pipeline()
     # Bitwise-identical: the disabled path may not perturb a single value.
-    assert _normalised(guarded) == _normalised(baseline)
+    assert guarded == baseline
+    assert guarded["batched"] == guarded["results"]
 
 
 def test_tripwires_actually_cover_the_enabled_path(monkeypatch):
@@ -61,15 +69,15 @@ def test_tripwires_actually_cover_the_enabled_path(monkeypatch):
     _arm_tripwires(monkeypatch)
     with pytest.raises(AssertionError, match="constructed although"):
         with using(Telemetry()):
-            run_sweep(TINY_SWEEP)
+            _run_pipeline()
 
 
 def test_telemetry_on_does_not_change_results():
     """Enabling telemetry observes the pipeline without steering it."""
-    baseline = run_sweep(TINY_SWEEP)
+    baseline = _run_pipeline()
     with using(Telemetry()) as telemetry:
-        observed = run_sweep(TINY_SWEEP)
-    assert _normalised(observed) == _normalised(baseline)
+        observed = _run_pipeline()
+    assert observed == baseline
     assert any(span.name == "sweep.run" for span in telemetry.spans)
 
 
