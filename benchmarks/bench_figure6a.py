@@ -1,9 +1,9 @@
 """Benchmark: Figure 6(a) — ACS vs WCS on random task sets.
 
 The paper sweeps 2–10 tasks and BCEC/WCEC ∈ {0.1, 0.5, 0.9} with 100 task sets
-× 1000 hyperperiods per point.  The benchmark uses a scaled-down sweep (the
-full setting is available through ``repro-experiments figure6a --full``) and
-checks the figure's two trends:
+× 1000 hyperperiods per point.  The benchmark runs a scaled-down scenario
+document through the scenario engine (the full setting is available through
+``repro-experiments figure6a --full``) and checks the figure's two trends:
 
 * the improvement of ACS over WCS grows with the number of tasks, and
 * it shrinks as the BCEC/WCEC ratio approaches 1.
@@ -40,27 +40,34 @@ import numpy as np
 import pytest
 
 from repro.analysis.preemption import expand_fully_preemptive
-from repro.experiments.figure6a import Figure6aConfig, _build_jobs, run_figure6a
 from repro.experiments.harness import make_schedulers
 from repro.offline.batched_solver import SolveMemo, plan_expansions
 from repro.runtime.batched import BatchUnit, simulate_batch
 from repro.runtime.compiled import run_compiled
+from repro.scenarios import ScenarioEngine, ScenarioSpec
+
+TASK_COUNTS = (2, 4, 6)
 
 #: Scaled-down sweep: divisor-friendly periods keep the NLP small.
-BENCH_CONFIG = Figure6aConfig(
-    task_counts=(2, 4, 6),
-    bcec_wcec_ratios=(0.1, 0.5, 0.9),
-    tasksets_per_point=2,
-    hyperperiods_per_taskset=10,
-    periods=(10.0, 20.0, 40.0, 80.0),
-    seed=2005,
-)
+BENCH_DOCUMENT = {
+    "kind": "comparison",
+    "name": "bench-figure6a",
+    "taskset": {"source": "random", "utilization": 0.7, "periods": [10.0, 20.0, 40.0, 80.0]},
+    "simulation": {"hyperperiods": 10, "seed": 2005, "repetitions": 2},
+    "matrix": {"taskset.n_tasks": list(TASK_COUNTS), "taskset.ratio": [0.1, 0.5, 0.9]},
+}
 
-#: Simulation-stage sweep: same points as BENCH_CONFIG but wide enough
+#: Simulation-stage sweep: same points as BENCH_DOCUMENT but wide enough
 #: (9 points x 50 task sets x 2 methods = 900 units) for lock-stepping to
 #: amortise the batched engine's fixed per-step cost.
 SIM_TASKSETS_PER_POINT = 50
 SIM_HYPERPERIODS = 25
+
+
+def _bench_jobs(**simulation):
+    """The sweep's comparison jobs, compiled (not run) by the scenario engine."""
+    document = {**BENCH_DOCUMENT, "simulation": {**BENCH_DOCUMENT["simulation"], **simulation}}
+    return list(ScenarioEngine().compile(ScenarioSpec.from_dict(document)).units.values())
 
 
 @pytest.fixture(scope="module")
@@ -71,16 +78,12 @@ def sim_units():
     ``rng=None`` placeholders; each timed replay seeds fresh generators so
     every round simulates the identical workload realisations.
     """
-    config = replace(BENCH_CONFIG,
-                     tasksets_per_point=SIM_TASKSETS_PER_POINT,
-                     hyperperiods_per_taskset=SIM_HYPERPERIODS)
-    processor = config.resolved_processor()
     units = []
-    for job in _build_jobs(config, processor):
+    for job in _bench_jobs(repetitions=SIM_TASKSETS_PER_POINT, hyperperiods=SIM_HYPERPERIODS):
         expansion = expand_fully_preemptive(job.resolve_taskset())
-        for scheduler in make_schedulers(job.schedulers, processor).values():
+        for scheduler in make_schedulers(job.schedulers, job.processor).values():
             units.append(BatchUnit(schedule=scheduler.schedule_expansion(expansion),
-                                   processor=processor, policy=copy.deepcopy(job.config.policy),
+                                   processor=job.processor, policy=copy.deepcopy(job.config.policy),
                                    config=job.config.simulation_config(),
                                    workload=job.config.workload))
     return units
@@ -104,28 +107,27 @@ def _simulate_batched(units):
 
 
 def test_figure6a_random_tasksets(benchmark, run_once):
-    result = run_once(benchmark, run_figure6a, BENCH_CONFIG)
+    result = run_once(benchmark, ScenarioEngine().run, ScenarioSpec.from_dict(BENCH_DOCUMENT))
 
     print()
     print("Figure 6(a): improvement of ACS over WCS (%) by task count and BCEC/WCEC ratio")
     print(result.to_markdown())
 
+    def improvement(n_tasks, ratio):
+        return result.point(n_tasks=n_tasks, ratio=ratio)["methods"]["acs"]["mean_improvement_percent"]
+
     # No deadline may ever be missed.
-    assert all(point.deadline_misses == 0 for point in result.points)
+    assert all(point["deadline_misses"] == 0 for point in result.points)
 
     # Trend 1: at high workload variation (ratio 0.1) the improvement is substantial.
-    largest = result.point(max(BENCH_CONFIG.task_counts), 0.1)
-    assert largest.mean_improvement_percent > 15.0
+    assert improvement(max(TASK_COUNTS), 0.1) > 15.0
 
     # Trend 2: for every task count, ratio 0.1 beats ratio 0.9 (small noise allowance).
-    for n_tasks in BENCH_CONFIG.task_counts:
-        low = result.point(n_tasks, 0.1).mean_improvement_percent
-        high = result.point(n_tasks, 0.9).mean_improvement_percent
-        assert low >= high - 3.0
+    for n_tasks in TASK_COUNTS:
+        assert improvement(n_tasks, 0.1) >= improvement(n_tasks, 0.9) - 3.0
 
     # Trend 3: more tasks give ACS at least as much room at ratio 0.1 (loose check).
-    series = result.series(0.1)
-    assert series[-1][1] >= series[0][1] - 5.0
+    assert improvement(TASK_COUNTS[-1], 0.1) >= improvement(TASK_COUNTS[0], 0.1) - 5.0
 
 
 def test_figure6a_sim_compiled(benchmark, sim_units):
@@ -182,11 +184,10 @@ def plan_items():
     18 jobs x 2 methods = 36 scheduler programs; the ACS half are NLP
     solves (two waves each: WCS seeding then the average-case refinement).
     """
-    processor = BENCH_CONFIG.resolved_processor()
     return [
         (expand_fully_preemptive(job.resolve_taskset()),
-         make_schedulers(job.schedulers, processor))
-        for job in _build_jobs(BENCH_CONFIG, processor)
+         make_schedulers(job.schedulers, job.processor))
+        for job in _bench_jobs()
     ]
 
 

@@ -15,9 +15,11 @@ every substrate it needs:
   and slack reclamation;
 * :mod:`repro.workloads` — workload distributions, random task sets and the
   CNC / GAP case studies;
-* :mod:`repro.experiments` — harnesses regenerating every table and figure;
-* :mod:`repro.scenarios` — the declarative scenario runner: TOML/JSON specs,
-  the compiling engine and the content-addressed, resumable result store.
+* :mod:`repro.experiments` — the comparison harness, the motivation table
+  and the free-form sweep;
+* :mod:`repro.scenarios` — the declarative scenario runner (and the runner of
+  the Figure-6 sweeps): TOML/JSON specs, the compiling engine and the
+  content-addressed, resumable result store.
 
 Quickstart::
 

@@ -7,6 +7,9 @@ table to standard output:
 * ``figure6a``   — random task-set sweep (supports ``--jobs N``);
 * ``figure6b``   — CNC and GAP case studies (supports ``--jobs N``);
 
+  both run the document of ``examples/scenarios/figure6a.toml`` /
+  ``figure6b.toml`` on the scenario engine, without a result store;
+
 and expose the online runtime and the batched harness directly:
 
 * ``simulate``   — schedule one application and simulate it under one or more
@@ -22,7 +25,8 @@ and expose the online runtime and the batched harness directly:
   plan each core offline, simulate the multicore system and serialise the
   resulting ``MulticoreResult``;
 * ``scalability`` — the multicore sweep: energy across core counts m ∈
-  {1, 2, 4, 8} and across partitioning heuristics (Figure-6-style report);
+  {1, 2, 4, 8} and across partitioning heuristics (the scenario document of
+  ``examples/scenarios/scalability.toml`` with the flags applied);
 
 and the declarative scenario runner (see ``docs/scenarios.md``):
 
@@ -52,29 +56,28 @@ smoke-test-sized run.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from .allocation.multicore import MulticoreProblem, plan_multicore
 from .allocation.partitioners import available_partitioners
 from .core.errors import ExperimentError, ReproError
-from .experiments.figure6a import Figure6aConfig, run_figure6a
-from .experiments.figure6b import Figure6bConfig, run_figure6b
 from .experiments.harness import make_schedulers, scheduler_names
 from .experiments.motivation import run_motivation
-from .experiments.scalability import ScalabilityConfig, run_scalability
 from .experiments.sweep import SweepConfig, run_sweep
 from .power.presets import ideal_processor
 from .runtime.multicore import MulticoreRunner
 from .runtime.policies import available_policies, get_policy
 from .runtime.simulator import DVSSimulator, SimulationConfig
+from .scenarios import ScenarioEngine, ScenarioLoader, ScenarioSpec
 from .utils.tables import format_markdown_table
 from .workloads.cnc import cnc_taskset
 from .workloads.distributions import NormalWorkload
@@ -90,6 +93,62 @@ def _resolve_store_dir(value: Optional[str]) -> str:
     return value or os.environ.get("REPRO_STORE") or DEFAULT_STORE_DIR
 
 
+# The paper's figures as scenario documents: the base document, plus the
+# profiles --quick/--full select, of examples/scenarios/{figure6a,figure6b,
+# scalability}.toml (tests/test_cli.py asserts each resolves to the committed
+# spec). They live here because reading TOML needs tomllib (Python >= 3.11).
+FIGURE6A: Dict[str, Any] = {
+    "kind": "comparison",
+    "name": "figure6a",
+    "description": "ACS vs WCS energy improvement on random task sets (Figure 6a)",
+    "taskset": {"source": "random", "utilization": 0.7},
+    "offline": {"methods": ["wcs", "acs"], "baseline": "wcs"},
+    "online": {"policy": "greedy"},
+    "workload": {"model": "normal"},
+    "power": {"model": "ideal"},
+    "simulation": {"hyperperiods": 20, "seed": 2005, "repetitions": 5},
+    "matrix": {"taskset.n_tasks": [2, 4, 6, 8, 10], "taskset.ratio": [0.1, 0.5, 0.9]},
+    "profiles": {
+        "smoke": {"simulation": {"hyperperiods": 5, "repetitions": 2},
+                  "matrix": {"taskset.n_tasks": [2, 4]}},
+        "full": {"simulation": {"hyperperiods": 1000, "repetitions": 100}},
+    },
+}
+
+FIGURE6B: Dict[str, Any] = {
+    "kind": "comparison",
+    "name": "figure6b",
+    "description": "ACS vs WCS on the CNC and GAP case studies (Figure 6b)",
+    "taskset": {"source": "cnc", "utilization": 0.7, "gap_tasks": 8},
+    "offline": {"methods": ["wcs", "acs"], "baseline": "wcs"},
+    "online": {"policy": "greedy"},
+    "workload": {"model": "normal"},
+    "power": {"model": "ideal"},
+    "simulation": {"hyperperiods": 20, "seed": 2005, "repetitions": 1},
+    "matrix": {"taskset.source": ["cnc", "gap"], "taskset.ratio": [0.1, 0.5, 0.9]},
+    "profiles": {
+        "smoke": {"simulation": {"hyperperiods": 5}, "taskset": {"gap_tasks": 5}},
+        "full": {"simulation": {"hyperperiods": 1000}, "taskset": {"gap_tasks": 17}},
+    },
+}
+
+SCALABILITY: Dict[str, Any] = {
+    "kind": "multicore",
+    "name": "scalability",
+    "description": "Energy vs core count across partitioning heuristics",
+    "taskset": {"source": "cnc", "ratio": 0.5, "utilization": 0.7},
+    "offline": {"methods": ["acs"], "baseline": "acs"},
+    "online": {"policy": "greedy"},
+    "power": {"model": "ideal"},
+    "simulation": {"hyperperiods": 20, "seed": 2005},
+    "multicore": {"cores": [1, 2, 4, 8], "partitioners": ["ffd", "bfd", "wfd", "energy"]},
+    "profiles": {
+        "smoke": {"simulation": {"hyperperiods": 5}, "taskset": {"gap_tasks": 5},
+                  "multicore": {"cores": [1, 2], "partitioners": ["ffd", "wfd"]}},
+    },
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -100,21 +159,21 @@ def build_parser() -> argparse.ArgumentParser:
     motivation = subparsers.add_parser("motivation", help="Table 1 / Figures 1-2")
     motivation.set_defaults(runner=_run_motivation)
 
-    figure6a = subparsers.add_parser("figure6a", help="random task-set sweep (Figure 6a)")
-    figure6a.add_argument("--quick", action="store_true", help="tiny sample sizes (smoke test)")
-    figure6a.add_argument("--full", action="store_true", help="paper-scale sample sizes (slow)")
-    figure6a.add_argument("--seed", type=int, default=2005)
-    figure6a.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (results identical for any value)")
-    figure6a.set_defaults(runner=_run_figure6a)
-
-    figure6b = subparsers.add_parser("figure6b", help="CNC and GAP case studies (Figure 6b)")
-    figure6b.add_argument("--quick", action="store_true", help="tiny sample sizes (smoke test)")
-    figure6b.add_argument("--full", action="store_true", help="paper-scale sample sizes (slow)")
-    figure6b.add_argument("--seed", type=int, default=2005)
-    figure6b.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (results identical for any value)")
-    figure6b.set_defaults(runner=_run_figure6b)
+    for name, document, help_text in (
+        ("figure6a", FIGURE6A, "random task-set sweep (Figure 6a)"),
+        ("figure6b", FIGURE6B, "CNC and GAP case studies (Figure 6b)"),
+    ):
+        figure = subparsers.add_parser(name, help=help_text)
+        scale = figure.add_mutually_exclusive_group()
+        scale.add_argument("--quick", action="store_true",
+                           help="tiny sample sizes (smoke test; the 'smoke' profile)")
+        scale.add_argument("--full", action="store_true",
+                           help="paper-scale sample sizes (slow; the 'full' profile)")
+        figure.add_argument("--seed", type=int, default=2005)
+        figure.add_argument("--jobs", type=int, default=1,
+                            help="worker processes (results identical for any value)")
+        figure.set_defaults(runner=_run_paper_scenario,
+                            scenario=functools.partial(_figure_spec, document))
 
     simulate = subparsers.add_parser(
         "simulate",
@@ -218,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "given values are honoured as-is")
     scalability.add_argument("--output", default=None,
                              help="also write the full result as JSON to this path")
-    scalability.set_defaults(runner=_run_scalability)
+    scalability.set_defaults(runner=_run_paper_scenario, scenario=_scalability_spec)
 
     run = subparsers.add_parser(
         "run",
@@ -318,30 +377,50 @@ def _run_motivation(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _run_figure6a(args: argparse.Namespace) -> str:
-    if args.full:
-        config = Figure6aConfig(tasksets_per_point=100, hyperperiods_per_taskset=1000,
-                                seed=args.seed, jobs=args.jobs)
-    elif args.quick:
-        config = Figure6aConfig(task_counts=(2, 4), tasksets_per_point=2,
-                                hyperperiods_per_taskset=5, seed=args.seed, jobs=args.jobs)
-    else:
-        config = Figure6aConfig(seed=args.seed, jobs=args.jobs)
-    result = run_figure6a(config, verbose=True)
-    return result.to_markdown()
+def _figure_spec(document: Dict[str, Any], args: argparse.Namespace) -> ScenarioSpec:
+    """``figure6a``/``figure6b``: the document at the --quick/--full profile, reseeded."""
+    profile = "full" if args.full else "smoke" if args.quick else None
+    seeded = {**document, "simulation": {**document["simulation"], "seed": args.seed}}
+    return ScenarioLoader().from_document(seeded, profile=profile)
 
 
-def _run_figure6b(args: argparse.Namespace) -> str:
-    if args.full:
-        config = Figure6bConfig(hyperperiods_per_point=1000, gap_tasks=None,
-                                seed=args.seed, jobs=args.jobs)
-    elif args.quick:
-        config = Figure6bConfig(hyperperiods_per_point=5, gap_tasks=5,
-                                seed=args.seed, jobs=args.jobs)
-    else:
-        config = Figure6bConfig(seed=args.seed, jobs=args.jobs)
-    result = run_figure6b(config, verbose=True)
-    return result.to_markdown()
+def _scalability_spec(args: argparse.Namespace) -> ScenarioSpec:
+    """``scalability``: the document at the --quick profile, with the flags applied.
+
+    --quick only shrinks the *defaults*; values the user gave explicitly
+    (--cores/--partitioners/--hyperperiods) are honoured as-is.
+    """
+    document = ScenarioLoader().from_document(
+        SCALABILITY, profile="smoke" if args.quick else None).to_dict()
+    document["taskset"].update(source=args.app, ratio=args.ratio)
+    document["offline"] = {"methods": [args.method], "baseline": args.method}
+    document["online"]["policy"] = args.policy
+    document["simulation"]["seed"] = args.seed
+    if args.hyperperiods is not None:
+        document["simulation"]["hyperperiods"] = args.hyperperiods
+    if args.cores is not None:
+        try:
+            document["multicore"]["cores"] = [
+                int(part) for part in args.cores.split(",") if part.strip()]
+        except ValueError:
+            raise ExperimentError(
+                f"--cores must be comma-separated integers, got {args.cores!r}") from None
+    if args.partitioners is not None:
+        document["multicore"]["partitioners"] = [
+            part.strip() for part in args.partitioners.split(",") if part.strip()]
+    return ScenarioSpec.from_dict(document)
+
+
+def _run_paper_scenario(args: argparse.Namespace) -> str:
+    """Run the subcommand's scenario document on an in-memory engine."""
+    result = ScenarioEngine().run(args.scenario(args), n_jobs=args.jobs)
+    if getattr(args, "output", None):
+        from .reporting.serialization import save_json, scenario_result_to_dict
+        save_json(scenario_result_to_dict(result), args.output)
+    # Wall-clock goes on a separate trailing line so the deterministic report
+    # above stays byte-identical across --jobs values.
+    return (f"{result.to_markdown()}\n\n"
+            f"wall-clock: {result.elapsed_seconds:.2f}s (jobs={args.jobs})")
 
 
 def _demo_taskset(ratio: float):
@@ -529,43 +608,6 @@ def _run_partition(args: argparse.Namespace) -> str:
                f"misses: {result.miss_count}")
     return "\n".join([header, "", table, "", summary,
                       f"wrote MulticoreResult to {output_path}"])
-
-
-def _run_scalability(args: argparse.Namespace) -> str:
-    # --quick only shrinks the *defaults*; values the user gave explicitly
-    # (--cores/--partitioners/--hyperperiods) are honoured as-is.
-    cores_spec = args.cores if args.cores is not None else ("1,2" if args.quick else "1,2,4,8")
-    partitioners_spec = args.partitioners if args.partitioners is not None \
-        else ("ffd,wfd" if args.quick else "ffd,bfd,wfd,energy")
-    n_hyperperiods = args.hyperperiods if args.hyperperiods is not None \
-        else (5 if args.quick else 20)
-    try:
-        core_counts = tuple(int(part) for part in cores_spec.split(",") if part.strip())
-    except ValueError:
-        raise ExperimentError(f"--cores must be comma-separated integers, got {cores_spec!r}")
-    partitioners = tuple(part.strip() for part in partitioners_spec.split(",") if part.strip())
-    if not core_counts or not partitioners:
-        raise ExperimentError("--cores and --partitioners must each name at least one value")
-    unknown = [name for name in partitioners if name not in available_partitioners()]
-    if unknown:
-        raise ExperimentError(
-            f"unknown partitioners {unknown}; known: {', '.join(available_partitioners())}")
-    config = ScalabilityConfig(
-        core_counts=core_counts, partitioners=partitioners,
-        application=args.app, method=args.method, policy=args.policy,
-        bcec_wcec_ratio=args.ratio,
-        n_hyperperiods=n_hyperperiods,
-        seed=args.seed, jobs=args.jobs,
-        gap_tasks=5 if args.quick else 8,
-    )
-    result = run_scalability(config, verbose=True)
-    if args.output:
-        from .reporting.serialization import save_json, scalability_result_to_dict
-        save_json(scalability_result_to_dict(result), args.output)
-    report = result.to_markdown()
-    # Wall-clock goes on a separate trailing line so the deterministic report
-    # above stays byte-identical across --jobs values.
-    return f"{report}\n\nwall-clock: {result.elapsed_seconds:.2f}s (jobs={config.jobs})"
 
 
 def _run_serve(args: argparse.Namespace) -> str:

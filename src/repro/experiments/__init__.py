@@ -1,7 +1,10 @@
-"""Experiment harnesses that regenerate the paper's tables and figures."""
+"""Experiment harnesses behind the paper's tables and figures.
 
-from .figure6a import Figure6aConfig, Figure6aPoint, Figure6aResult, run_figure6a
-from .figure6b import Figure6bConfig, Figure6bPoint, Figure6bResult, run_figure6b
+The Figure-6 sweeps and the multicore scalability grid are scenario
+documents run by :mod:`repro.scenarios`; this package holds the comparison
+harness they compile to, the motivation table and the per-task-set sweep.
+"""
+
 from .harness import (
     ComparisonConfig,
     ComparisonJob,
@@ -15,13 +18,6 @@ from .harness import (
     scheduler_names,
 )
 from .motivation import MotivationConfig, MotivationResult, motivation_taskset, run_motivation
-from .scalability import (
-    ScalabilityConfig,
-    ScalabilityPoint,
-    ScalabilityResult,
-    run_multicore_point,
-    run_scalability,
-)
 from .seeding import derive_rng, derive_seed, seed_sequence
 from .sweep import SweepConfig, SweepResult, run_sweep
 
@@ -42,21 +38,8 @@ __all__ = [
     "derive_seed",
     "derive_rng",
     "seed_sequence",
-    "Figure6aConfig",
-    "Figure6aPoint",
-    "Figure6aResult",
-    "run_figure6a",
-    "Figure6bConfig",
-    "Figure6bPoint",
-    "Figure6bResult",
-    "run_figure6b",
     "MotivationConfig",
     "MotivationResult",
     "motivation_taskset",
     "run_motivation",
-    "ScalabilityConfig",
-    "ScalabilityPoint",
-    "ScalabilityResult",
-    "run_multicore_point",
-    "run_scalability",
 ]

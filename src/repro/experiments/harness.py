@@ -123,8 +123,8 @@ class ComparisonConfig:
         conventionally ending with a stream tag — e.g. ``(point_index,
         sample_index, seeding.SIMULATION_STREAM)`` — so simulation seeds can
         never collide with the task-set generation stream.  A ``None`` seed
-        stays ``None``.  This is how the figure/sweep modules seed every
-        work unit; see :mod:`repro.experiments.seeding`.
+        stays ``None``.  This is how the scenario engine and the sweep seed
+        every work unit; see :mod:`repro.experiments.seeding`.
         """
         if self.seed is None:
             return self

@@ -41,13 +41,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Generator, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
 
 from ..core.errors import SchedulingError
-from ..power.processor import ProcessorModel
 from ..telemetry.core import current as _telemetry
 from .evaluation import _EPS, CompiledEvaluation
 from .nlp import ReducedNLP
@@ -106,20 +105,6 @@ def solve_fallback_reason(task: NLPSolveTask) -> Optional[str]:
 # --------------------------------------------------------------------- #
 # Solve memo (content-addressed, ResultStore hashing discipline)
 # --------------------------------------------------------------------- #
-def _processor_signature(processor: ProcessorModel) -> Dict[str, Any]:
-    # Field-for-field what the scenario store hashes for a processor (the
-    # ``name`` label is deliberately absent: it cannot influence a solve).
-    return {
-        "vmax": processor.vmax,
-        "vmin": processor.vmin,
-        "fmax": processor.fmax,
-        "vth": processor.vth,
-        "alpha": processor.alpha,
-        "ceff": processor.ceff,
-        "law": processor.law,
-    }
-
-
 def solve_signature(task: NLPSolveTask) -> Dict[str, Any]:
     """Everything that determines a solve's outcome, as a canonical dictionary.
 
@@ -133,7 +118,7 @@ def solve_signature(task: NLPSolveTask) -> Dict[str, Any]:
     # Lazy imports: pulling the reporting/scenario packages in at module load
     # would close an import cycle (scenarios.engine itself plans schedules).
     from ..reporting.serialization import taskset_to_dict
-    from ..scenarios.store import STORE_FORMAT
+    from ..scenarios.store import STORE_FORMAT, processor_signature
 
     nlp = task.nlp
     options = asdict(nlp.options)
@@ -146,7 +131,7 @@ def solve_signature(task: NLPSolveTask) -> Dict[str, Any]:
         "kind": "nlp-solve",
         "taskset": taskset_to_dict(nlp.expansion.taskset),
         "horizon": nlp.expansion.horizon,
-        "processor": _processor_signature(nlp.processor),
+        "processor": processor_signature(nlp.processor),
         "workload_mode": nlp.workload_mode,
         "options": options,
         "scenarios": scenarios,

@@ -10,7 +10,6 @@ from .serialization import (
     multicore_result_to_dict,
     partition_to_dict,
     save_json,
-    scalability_result_to_dict,
     schedule_from_dict,
     schedule_to_dict,
     simulation_result_to_dict,
@@ -35,7 +34,6 @@ __all__ = [
     "partition_to_dict",
     "multicore_plan_to_dict",
     "multicore_result_to_dict",
-    "scalability_result_to_dict",
     "save_json",
     "load_json",
 ]

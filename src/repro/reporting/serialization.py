@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard dependency ed
     from ..allocation.multicore import MulticorePlan
     from ..allocation.partitioners import Partition
     from ..experiments.harness import ComparisonResult
-    from ..experiments.scalability import ScalabilityResult
     from ..experiments.sweep import SweepResult
     from ..runtime.multicore import MulticoreResult
     from ..scenarios.engine import ScenarioResult
@@ -56,7 +55,6 @@ __all__ = [
     "partition_to_dict",
     "multicore_plan_to_dict",
     "multicore_result_to_dict",
-    "scalability_result_to_dict",
     "scenario_result_to_dict",
     "save_json",
     "load_json",
@@ -319,42 +317,6 @@ def multicore_result_to_dict(result: "MulticoreResult") -> Dict:
             None if core_result is None else simulation_result_to_dict(core_result)
             for core_result in result.core_results
         ],
-    }
-
-
-def scalability_result_to_dict(result: "ScalabilityResult") -> Dict:
-    """Serialise the multicore scalability sweep (grid of (cores, partitioner) points)."""
-    cfg = result.config
-    return {
-        "config": {
-            "core_counts": list(cfg.core_counts),
-            "partitioners": list(cfg.partitioners),
-            "application": cfg.application,
-            "method": cfg.method,
-            "policy": cfg.policy,
-            "bcec_wcec_ratio": cfg.bcec_wcec_ratio,
-            "target_utilization": cfg.target_utilization,
-            "n_hyperperiods": cfg.n_hyperperiods,
-            "seed": cfg.seed,
-            "gap_tasks": cfg.gap_tasks,
-            "jobs": cfg.jobs,
-        },
-        "baseline_cores": result.baseline_cores,
-        "points": [
-            {
-                "n_cores": point.n_cores,
-                "partitioner": point.partitioner,
-                "mean_energy_per_hyperperiod": point.mean_energy_per_hyperperiod,
-                "total_energy": point.total_energy,
-                "max_core_utilization": point.max_core_utilization,
-                "used_cores": point.used_cores,
-                "deadline_misses": point.deadline_misses,
-                "improvement_over_single_core_percent":
-                    result.improvement_over_single_core(point.n_cores, point.partitioner),
-            }
-            for point in result.points
-        ],
-        "elapsed_seconds": result.elapsed_seconds,
     }
 
 

@@ -1,18 +1,20 @@
-"""Scenario engine: compile declarative specs down to the existing harnesses.
+"""Scenario engine: compile declarative specs down to the experiment harness.
 
-The engine turns a :class:`~repro.scenarios.spec.ScenarioSpec` into the same
-work units the hand-written experiment modules build — picklable
-:class:`~repro.experiments.harness.ComparisonJob` batches for ``comparison``
-scenarios (executed through :func:`run_comparisons`, so ``--jobs N`` keeps the
-bitwise serial/parallel guarantee), per-``(m, partitioner)`` multicore plans
-for ``multicore`` scenarios, and the motivation table for ``motivation`` ones.
+The engine turns a :class:`~repro.scenarios.spec.ScenarioSpec` into work
+units — picklable :class:`~repro.experiments.harness.ComparisonJob` batches
+for ``comparison`` scenarios (executed through :func:`iter_comparisons`, so
+``--jobs N`` keeps the bitwise serial/parallel guarantee),
+per-``(m, partitioner)`` multicore plans for ``multicore`` scenarios, and the
+motivation table for ``motivation`` ones.  It is the only runner of the
+paper's figures: ``repro figure6a``, ``figure6b`` and ``scalability`` build a
+scenario document and run it here.
 
-Seed derivation matches the figure modules exactly: a point's matrix-axis
-indices are the seed coordinates of its work units (plus the repetition index
-for random task sets), so ``examples/scenarios/figure6a.toml`` reproduces
-``repro figure6a`` bit for bit — and because every unit is keyed in the
-result store by a content hash of its full signature, rerunning a finished or
-interrupted scenario recomputes only the missing units.
+A point's matrix-axis indices are the seed coordinates of its work units
+(plus the repetition index for random task sets), so
+``examples/scenarios/figure6a.toml`` is what ``repro figure6a`` runs, unit
+for unit — and because every unit is keyed in the result store by a content
+hash of its full signature, rerunning a finished or interrupted scenario
+recomputes only the missing units.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from ..workloads.cnc import cnc_taskset
 from ..workloads.gap import gap_taskset
 from ..workloads.random_tasksets import RandomTaskSetConfig
 from .spec import ScenarioError, ScenarioSpec, TasksetSpec, _set_dotted
-from .store import STORE_FORMAT, MemoryStore, ResultStore, signature_key
+from .store import STORE_FORMAT, MemoryStore, ResultStore, processor_signature, signature_key
 
 __all__ = [
     "AUTO_BATCH_THRESHOLD",
@@ -71,18 +73,6 @@ AUTO_BATCH_THRESHOLD = 200
 # --------------------------------------------------------------------- #
 # Work-unit signatures (what the store hashes)
 # --------------------------------------------------------------------- #
-def _processor_signature(processor: ProcessorModel) -> Dict[str, Any]:
-    return {
-        "vmax": processor.vmax,
-        "vmin": processor.vmin,
-        "fmax": processor.fmax,
-        "vth": processor.vth,
-        "alpha": processor.alpha,
-        "ceff": processor.ceff,
-        "law": processor.law,
-    }
-
-
 def _model_signature(model: Any) -> Dict[str, Any]:
     signature = dict(asdict(model)) if is_dataclass(model) else {}
     signature["type"] = type(model).__name__
@@ -96,7 +86,7 @@ def _comparison_signature(job: ComparisonJob) -> Dict[str, Any]:
     signature: Dict[str, Any] = {
         "store_format": STORE_FORMAT,
         "kind": "comparison",
-        "processor": _processor_signature(job.processor),
+        "processor": processor_signature(job.processor),
         "schedulers": list(job.schedulers),
         "n_hyperperiods": config.n_hyperperiods,
         "seed": config.seed,
@@ -141,7 +131,7 @@ class _MulticoreUnit:
         return {
             "store_format": STORE_FORMAT,
             "kind": "multicore",
-            "processor": _processor_signature(self.processor),
+            "processor": processor_signature(self.processor),
             "taskset": taskset_to_dict(self.taskset),
             "n_cores": self.n_cores,
             "partitioner": self.partitioner,
@@ -187,7 +177,7 @@ class _MotivationUnit:
             "wcec": self.config.wcec,
             "acec": self.config.acec,
             "bcec": self.config.bcec,
-            "processor": _processor_signature(self.config.resolved_processor()),
+            "processor": processor_signature(self.config.resolved_processor()),
         }
 
 
@@ -482,12 +472,7 @@ class ScenarioEngine:
             telemetry.count("scenario.units_computed", len(pending))
             telemetry.count("scenario.units_replayed", len(compiled.units) - len(pending))
             with telemetry.span("scenario.execute"):
-                self._execute_pending(compiled, pending, spec, labels, n_jobs)
-            for key in pending:
-                payload = self.store.get(key)
-                if payload is None:
-                    raise ExperimentError(f"store lost unit {key[:12]} mid-run; rerun with --force")
-                payloads[key] = payload
+                payloads.update(self._execute_pending(compiled, pending, spec, labels, n_jobs))
             with telemetry.span("scenario.aggregate"):
                 points = self.aggregate(compiled, payloads)
             fallback_reasons = self._fallback_reasons(spec, payloads)
@@ -525,10 +510,19 @@ class ScenarioEngine:
         spec: ScenarioSpec,
         labels: Dict[str, str],
         n_jobs: int,
-    ) -> None:
-        # Every finished unit is persisted the moment its result arrives (the
-        # executors are consumed lazily), so a run killed mid-sweep loses at
-        # most the units still in flight — that is the resume guarantee.
+    ) -> Dict[str, Dict[str, Any]]:
+        """Compute, persist and return the payload of every pending unit.
+
+        Every finished unit is persisted the moment its result arrives (the
+        executors are consumed lazily), so a run killed mid-sweep loses at
+        most the units still in flight — that is the resume guarantee.
+        """
+        computed: Dict[str, Dict[str, Any]] = {}
+
+        def persist(key: str, payload: Dict[str, Any]) -> None:
+            self.store.put(key, payload, scenario=spec.name, label=labels[key])
+            computed[key] = payload
+
         comparison_keys = [key for key in pending if isinstance(compiled.units[key], ComparisonJob)]
         if comparison_keys:
             from ..reporting.serialization import comparison_result_to_dict
@@ -543,23 +537,22 @@ class ScenarioEngine:
             results = iter_comparisons(jobs, n_jobs=n_jobs,
                                        solve_memo_root=solve_memo_root)
             for key, result in zip(comparison_keys, results):
-                payload = comparison_result_to_dict(result)
-                self.store.put(key, payload, scenario=spec.name, label=labels[key])
+                persist(key, comparison_result_to_dict(result))
         multicore_keys = [key for key in pending if isinstance(compiled.units[key], _MulticoreUnit)]
         if multicore_keys:
             units = [compiled.units[key] for key in multicore_keys]
             if n_jobs == 1 or len(units) <= 1:
-                payload_stream = (run_unit(unit) for unit in units)
-                for key, payload in zip(multicore_keys, payload_stream):
-                    self.store.put(key, payload, scenario=spec.name, label=labels[key])
+                for key, unit in zip(multicore_keys, units):
+                    persist(key, run_unit(unit))
             else:
                 with ProcessPoolExecutor(max_workers=min(n_jobs, len(units))) as pool:
                     for key, payload in zip(multicore_keys, pool.map(_run_multicore_unit, units)):
-                        self.store.put(key, payload, scenario=spec.name, label=labels[key])
+                        persist(key, payload)
         for key in pending:
             unit = compiled.units[key]
             if isinstance(unit, _MotivationUnit):
-                self.store.put(key, run_unit(unit), scenario=spec.name, label=labels[key])
+                persist(key, run_unit(unit))
+        return computed
 
     # ------------------------------------------------------------------ #
     # Aggregation (always from the serialised payload form)

@@ -33,12 +33,22 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from ..core.errors import ReproError
 from ..telemetry.core import current as _telemetry
 
-__all__ = ["STORE_FORMAT", "ClaimRecord", "StoreEntry", "ResultStore", "signature_key"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..power.processor import ProcessorModel
+
+__all__ = [
+    "STORE_FORMAT",
+    "ClaimRecord",
+    "StoreEntry",
+    "ResultStore",
+    "processor_signature",
+    "signature_key",
+]
 
 #: Version of the signature/payload contract.  Part of every signature, so a
 #: bump makes every previously stored record unreachable (and collectable via
@@ -57,6 +67,23 @@ def signature_key(signature: Mapping[str, Any]) -> str:
     except (TypeError, ValueError) as error:
         raise ReproError(f"work-unit signature is not canonically serialisable: {error}") from None
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def processor_signature(processor: "ProcessorModel") -> Dict[str, Any]:
+    """The processor physics every signature (work unit and solve memo) hashes.
+
+    The ``name`` label is deliberately absent: it cannot influence a result.
+    Changing these fields re-keys every stored record.
+    """
+    return {
+        "vmax": processor.vmax,
+        "vmin": processor.vmin,
+        "fmax": processor.fmax,
+        "vth": processor.vth,
+        "alpha": processor.alpha,
+        "ceff": processor.ceff,
+        "law": processor.law,
+    }
 
 
 @dataclass(frozen=True)

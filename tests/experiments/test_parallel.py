@@ -126,13 +126,15 @@ class TestSerialParallelEquivalence:
 
 class TestFigureParallelEquivalence:
     def test_figure6a_jobs_equivalent(self):
-        from repro.experiments.figure6a import Figure6aConfig, run_figure6a
-        base = dict(task_counts=(2,), bcec_wcec_ratios=(0.1, 0.5),
-                    tasksets_per_point=2, hyperperiods_per_taskset=3, seed=11,
-                    periods=_FAST_PERIODS)
-        serial = run_figure6a(Figure6aConfig(jobs=1, **base))
-        parallel = run_figure6a(Figure6aConfig(jobs=2, **base))
-        for left, right in zip(serial.points, parallel.points):
-            assert left.mean_improvement_percent == right.mean_improvement_percent
-            assert left.mean_wcs_energy == right.mean_wcs_energy
-            assert left.mean_acs_energy == right.mean_acs_energy
+        from repro.scenarios import ScenarioEngine, ScenarioSpec
+
+        spec = ScenarioSpec.from_dict({
+            "kind": "comparison",
+            "name": "figure6a-jobs",
+            "taskset": {"source": "random", "periods": list(_FAST_PERIODS)},
+            "simulation": {"hyperperiods": 3, "seed": 11, "repetitions": 2},
+            "matrix": {"taskset.n_tasks": [2], "taskset.ratio": [0.1, 0.5]},
+        })
+        serial = ScenarioEngine().run(spec, n_jobs=1)
+        parallel = ScenarioEngine().run(spec, n_jobs=2)
+        assert serial.points == parallel.points

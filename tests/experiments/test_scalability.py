@@ -1,27 +1,31 @@
-"""Tests for the multicore scalability sweep."""
+"""Tests for the multicore scalability scenario (`repro scalability`)."""
+
+import json
 
 import pytest
 
-from repro.core.errors import ExperimentError
-from repro.experiments.scalability import (
-    ScalabilityConfig,
-    run_multicore_point,
-    run_scalability,
-)
-from repro.reporting.serialization import scalability_result_to_dict
+from repro.power.presets import ideal_processor
+from repro.reporting.serialization import scenario_result_to_dict
+from repro.scenarios import ScenarioEngine, ScenarioError, ScenarioSpec, TasksetSpec, run_unit
+from repro.scenarios.engine import build_taskset
 
-QUICK = ScalabilityConfig(
-    core_counts=(1, 2),
-    partitioners=("ffd", "wfd"),
-    application="cnc",
-    n_hyperperiods=3,
-    seed=2005,
-)
+QUICK = {
+    "kind": "multicore",
+    "name": "scalability-quick",
+    "taskset": {"source": "cnc", "ratio": 0.5, "utilization": 0.7},
+    "offline": {"methods": ["acs"], "baseline": "acs"},
+    "simulation": {"hyperperiods": 3, "seed": 2005},
+    "multicore": {"cores": [1, 2], "partitioners": ["ffd", "wfd"]},
+}
+
+
+def _energy(result, n_cores, partitioner):
+    return result.point(cores=n_cores, partitioner=partitioner)["mean_energy_per_hyperperiod"]
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_scalability(QUICK)
+    return ScenarioEngine().run(ScenarioSpec.from_dict(QUICK))
 
 
 class TestSweep:
@@ -29,61 +33,53 @@ class TestSweep:
         assert len(result.points) == 4
         for n_cores in (1, 2):
             for partitioner in ("ffd", "wfd"):
-                point = result.point(n_cores, partitioner)
-                assert point.deadline_misses == 0
-                assert point.mean_energy_per_hyperperiod > 0
+                point = result.point(cores=n_cores, partitioner=partitioner)
+                assert point["deadline_misses"] == 0
+                assert point["mean_energy_per_hyperperiod"] > 0
 
     def test_balancing_beats_packing_at_m2(self, result):
         # WFD spreads the CNC set over both cores; FFD packs it onto one.
         # With the quadratic energy law the balanced partition must win big.
-        wfd = result.point(2, "wfd").mean_energy_per_hyperperiod
-        ffd = result.point(2, "ffd").mean_energy_per_hyperperiod
-        assert wfd < 0.8 * ffd
-        assert result.improvement_over_single_core(2, "wfd") > 20.0
+        wfd = _energy(result, 2, "wfd")
+        assert wfd < 0.8 * _energy(result, 2, "ffd")
+        single = _energy(result, 1, "wfd")
+        assert 100.0 * (single - wfd) / single > 20.0
 
     def test_identical_partitions_give_identical_energy(self, result):
         # FFD at m=2 packs everything onto core 0, i.e. the same partition as
         # m=1 — the paired seeding must make the energies exactly equal.
-        assert result.point(2, "ffd").mean_energy_per_hyperperiod == \
-            result.point(1, "ffd").mean_energy_per_hyperperiod
-        assert result.improvement_over_single_core(2, "ffd") == 0.0
+        assert _energy(result, 2, "ffd") == _energy(result, 1, "ffd")
 
     def test_markdown_report(self, result):
         report = result.to_markdown()
-        assert "mean energy per global hyperperiod" in report
-        assert "energy improvement over m=1" in report
+        assert "improvement vs m=1 %" in report
         assert "ffd" in report and "wfd" in report
-        assert "application: cnc" in report
 
     def test_parallel_matches_serial(self, result):
-        parallel = run_scalability(ScalabilityConfig(
-            core_counts=QUICK.core_counts, partitioners=QUICK.partitioners,
-            application=QUICK.application, n_hyperperiods=QUICK.n_hyperperiods,
-            seed=QUICK.seed, jobs=2))
+        parallel = ScenarioEngine().run(ScenarioSpec.from_dict(QUICK), n_jobs=2)
+        assert parallel.points == result.points
         assert parallel.to_markdown() == result.to_markdown()
 
     def test_serialization_round_trip_shape(self, result):
-        data = scalability_result_to_dict(result)
-        assert data["config"]["core_counts"] == [1, 2]
+        data = scenario_result_to_dict(result)
+        assert data["scenario"]["multicore"]["cores"] == [1, 2]
         assert len(data["points"]) == 4
-        for point in data["points"]:
-            assert point["mean_energy_per_hyperperiod"] > 0
-            assert "improvement_over_single_core_percent" in point
+        assert json.loads(json.dumps(data))["points"] == data["points"]
 
 
 class TestPoint:
     def test_single_point_runs(self):
-        result = run_multicore_point(QUICK, 2, "wfd")
-        assert result.n_cores == 2
-        assert result.partitioner == "wfd"
-        assert result.met_all_deadlines
+        document = {**QUICK, "multicore": {"cores": [2], "partitioners": ["wfd"]}}
+        (unit,) = ScenarioEngine().compile(ScenarioSpec.from_dict(document)).units.values()
+        payload = run_unit(unit)
+        assert payload["n_cores"] == 2
+        assert payload["partitioner"] == "wfd"
+        assert payload["deadline_misses"] == 0
 
     def test_unknown_application_rejected(self):
-        config = ScalabilityConfig(application="satellite")
-        with pytest.raises(ExperimentError):
-            config.build_taskset()
+        with pytest.raises(ScenarioError, match="satellite"):
+            ScenarioSpec.from_dict({**QUICK, "taskset": {"source": "satellite"}})
 
     def test_gap_application_builds(self):
-        config = ScalabilityConfig(application="gap", gap_tasks=5)
-        taskset = config.build_taskset()
+        taskset = build_taskset(TasksetSpec(source="gap", gap_tasks=5), ideal_processor())
         assert len(taskset) == 5

@@ -1,14 +1,11 @@
-"""Engine equivalence: scenarios reproduce the hand-written experiment modules bitwise."""
+"""Scenario engine: compilation, store keys, determinism and the unit-level API."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.figure6a import Figure6aConfig, run_figure6a
-from repro.experiments.figure6b import Figure6bConfig, run_figure6b
 from repro.experiments.motivation import run_motivation
-from repro.experiments.scalability import ScalabilityConfig, run_scalability
 from repro.scenarios import ScenarioEngine, ScenarioSpec, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -97,80 +94,20 @@ class TestTraceAndArrivalsSignatures:
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="TOML scenario files need tomllib")
-class TestFigure6aAcceptance:
-    """The committed figure6a scenario reproduces `repro figure6a` bit for bit."""
+class TestCommittedStoreKeys:
+    """The first unit key of every committed spec is pinned: a refactor that
+    re-keys units would silently orphan every existing store."""
 
-    def test_smoke_profile_matches_run_figure6a_quick_bitwise(self):
-        spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / "figure6a.toml",
-                             profile="smoke")
-        result = ScenarioEngine().run(spec)
-        reference = run_figure6a(Figure6aConfig(
-            task_counts=(2, 4), tasksets_per_point=2,
-            hyperperiods_per_taskset=5, seed=2005))
-        for point in reference.points:
-            ours = result.point(n_tasks=point.n_tasks, ratio=point.bcec_wcec_ratio)
-            acs = ours["methods"]["acs"]
-            wcs = ours["methods"]["wcs"]
-            # Exact float equality on purpose: the scenario path must compile
-            # to the identical jobs, seeds and aggregation as the figure module.
-            assert acs["mean_improvement_percent"] == point.mean_improvement_percent
-            assert acs["std_improvement_percent"] == point.std_improvement_percent
-            assert acs["mean_energy_per_hyperperiod"] == point.mean_acs_energy
-            assert wcs["mean_energy_per_hyperperiod"] == point.mean_wcs_energy
-            assert ours["deadline_misses"] == point.deadline_misses
-
-    def test_default_profile_compiles_to_the_default_figure6a_workload(self):
-        """Same sweep shape as Figure6aConfig() without executing the jobs."""
-        spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / "figure6a.toml")
+    @pytest.mark.parametrize(("name", "profile", "key"), [
+        ("figure6a", "smoke", "99e5fe8bb5ea500737e437390027a18e181b73e62a16b37c0ced065c0de2408e"),
+        ("figure6b", "smoke", "3f00563d3bb21b0db6a43f5c52e87e56ee393bd02a428541fe1ccc1362587d9f"),
+        ("scalability", "smoke", "9886c4889223d60e0b02763fa070b6a2c48cf5884cdca1ff097d4461ff55a3b5"),
+        ("motivation", None, "c625face388a8e16d479bdc8a05b9b424306eb563bcfe41008a3def1db7230ce"),
+    ])
+    def test_first_unit_key_is_pinned(self, name, profile, key):
+        spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / f"{name}.toml", profile=profile)
         compiled = ScenarioEngine().compile(spec)
-        default = Figure6aConfig()
-        expected_points = len(default.task_counts) * len(default.bcec_wcec_ratios)
-        assert len(compiled.points) == expected_points
-        assert len(compiled.units) == expected_points * default.tasksets_per_point
-        assert spec.simulation.hyperperiods == default.hyperperiods_per_taskset
-        assert spec.simulation.seed == default.seed
-
-
-class TestFigure6bEquivalence:
-    def test_case_study_axis_matches_run_figure6b_bitwise(self):
-        spec = ScenarioSpec.from_dict({
-            "kind": "comparison",
-            "name": "fig6b-cnc",
-            "taskset": {"source": "cnc", "utilization": 0.7},
-            "simulation": {"hyperperiods": 2, "seed": 2005},
-            "matrix": {"taskset.source": ["cnc"], "taskset.ratio": [0.1, 0.5]},
-        })
-        result = ScenarioEngine().run(spec)
-        reference = run_figure6b(Figure6bConfig(
-            applications=("cnc",), bcec_wcec_ratios=(0.1, 0.5),
-            hyperperiods_per_point=2, seed=2005))
-        for point in reference.points:
-            ours = result.point(source=point.application, ratio=point.bcec_wcec_ratio)
-            assert ours["methods"]["acs"]["mean_improvement_percent"] == point.improvement_percent
-            assert ours["methods"]["wcs"]["mean_energy_per_hyperperiod"] == point.wcs_energy
-            assert ours["methods"]["acs"]["mean_energy_per_hyperperiod"] == point.acs_energy
-
-
-class TestScalabilityEquivalence:
-    def test_multicore_grid_matches_run_scalability_bitwise(self):
-        spec = ScenarioSpec.from_dict({
-            "kind": "multicore",
-            "name": "scal",
-            "taskset": {"source": "cnc", "ratio": 0.5, "utilization": 0.7},
-            "offline": {"methods": ["acs"], "baseline": "acs"},
-            "simulation": {"hyperperiods": 5, "seed": 2005},
-            "multicore": {"cores": [1, 2], "partitioners": ["ffd", "wfd"]},
-        })
-        result = ScenarioEngine().run(spec)
-        reference = run_scalability(ScalabilityConfig(
-            core_counts=(1, 2), partitioners=("ffd", "wfd"), n_hyperperiods=5))
-        for point in reference.points:
-            ours = result.point(cores=point.n_cores, partitioner=point.partitioner)
-            assert ours["mean_energy_per_hyperperiod"] == point.mean_energy_per_hyperperiod
-            assert ours["total_energy"] == point.total_energy
-            assert ours["max_core_utilization"] == point.max_core_utilization
-            assert ours["used_cores"] == point.used_cores
-            assert ours["deadline_misses"] == point.deadline_misses
+        assert compiled.points[0].unit_keys[0] == key
 
 
 class TestMotivationEquivalence:

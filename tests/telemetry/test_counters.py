@@ -43,6 +43,8 @@ class TestColdRun:
         assert n_units > 0 and result.skipped == 0
         assert counters["result_store.miss"] == n_units
         assert counters["result_store.computed"] == n_units
+        # Only replays count as hits: a cold run never reads back what it stored.
+        assert "result_store.hit" not in counters
         assert counters["scenario.units_computed"] == n_units
         assert counters["scenario.units_replayed"] == 0
 

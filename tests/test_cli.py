@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
 
 
 class TestParser:
@@ -25,6 +30,26 @@ class TestParser:
     def test_figure_jobs_flag(self):
         args = build_parser().parse_args(["figure6a", "--jobs", "4"])
         assert args.jobs == 4
+
+    @pytest.mark.parametrize("command", ["figure6a", "figure6b"])
+    def test_quick_and_full_are_mutually_exclusive(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--quick", "--full"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_figure_seed_sets_the_simulation_seed(self):
+        args = build_parser().parse_args(["figure6b", "--quick", "--seed", "11"])
+        assert args.scenario(args).simulation.seed == 11
+
+    def test_scalability_flags_override_the_document(self):
+        args = build_parser().parse_args(
+            ["scalability", "--quick", "--app", "gap", "--cores", "2,4", "--hyperperiods", "3"])
+        spec = args.scenario(args)
+        assert spec.taskset.source == "gap" and spec.taskset.gap_tasks == 5
+        assert spec.multicore.cores == (2, 4)
+        assert spec.multicore.partitioners == ("ffd", "wfd")
+        assert spec.simulation.hyperperiods == 3
 
     def test_simulate_flags(self):
         args = build_parser().parse_args(
@@ -75,7 +100,8 @@ class TestMain:
     def test_figure6b_quick_runs(self, capsys):
         assert main(["figure6b", "--quick"]) == 0
         output = capsys.readouterr().out
-        assert "CNC" in output and "GAP" in output
+        assert "| cnc" in output and "| gap" in output
+        assert "wall-clock" in output
 
     def test_simulate_demo_all_policies(self, capsys):
         assert main(["simulate", "--app", "demo", "--policy", "all",
@@ -112,6 +138,7 @@ class TestMain:
         ["simulate", "--app", "demo", "--policy", "oracle"],
         ["simulate", "--app", "demo", "--policy", ""],
         ["sweep", "--quick", "--jobs", "0"],
+        ["figure6a", "--quick", "--jobs", "0"],
     ])
     def test_bad_arguments_fail_cleanly(self, argv, capsys):
         assert main(argv) == 2
@@ -134,17 +161,24 @@ class TestMain:
         assert len(data["cores"]) == 4
         assert sorted(data["assignment"]) == ["camera", "logger", "planner"]
 
-    def test_scalability_quick_runs(self, capsys):
-        assert main(["scalability", "--quick", "--partitioners", "ffd,wfd"]) == 0
+    def test_scalability_quick_runs(self, capsys, tmp_path):
+        target = tmp_path / "scalability.json"
+        assert main(["scalability", "--quick", "--partitioners", "ffd,wfd",
+                     "--output", str(target)]) == 0
         output = capsys.readouterr().out
-        assert "energy improvement over m=1" in output
+        assert "improvement vs m=1 %" in output
         assert "wall-clock" in output
+        import json
+        data = json.loads(target.read_text())
+        assert data["scenario"]["multicore"] == {"cores": [1, 2], "partitioners": ["ffd", "wfd"]}
+        assert len(data["points"]) == 4
 
     @pytest.mark.parametrize("argv", [
         ["partition", "--cores", "0"],
         ["partition", "--app", "demo", "--jobs", "0"],
         ["scalability", "--cores", "two"],
         ["scalability", "--cores", ""],
+        ["scalability", "--partitioners", "oracle"],
     ])
     def test_partition_bad_arguments_fail_cleanly(self, argv, capsys):
         assert main(argv) == 2
@@ -160,3 +194,25 @@ class TestMain:
         data = json.loads(target.read_text())
         assert data["config"]["policy"] == "greedy"
         assert len(data["results"]) == data["config"]["n_tasksets"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="TOML scenario files need tomllib")
+class TestPaperDocuments:
+    """Each figure subcommand runs exactly its committed scenario spec."""
+
+    @pytest.mark.parametrize(("argv", "name", "profile"), [
+        (["figure6a"], "figure6a", None),
+        (["figure6a", "--quick"], "figure6a", "smoke"),
+        (["figure6a", "--full"], "figure6a", "full"),
+        (["figure6b"], "figure6b", None),
+        (["figure6b", "--quick"], "figure6b", "smoke"),
+        (["figure6b", "--full"], "figure6b", "full"),
+        (["scalability"], "scalability", None),
+        (["scalability", "--quick"], "scalability", "smoke"),
+    ])
+    def test_document_matches_the_committed_spec(self, argv, name, profile):
+        from repro.scenarios import load_scenario
+
+        args = build_parser().parse_args(argv)
+        committed = load_scenario(SCENARIOS_DIR / f"{name}.toml", profile=profile)
+        assert args.scenario(args).to_dict() == committed.to_dict()
