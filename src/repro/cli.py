@@ -783,6 +783,37 @@ def _run_scenarios(args: argparse.Namespace) -> str:
     return "\n\n".join(sections)
 
 
+def _blas_line(env: Dict[str, Any]) -> str:
+    """The manifest's BLAS builds and thread variables as one ``repro stats`` line."""
+
+    def build(key: str) -> str:
+        blas = env.get(key)
+        return f"{blas['name']} {blas['version']}" if blas else "?"
+
+    threads = " ".join(f"{name}={'-' if value is None else value}"
+                       for name, value in env.get("blas_threads", {}).items())
+    return f"blas: numpy {build('numpy_blas')} | scipy {build('scipy_blas')} | threads: {threads or '?'}"
+
+
+def _counter_lines(counters: Dict[str, int]) -> List[str]:
+    """The counter table, plus a warning when a counted solve ended abnormally.
+
+    ``solve.status.<code>`` counts every computed solve by optimizer exit
+    status; any non-zero code (8: line search failed, 9: iteration cap, ...)
+    is flagged, because its schedule is not a converged optimum.
+    """
+    rows = [[name, value] for name, value in sorted(counters.items())]
+    lines = ["", format_markdown_table(["counter", "value"], rows)]
+    statuses = {name[len("solve.status."):]: value for name, value in counters.items()
+                if name.startswith("solve.status.")}
+    abnormal = {code: count for code, count in statuses.items() if code != "0" and count}
+    if abnormal:
+        detail = ", ".join(f"status {code} x{count}" for code, count in sorted(abnormal.items()))
+        lines += ["", f"solver health: {sum(abnormal.values())} of {sum(statuses.values())} "
+                      f"solves ended abnormally ({detail})"]
+    return lines
+
+
 def _run_stats(args: argparse.Namespace) -> str:
     from .telemetry import aggregate_spans, read_jsonl, read_manifests
 
@@ -802,6 +833,7 @@ def _run_stats(args: argparse.Namespace) -> str:
             f"environment: python {env.get('python', '?')} | numpy {env.get('numpy', '?')} | "
             f"scipy {env.get('scipy', '?')} | {env.get('platform', '?')} | "
             f"cpus: {env.get('cpu_count', '?')}",
+            _blas_line(env),
             f"units: computed={manifest.get('computed', 0)} "
             f"skipped={manifest.get('skipped', 0)} | "
             f"elapsed: {manifest.get('elapsed_seconds', 0.0):.2f}s",
@@ -815,8 +847,7 @@ def _run_stats(args: argparse.Namespace) -> str:
             lines += ["", format_markdown_table(["stage", "spans", "total_s"], rows)]
         counters = manifest.get("counters")
         if counters:
-            rows = [[name, value] for name, value in sorted(counters.items())]
-            lines += ["", format_markdown_table(["counter", "value"], rows)]
+            lines += _counter_lines(counters)
         sections.append("\n".join(lines))
     if not sections:
         sections.append(f"store {store_dir}: no run manifests "
@@ -836,8 +867,7 @@ def _run_stats(args: argparse.Namespace) -> str:
                     for name, data in sorted(aggregated.items())]
             lines += ["", format_markdown_table(["stage", "spans", "total_s"], rows)]
         if counters_total:
-            rows = [[name, value] for name, value in sorted(counters_total.items())]
-            lines += ["", format_markdown_table(["counter", "value"], rows)]
+            lines += _counter_lines(counters_total)
         if not aggregated and not counters_total:
             lines.append("(no telemetry recorded)")
         sections.append("\n".join(lines))

@@ -16,8 +16,8 @@ picklable :class:`ComparisonJob` work units and executed by
 process pool.  Every job carries its own explicitly derived RNG seeds (see
 :mod:`repro.experiments.seeding`), so the results are bitwise-identical
 regardless of worker count or completion order.  Both entry points share one
-executor, which plans a chunk of comparisons as one solver pool and then
-simulates it.
+executor, which plans a chunk of comparisons as one solver pool (each distinct
+problem once) and then simulates it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..core.taskset import TaskSet
 from ..offline.acs import ACSScheduler
 from ..offline.base import VoltageScheduler
 from ..offline.baselines import ConstantSpeedScheduler, MaxSpeedScheduler
-from ..offline.batched_solver import SolveMemo, default_solve_memo, plan_expansions
+from ..offline.batched_solver import SolveMemo, default_solve_memo, plan_expansions, plan_key
 from ..offline.schedule import StaticSchedule
 from ..offline.wcs import WCSScheduler
 from ..power.processor import ProcessorModel
@@ -279,6 +279,9 @@ def _resolve_solve_memo(solve_memo_root: Optional[str]) -> SolveMemo:
     )
 
 
+#: Telemetry counter: comparisons that reused an identical comparison's plan.
+_PLAN_SHARED = "plan.shared"
+
 #: One comparison as the executor takes it: the task set, the processor, the
 #: ``{name: scheduler}`` methods (baseline included) and the shared settings.
 _Entry = Tuple[TaskSet, ProcessorModel, Mapping[str, VoltageScheduler], ComparisonConfig]
@@ -287,26 +290,45 @@ _Entry = Tuple[TaskSet, ProcessorModel, Mapping[str, VoltageScheduler], Comparis
 def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[ComparisonResult]:
     """Plan, then simulate, a chunk of comparisons; one result per entry, in order.
 
-    Planning is a single :func:`plan_expansions` call over every entry's
-    ``(expansion, methods)`` group, so the chunk's NLP solves share one
-    solver pool and the solve memo.  Every ``(entry, method)`` pair becomes
-    one :class:`BatchUnit` with its own deep-copied policy (a stateful policy
-    must not leak one method's runtime history into the next method's
-    simulation) and its own generator seeded with the entry's ``cfg.seed``
-    (paired comparison: every method sees the same workload realisations).
-    When every entry is batched the units advance together through one
-    :func:`simulate_batch` call; otherwise each runs through
-    ``DVSSimulator.run``.  Results are bitwise-identical either way, and for
-    any chunking of the same entries.
+    Entries whose planning inputs are equal (same :func:`plan_key`: task set,
+    processor, and every method's name and scheduler configuration) form one
+    group.  Each group is expanded and planned once, by its first member, and
+    every member receives the group's schedules — one read-only
+    :class:`StaticSchedule` per method, shared.  Planning is a single
+    :func:`plan_expansions` call over the distinct groups, so their NLP
+    solves share one solver pool and the solve memo.  Only a group's first
+    member carries its ``solve:<reason>`` fallback tally: the other members
+    never reach a solver.
+
+    Every ``(entry, method)`` pair becomes one :class:`BatchUnit` with its
+    own deep-copied policy (a stateful policy must not leak one method's
+    runtime history into the next method's simulation) and its own generator
+    seeded with the entry's ``cfg.seed`` (paired comparison: every method
+    sees the same workload realisations).  When every entry is batched the
+    units advance together through one :func:`simulate_batch` call;
+    otherwise each runs through ``DVSSimulator.run``.  Results are
+    bitwise-identical either way, and for any chunking of the same entries.
     """
     for _, _, methods, cfg in entries:
         if cfg.baseline not in methods:
             raise ExperimentError(
                 f"baseline {cfg.baseline!r} is not among the schedulers {sorted(methods)}"
             )
+    group_of: List[int] = []
+    leaders: List[int] = []
+    groups: Dict[str, int] = {}
+    for index, (taskset, processor, methods, _) in enumerate(entries):
+        key = plan_key(taskset, processor, methods)
+        group = len(leaders) if key is None else groups.setdefault(key, len(leaders))
+        if group == len(leaders):
+            leaders.append(index)
+        group_of.append(group)
+    if len(leaders) < len(entries):
+        _telemetry().count(_PLAN_SHARED, len(entries) - len(leaders))
     plan_reasons: List[Dict[str, int]] = []
     planned = plan_expansions(
-        [(expand_fully_preemptive(taskset), methods) for taskset, _, methods, _ in entries],
+        [(expand_fully_preemptive(taskset), methods)
+         for taskset, _, methods, _ in (entries[index] for index in leaders)],
         memo=solve_memo,
         fallback_out=plan_reasons,
     )
@@ -314,7 +336,9 @@ def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[Com
     batched = all(cfg.batched for _, _, _, cfg in entries)
     units: List[BatchUnit] = []
     tallies: List[Dict[str, int]] = []
-    for (_, processor, _, cfg), schedules, reasons in zip(entries, planned, plan_reasons):
+    for index, ((_, processor, _, cfg), group) in enumerate(zip(entries, group_of)):
+        schedules = planned[group]
+        reasons = plan_reasons[group] if leaders[group] == index else {}
         tally = {"solve:" + reason: count for reason, count in reasons.items()}
         sim_config = cfg.simulation_config()
         for schedule in schedules.values():
@@ -338,7 +362,8 @@ def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[Com
 
     results: List[ComparisonResult] = []
     cursor = iter(simulations)
-    for (taskset, _, _, cfg), schedules, tally in zip(entries, planned, tallies):
+    for (taskset, _, _, cfg), group, tally in zip(entries, group_of, tallies):
+        schedules = planned[group]
         outcomes = {
             name: MethodOutcome(method=name, schedule=schedule, simulation=next(cursor))
             for name, schedule in schedules.items()

@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
 
-from ..core.errors import SchedulingError
+from ..core.errors import ReproError, SchedulingError
+from ..power.processor import ProcessorModel
 from ..telemetry.core import current as _telemetry
 from .evaluation import _EPS, CompiledEvaluation
 from .nlp import ReducedNLP
@@ -58,6 +59,7 @@ __all__ = [
     "SchedulerProgram",
     "default_solve_memo",
     "plan_expansions",
+    "plan_key",
     "run_program",
     "run_programs",
     "solve_fallback_reason",
@@ -138,6 +140,59 @@ def solve_signature(task: NLPSolveTask) -> Dict[str, Any]:
         "x0": None if task.x0 is None else [float(v) for v in np.asarray(task.x0, dtype=float)],
         "build": {"numpy": np.__version__, "scipy": scipy.__version__},
     }
+
+
+class _Unkeyable(Exception):
+    """A scheduler setting with no canonical form (its plans are never shared)."""
+
+
+def _configuration(value: Any) -> Any:
+    """Canonical JSON form of a scheduler setting: primitives, containers, dataclasses.
+
+    A dataclass contributes its type and every instance attribute, not only
+    its declared fields, so state a subclass sets in ``__init__`` still
+    keys.  Anything else (arrays, callables, ...) raises :class:`_Unkeyable`.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, ProcessorModel):
+        from ..scenarios.store import processor_signature
+
+        return processor_signature(value)
+    if isinstance(value, (list, tuple)):
+        return [_configuration(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _configuration(item) for key, item in value.items()}
+    if is_dataclass(value) and hasattr(value, "__dict__"):
+        kind = type(value)
+        return [f"{kind.__module__}.{kind.__qualname__}",
+                {name: _configuration(item) for name, item in vars(value).items()}]
+    raise _Unkeyable(type(value).__name__)
+
+
+def plan_key(taskset: Any, processor: ProcessorModel,
+             methods: Mapping[str, Any]) -> Optional[str]:
+    """Content key of one comparison's planning inputs, or ``None`` if unkeyable.
+
+    Two comparisons with the same key plan bitwise-identical schedules: the
+    task set (with its resolved priorities) fixes the expansion, and each
+    method's name, scheduler type and configuration fix its solve sequence.
+    The processor is part of the key too.  The harness plans each distinct
+    key of a chunk once; ``None`` (a setting with no canonical form) plans
+    the comparison on its own.
+    """
+    from ..reporting.serialization import taskset_to_dict
+    from ..scenarios.store import processor_signature, signature_key
+
+    try:
+        return signature_key({
+            "kind": "plan",
+            "taskset": taskset_to_dict(taskset),
+            "processor": processor_signature(processor),
+            "methods": [[name, _configuration(scheduler)] for name, scheduler in methods.items()],
+        })
+    except (_Unkeyable, ReproError):
+        return None
 
 
 def _schedule_payload(schedule: StaticSchedule) -> Dict[str, Any]:

@@ -40,11 +40,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..analysis.preemption import FullyPreemptiveSchedule
 from ..core.errors import SchedulingError
 from ..power.processor import ProcessorModel
+from ..telemetry.core import current as _telemetry
 from .evaluation import CompiledEvaluation, evaluate_vectors
 from .initialization import proportional_budget_vectors, worst_case_simulation_vectors
 from .schedule import StaticSchedule
@@ -435,6 +435,10 @@ class ReducedNLP:
         worst-case-at-fmax schedule is returned instead, flagged in
         ``metadata["fallback"]``.
         """
+        # Deferred: scipy.optimize is the slowest import of the package and a
+        # run that replays every schedule from the solve memo never needs it.
+        from scipy import optimize
+
         start = self.initial_guess() if x0 is None else np.asarray(x0, dtype=float)
         # The batched jacobian replays scipy's own finite-difference scheme
         # bitwise (see :meth:`jacobian`), so the solver trajectory is
@@ -458,6 +462,9 @@ class ReducedNLP:
                 "disp": self.options.verbose,
             },
         )
+        telemetry = _telemetry()
+        if telemetry.enabled:  # the name is built only when someone records it
+            telemetry.count(f"solve.status.{int(result.status)}")
         end_times, budgets = self.unpack(np.asarray(result.x, dtype=float))
         repaired = self._repair(end_times, budgets)
         metadata = {

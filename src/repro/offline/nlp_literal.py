@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..analysis.preemption import FullyPreemptiveSchedule
 from ..core.errors import SchedulingError
@@ -78,6 +77,8 @@ class LiteralNLPScheduler(VoltageScheduler):
         return tuple(x[i * n:(i + 1) * n] for i in range(6))
 
     def schedule_expansion(self, expansion: FullyPreemptiveSchedule) -> StaticSchedule:
+        from scipy import optimize  # deferred like ReducedNLP.solve's
+
         subs = expansion.sub_instances
         n = len(subs)
         processor = self.processor

@@ -3,10 +3,10 @@
 A manifest answers "what ran, from which config, at which revision, in
 which environment, and where did the time go" without replaying anything:
 config hash, git revision and dirty flag, the Python/numpy/scipy versions,
-platform and core count, unit accounting, stage timings aggregated from the
-telemetry spans, and the full counter dump.  ``repro run`` writes one per scenario
-under ``<store>/manifests/`` (latest run wins), and ``repro stats``
-renders them.
+their BLAS builds and thread settings, platform and core count, unit
+accounting, stage timings aggregated from the telemetry spans, and the full
+counter dump.  ``repro run`` writes one per scenario under
+``<store>/manifests/`` (latest run wins), and ``repro stats`` renders them.
 
 The config hash is a SHA-256 over the canonical-JSON scenario document —
 the same canonicalisation discipline as the result store's signature
@@ -74,8 +74,30 @@ def git_state(cwd: Optional[Union[str, Path]] = None) -> Tuple[str, Optional[boo
     return rev, dirty
 
 
+#: Thread-count variables the BLAS libraries read at load time.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_build(module: Any) -> Optional[Dict[str, str]]:
+    """Name and version of the BLAS that ``module`` (numpy or scipy) was built against.
+
+    Read from ``module.show_config(mode="dicts")``; ``None`` on a release
+    too old to report it.
+    """
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError, AttributeError):
+        return None
+    return {"name": str(blas.get("name", "unknown")), "version": str(blas.get("version", "unknown"))}
+
+
 def environment() -> Dict[str, Any]:
-    """The interpreter, solver build, platform and core count of this process."""
+    """The interpreter, solver build, BLAS, platform and core count of this process.
+
+    SLSQP's LAPACK calls run on scipy's BLAS, whose thread count the
+    ``*_NUM_THREADS`` variables set (``None`` when unset), so both go into
+    every manifest.
+    """
     import numpy
     import scipy
 
@@ -83,6 +105,9 @@ def environment() -> Dict[str, Any]:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
+        "numpy_blas": _blas_build(numpy),
+        "scipy_blas": _blas_build(scipy),
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
     }

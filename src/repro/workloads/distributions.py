@@ -200,31 +200,42 @@ class BimodalWorkload(WorkloadModel):
 
     def sample_batch(self, rng: np.random.Generator, tasks: Sequence[Task],
                      n: int = 1) -> np.ndarray:
-        """Batched draws with the scalar stream order preserved.
+        """Batched draws from one block of uniforms, in the scalar stream order.
 
-        Whether a job consumes a jitter draw depends on the outcome of its own
-        burst draw, so the stream cannot be split into one burst block and one
-        jitter block: the draws must stay interleaved — burst draw, then
-        jitter draw, job by job — or batched results would diverge from the
-        per-job path and break the serial/parallel equivalence guarantees.
-        The override therefore keeps the per-job loop and only hoists the
-        per-task constants out of it.
+        Whether a job consumes a jitter draw depends on its own burst draw,
+        so the scalar stream interleaves them job by job: a burst draw for
+        every job, then a jitter draw only for a non-burst job whose span is
+        above zero.  The override draws the most that loop can consume in one
+        ``rng.random`` call, walks the block in that order, then rewinds the
+        generator and advances it by exactly the draws it used.  Both
+        ``random()`` and ``uniform(0, h)`` (which is ``0 + h * u``) read one
+        double per draw, so values and final state equal the scalar loop's
+        for any bit generator.
         """
-        stats = [(task.wcec, task.bcec, task.wcec - task.bcec) for task in tasks]
-        burst_probability = self.burst_probability
-        jitter_fraction = self.jitter_fraction
-        random = rng.random
-        uniform = rng.uniform
-        out = np.empty((n, len(tasks)), dtype=float)
-        for row in range(n):
-            values = out[row]
-            for column, (wcec, bcec, span) in enumerate(stats):
-                if random() < burst_probability:
-                    values[column] = wcec
-                else:
-                    jitter = uniform(0.0, jitter_fraction * span) if span > 0 else 0.0
-                    values[column] = min(bcec + jitter, wcec)
-        return out
+        wcec = np.array([task.wcec for task in tasks], dtype=float)
+        bcec = np.array([task.bcec for task in tasks], dtype=float)
+        span = wcec - bcec
+        jittered = span > 0
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        block = rng.random(n * (len(tasks) + int(jittered.sum())))
+        is_burst = block < self.burst_probability
+        bursts = is_burst.tolist()
+        starts = [0] * (n * len(tasks))
+        cursor = 0
+        for job, spans in enumerate(jittered.tolist() * n):
+            starts[job] = cursor
+            cursor += 1 if bursts[cursor] or not spans else 2
+        bit_generator.state = state
+        rng.random(cursor)
+
+        first = np.array(starts, dtype=np.intp).reshape(n, len(tasks))
+        burst = is_burst[first]
+        drawn = jittered & ~burst
+        jitter = np.zeros((n, len(tasks)))
+        high = np.broadcast_to(self.jitter_fraction * span, jitter.shape)
+        jitter[drawn] = high[drawn] * block[first[drawn] + 1]
+        return np.where(burst, wcec, np.minimum(bcec + jitter, wcec))
 
     def expected(self, task: Task) -> float:
         span = task.wcec - task.bcec

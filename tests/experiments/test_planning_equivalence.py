@@ -8,24 +8,33 @@ by one ``DVSSimulator.run`` per method — schedules *and* the simulations run
 on top of them, across the full online matrix (all four DVS policies x all
 four workload models), with the scenario-weighted stochastic scheduler in
 the mix, and under a discrete-voltage simulation config.
+
+A chunk of comparisons plans each distinct problem once and shares the
+schedules among the comparisons that pose it; the payloads must equal
+those of the same comparisons run one chunk each.
 """
 
 import copy
+import json
 
 import numpy as np
 import pytest
 
 from repro.analysis.preemption import expand_fully_preemptive
+from repro.experiments import harness
 from repro.experiments.harness import (
     ComparisonConfig,
     compare_schedulers,
     make_schedulers,
 )
 from repro.offline.batched_solver import SolveMemo
+from repro.offline.nlp import ReducedNLP
 from repro.offline.stochastic import StochasticACSScheduler
 from repro.power.voltage import VoltageLevels
+from repro.reporting.serialization import comparison_result_to_dict
 from repro.runtime.policies import available_policies, get_policy
 from repro.runtime.simulator import DVSSimulator, SimulationConfig
+from repro.telemetry import Telemetry, using
 from repro.workloads.distributions import (
     BimodalWorkload,
     FixedWorkload,
@@ -101,3 +110,76 @@ def test_discrete_voltage_simulation(processor, two_task_set):
         two_task_set, processor, make_schedulers(("wcs", "acs"), processor),
         simulation=simulation)
     assert pooled == sequential
+
+
+# --------------------------------------------------------------------- #
+# Plan sharing within a chunk
+# --------------------------------------------------------------------- #
+def sharing_entries(processor, taskset, other_taskset, *, batched=True):
+    """One chunk: ``taskset`` under four seeds/policies/workloads, plus one
+    comparison of ``other_taskset`` in the middle — two distinct problems."""
+    settings = [(11, "greedy", NormalWorkload()), (12, "static", BimodalWorkload(0.3)),
+                (13, "greedy", UniformWorkload()), (14, "proportional", NormalWorkload())]
+    entries = [
+        (taskset, processor, make_schedulers(("wcs", "acs"), processor),
+         ComparisonConfig(n_hyperperiods=2, seed=seed, policy=get_policy(policy),
+                          workload=workload, batched=batched))
+        for seed, policy, workload in settings
+    ]
+    entries.insert(2, (other_taskset, processor, make_schedulers(("wcs", "acs"), processor),
+                       ComparisonConfig(n_hyperperiods=2, seed=15, batched=batched)))
+    return entries
+
+
+def payload_bytes(results):
+    return [json.dumps(comparison_result_to_dict(result), sort_keys=True) for result in results]
+
+
+def test_shared_plans_leave_every_payload_unchanged(processor, two_task_set, three_task_set):
+    entries = sharing_entries(processor, two_task_set, three_task_set)
+    pooled = harness._compare_chunk(entries, SolveMemo())
+    alone = [harness._compare_chunk([entry], SolveMemo())[0] for entry in entries]
+    assert payload_bytes(pooled) == payload_bytes(alone)
+    # The members of one problem hold the very same (read-only) schedules.
+    assert pooled[0].outcomes["acs"].schedule is pooled[4].outcomes["acs"].schedule
+    assert pooled[0].outcomes["acs"].schedule is not pooled[2].outcomes["acs"].schedule
+
+
+def test_each_distinct_problem_is_planned_once(monkeypatch, processor, two_task_set,
+                                               three_task_set):
+    expanded, solved = [], []
+    real_expand, real_solve = harness.expand_fully_preemptive, ReducedNLP.solve
+
+    def counting_expand(taskset, *args, **kwargs):
+        expanded.append(taskset.name)
+        return real_expand(taskset, *args, **kwargs)
+
+    def counting_solve(nlp, x0=None):
+        solved.append(nlp.expansion.taskset.name)
+        return real_solve(nlp, x0)
+
+    monkeypatch.setattr(harness, "expand_fully_preemptive", counting_expand)
+    monkeypatch.setattr(ReducedNLP, "solve", counting_solve)
+    entries = sharing_entries(processor, two_task_set, three_task_set)
+    with using(Telemetry()) as telemetry:
+        harness._compare_chunk(entries, SolveMemo())
+    assert expanded == ["two-tasks", "three-tasks"]
+    # Per problem: WCS, ACS from the default guess, ACS from the WCS solution.
+    assert sorted(solved) == ["three-tasks"] * 3 + ["two-tasks"] * 3
+    assert telemetry.counters["plan.shared"] == len(entries) - 2
+    assert telemetry.counters["solve_memo.computed"] == 6
+    statuses = {name: count for name, count in telemetry.counters.items()
+                if name.startswith("solve.status.")}
+    assert sum(statuses.values()) == 6
+
+
+def test_fallback_tally_sits_on_the_first_member_only(cmos, two_task_set, three_task_set):
+    """A ``cmos`` processor plans through the sequential fallback; only the
+    comparison that planned a problem carries its ``solve:<reason>`` tally."""
+    entries = sharing_entries(cmos, two_task_set, three_task_set, batched=False)
+    pooled = harness._compare_chunk(entries, SolveMemo())
+    (alone_first,) = harness._compare_chunk(entries[:1], SolveMemo())
+    reason = "solve:processor law 'cmos' has no vectorized evaluation"
+    assert alone_first.fallback_reasons == {reason: 3}
+    assert [result.fallback_reasons for result in pooled] == [
+        {reason: 3}, {}, {reason: 3}, {}, {}]

@@ -12,6 +12,7 @@ replays must recompute nothing and still hand out fresh, independently
 mutable schedule objects).
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.preemption import expand_fully_preemptive
@@ -23,7 +24,7 @@ from repro.offline import (
     solve_fallback_reason,
     solve_tasks,
 )
-from repro.offline.batched_solver import solve_signature
+from repro.offline.batched_solver import plan_key, solve_signature
 from repro.offline.acs import ACSScheduler
 from repro.offline.baselines import ConstantSpeedScheduler, MaxSpeedScheduler
 from repro.offline.nlp import ReducedNLP, SolverOptions
@@ -202,3 +203,44 @@ class TestSolveMemo:
 
         with pytest.raises(SchedulingError):
             run_program(bad_program())
+
+
+class TestPlanKey:
+    """``plan_key`` decides which comparisons of a chunk share one plan: equal
+    planning inputs share a key, and every input that can change a schedule
+    is part of it."""
+
+    def test_equal_inputs_built_apart_share_a_key(self, processor, two_task_set):
+        key = plan_key(two_task_set, processor, all_schedulers(processor))
+        assert key is not None
+        assert plan_key(two_task_set, processor, all_schedulers(processor)) == key
+
+    def test_every_planning_input_is_part_of_the_key(self, processor, cmos, two_task_set,
+                                                     three_task_set):
+        def pair(acs):
+            return {"wcs": WCSScheduler(processor), "acs": acs}
+
+        base = (two_task_set, processor, pair(ACSScheduler(processor)))
+        variants = [
+            (three_task_set, processor, pair(ACSScheduler(processor))),
+            (two_task_set, cmos, pair(ACSScheduler(processor))),
+            (two_task_set, processor, pair(ACSScheduler(cmos))),
+            (two_task_set, processor, pair(ACSScheduler(processor, seed_with_wcs=False))),
+            (two_task_set, processor,
+             pair(ACSScheduler(processor, options=SolverOptions(maxiter=50)))),
+            (two_task_set, processor, pair(StochasticACSScheduler(processor))),
+            (two_task_set, processor, {"wcs": WCSScheduler(processor)}),
+            (two_task_set, processor, {"acs": ACSScheduler(processor),
+                                       "wcs": WCSScheduler(processor)}),
+            (two_task_set, processor, {"wcs": WCSScheduler(processor),
+                                       "acs2": ACSScheduler(processor)}),
+        ]
+        keys = [plan_key(*base)] + [plan_key(*variant) for variant in variants]
+        assert None not in keys
+        assert len(set(keys)) == len(keys)
+
+    def test_a_setting_without_canonical_form_is_never_shared(self, processor,
+                                                              two_task_set):
+        scheduler = WCSScheduler(processor)
+        scheduler.weights = np.ones(3)  # instance state with no JSON form
+        assert plan_key(two_task_set, processor, {"wcs": scheduler}) is None

@@ -131,6 +131,21 @@ class TestStats:
 
         assert f"numpy {numpy.__version__} | scipy {scipy.__version__}" in out
 
+    def test_flags_abnormal_solver_exits_and_prints_the_blas_build(self, capsys, tmp_path):
+        from repro.telemetry import build_manifest, write_manifest
+
+        for scenario, counters in (("clean", {"solve.status.0": 4}),
+                                   ("rough", {"solve.status.0": 3, "solve.status.8": 1,
+                                              "solve.status.9": 2})):
+            write_manifest(tmp_path, build_manifest(
+                scenario=scenario, config={}, computed=1, skipped=0,
+                elapsed_seconds=0.0, counters=counters))
+        assert main(["stats", str(tmp_path)]) == 0
+        clean, rough = capsys.readouterr().out.split("== rough")
+        assert "solver health" not in clean
+        assert "solver health: 3 of 6 solves ended abnormally (status 8 x1, status 9 x2)" in rough
+        assert "blas: numpy " in clean and "OPENBLAS_NUM_THREADS=" in clean
+
     def test_empty_store_reports_no_manifests(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path)]) == 0
         assert "no run manifests" in capsys.readouterr().out

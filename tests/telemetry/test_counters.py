@@ -53,6 +53,11 @@ class TestColdRun:
         assert counters["solve_memo.computed"] > 0
         assert counters["solve_memo_store.computed"] == counters["solve_memo.computed"]
 
+    def test_every_computed_solve_counts_its_exit_status(self, runs):
+        _, counters = runs["cold"]
+        statuses = [count for name, count in counters.items() if name.startswith("solve.status.")]
+        assert sum(statuses) == counters["solve_memo.computed"]
+
 
 class TestWarmRun:
     def test_replays_everything_from_the_store(self, runs):
@@ -82,6 +87,7 @@ class TestForcedRun:
         assert "solve_memo.miss" not in counters
         # Memoized solves mean the NLP machinery never runs at all.
         assert "nlp.objective_evaluations" not in counters
+        assert not any(name.startswith("solve.status.") for name in counters)
 
     def test_bitwise_equal_results_across_all_three_runs(self, runs):
         cold, warm, forced = (runs[k][0] for k in ("cold", "warm", "forced"))

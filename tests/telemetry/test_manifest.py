@@ -47,6 +47,20 @@ class TestBuildManifest:
         assert env["python"] and env["platform"] and env["cpu_count"] >= 1
         assert manifest["git_dirty"] in (True, False, None)
 
+    def test_records_the_blas_builds_and_thread_variables(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        env = build_manifest(scenario="demo", config={}, computed=0, skipped=0,
+                             elapsed_seconds=0.0)["environment"]
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert set(env["blas_threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        for key in ("numpy_blas", "scipy_blas"):
+            # None only on a numpy/scipy too old for show_config(mode="dicts").
+            assert env[key] is None or set(env[key]) == {"name", "version"}
+        json.dumps(env)  # stays plain JSON data
+
     def test_optional_sections_only_when_present(self):
         bare = build_manifest(scenario="demo", config={}, computed=0, skipped=0,
                               elapsed_seconds=0.0)

@@ -123,6 +123,13 @@ class TestPropertyBased:
             assert task.bcec - 1e-6 <= sample <= task.wcec + 1e-6
 
 
+def same_state(left, right):
+    """Bit-generator states compare equal (MT19937/Philox states hold arrays)."""
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(same_state(left[k], right[k]) for k in left)
+    return np.array_equal(left, right)
+
+
 class TestSampleBatch:
     """The batched sampling API must be bitwise stream-compatible with the
     scalar per-job draws (the compiled simulator relies on it)."""
@@ -132,7 +139,14 @@ class TestSampleBatch:
         UniformWorkload(),
         FixedWorkload(mode="wcec"),
         BimodalWorkload(burst_probability=0.4),
+        # The block draw's edge cases: never a burst, always a burst, and a
+        # zero jitter range (the jitter draw is still consumed).
+        BimodalWorkload(burst_probability=0.0),
+        BimodalWorkload(burst_probability=1.0),
+        BimodalWorkload(burst_probability=0.4, jitter_fraction=0.0),
     ]
+    IDS = ["normal", "uniform", "fixed", "bimodal",
+           "bimodal-never-bursts", "bimodal-always-bursts", "bimodal-no-jitter"]
 
     @staticmethod
     def job_tasks():
@@ -143,7 +157,7 @@ class TestSampleBatch:
             Task("a", period=10, wcec=100, acec=60, bcec=20),
         ]
 
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
     def test_bitwise_equals_scalar_loop(self, model):
         tasks = self.job_tasks()
         batch_rng = np.random.default_rng(321)
@@ -154,7 +168,7 @@ class TestSampleBatch:
         assert batch.shape == (9, len(tasks))
         assert np.array_equal(batch, scalar)
 
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
     def test_generator_state_matches_scalar_loop(self, model):
         tasks = self.job_tasks()
         batch_rng = np.random.default_rng(7)
@@ -164,6 +178,22 @@ class TestSampleBatch:
             for task in tasks:
                 model.sample(scalar_rng, task)
         assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox],
+                             ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
+    def test_other_bit_generators(self, model, bit_generator):
+        """Values and final state match the scalar loop on any bit generator
+        (the bimodal block draw rewinds the state and advances it again)."""
+        tasks = self.job_tasks()
+        batch_rng = np.random.Generator(bit_generator(99))
+        scalar_rng = np.random.Generator(bit_generator(99))
+        batch = model.sample_batch(batch_rng, tasks, n=7)
+        scalar = np.array([[model.sample(scalar_rng, task) for task in tasks]
+                           for _ in range(7)])
+        assert np.array_equal(batch, scalar)
+        assert same_state(batch_rng.bit_generator.state, scalar_rng.bit_generator.state)
+        assert batch_rng.random() == scalar_rng.random()
 
     def test_degenerate_tasks_consume_no_randomness(self):
         fixed_span = [Task("b", period=20, wcec=50, acec=50, bcec=50)]
