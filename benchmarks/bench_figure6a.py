@@ -21,16 +21,13 @@ plateaus around 2x at 900+.  The width here sits on that plateau; sweeps
 narrower than ~100 units should stay on the compiled engine.
 
 The ``*_plan_*`` benchmarks isolate the other stage: the offline NLP solves.
-``plan_sequential`` times the historical per-scheduler loop,
-``plan_batched`` the cross-problem coordinator (every solve of the sweep
-advancing in lock-step against stacked objective evaluations) with a fresh
-memo per round, and ``plan_memo_warm`` the resume path — a pre-warmed solve
-memo replays every schedule with **zero** optimizer calls, which is where
-the real-world speedup lives (resumed, repeated and reseeded sweeps).  On a
-single core the cold batched path is roughly cost-neutral — stacking the
-objective evaluations cannot dodge SLSQP's own serial C iterations — so the
-cold pair is tracked for parity, the warm number for the win.  All three
-must agree bitwise with the sequential reference.
+``plan_sequential`` times the per-scheduler loop with no memo (every round
+re-solves the whole sweep), and ``plan_memo_warm`` the resume path — a
+pre-warmed solve memo replays every schedule with **zero** optimizer calls,
+which is where the real-world speedup lives (resumed, repeated and reseeded
+sweeps).  A cold memoized plan differs from the sequential one only by the
+memo bookkeeping and the solves it dedups, so it has no pair of its own.
+The warm replay must agree bitwise with the sequential reference.
 """
 
 import copy
@@ -181,8 +178,9 @@ def test_figure6a_sim_compiled_traced(benchmark, sim_units):
 def plan_items():
     """Every (expansion, methods) planning group of the sweep, built untimed.
 
-    18 jobs x 2 methods = 36 scheduler programs; the ACS half are NLP
-    solves (two waves each: WCS seeding then the average-case refinement).
+    18 jobs x 2 methods = 36 schedulers; WCS is one NLP solve, ACS three
+    (its own problem from the default guess, the WCS problem, and its own
+    again from the WCS solution).
     """
     return [
         (expand_fully_preemptive(job.resolve_taskset()),
@@ -195,12 +193,6 @@ def _plan_sequential(items):
     return [{name: scheduler.schedule_expansion(expansion)
              for name, scheduler in methods.items()}
             for expansion, methods in items]
-
-
-def _plan_batched(items):
-    # Fresh empty memo per call: every timed round re-solves the whole
-    # sweep, so the number measures the coordinator, not the cache.
-    return plan_expansions(items, memo=SolveMemo())
 
 
 def _plan_memoized(items, memo):
@@ -224,13 +216,6 @@ def test_figure6a_plan_sequential(benchmark, plan_items):
     results = benchmark.pedantic(_plan_sequential, args=(plan_items,),
                                  rounds=3, iterations=1)
     assert len(results) == len(plan_items)
-
-
-def test_figure6a_plan_batched(benchmark, plan_items):
-    """Offline planning through the batched coordinator, cold memo every round."""
-    results = benchmark.pedantic(_plan_batched, args=(plan_items,),
-                                 rounds=3, iterations=1)
-    _assert_plans_identical(results, _plan_sequential(plan_items))
 
 
 def test_figure6a_plan_memo_warm(benchmark, plan_items):

@@ -12,7 +12,7 @@ is given.
 With ``--manifests`` the script instead diffs the *stage timings* recorded in
 two stores' run manifests (written by ``repro run`` next to the result store,
 see docs/architecture.md "Telemetry and run manifests"): scenarios are matched
-by name and each recorded stage (``plan.batched``, ``sim.comparison``, …) is
+by name and each recorded stage (``plan``, ``sim.comparison``, …) is
 compared like a benchmark, which localises a regression to plan vs simulate vs
 store instead of one end-to-end number.
 

@@ -16,8 +16,8 @@ picklable :class:`ComparisonJob` work units and executed by
 process pool.  Every job carries its own explicitly derived RNG seeds (see
 :mod:`repro.experiments.seeding`), so the results are bitwise-identical
 regardless of worker count or completion order.  Both entry points share one
-executor, which plans a chunk of comparisons as one solver pool (each distinct
-problem once) and then simulates it.
+executor, which plans a chunk of comparisons through the solve memo (each
+distinct problem once) and then simulates it.
 """
 
 from __future__ import annotations
@@ -148,12 +148,9 @@ class MethodOutcome:
 class ComparisonResult:
     """Outcome of :func:`compare_schedulers` on one task set.
 
-    ``fallback_reasons`` tallies, per reason, how often this comparison's
-    batched stages had to take a per-unit sequential path: keys are
-    ``"batch:<reason>"`` (a simulation unit of a batched comparison fell
-    back from the SoA engine to the compiled loop) and ``"solve:<reason>"``
-    (an NLP solve fell back from the stacked coordinator).  Empty when
-    nothing fell back.
+    ``fallback_reasons`` tallies, per reason, how many simulation units of a
+    batched comparison fell back from the SoA engine to the compiled loop,
+    under ``"batch:<reason>"`` keys.  Empty when nothing fell back.
     """
 
     taskset_name: str
@@ -202,7 +199,8 @@ def warn_if_excessive_fallback(fallback_reasons: Mapping[str, int], total_units:
 
     A mostly-fallback batched sweep silently runs at compiled-loop speed;
     surfacing it once per sweep (never per unit) tells the user to either
-    drop ``batched`` or remove whatever gates the vectorized core.
+    set ``[simulation] engine = "compiled"`` or remove whatever gates the
+    vectorized core.
     """
     fell = sum(count for reason, count in fallback_reasons.items() if reason.startswith("batch:"))
     if total_units > 0 and fell * 2 > total_units:
@@ -296,9 +294,7 @@ def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[Com
     every member receives the group's schedules — one read-only
     :class:`StaticSchedule` per method, shared.  Planning is a single
     :func:`plan_expansions` call over the distinct groups, so their NLP
-    solves share one solver pool and the solve memo.  Only a group's first
-    member carries its ``solve:<reason>`` fallback tally: the other members
-    never reach a solver.
+    solves share the solve memo.
 
     Every ``(entry, method)`` pair becomes one :class:`BatchUnit` with its
     own deep-copied policy (a stateful policy must not leak one method's
@@ -325,23 +321,19 @@ def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[Com
         group_of.append(group)
     if len(leaders) < len(entries):
         _telemetry().count(_PLAN_SHARED, len(entries) - len(leaders))
-    plan_reasons: List[Dict[str, int]] = []
     planned = plan_expansions(
         [(expand_fully_preemptive(taskset), methods)
          for taskset, _, methods, _ in (entries[index] for index in leaders)],
         memo=solve_memo,
-        fallback_out=plan_reasons,
     )
 
     batched = all(cfg.batched for _, _, _, cfg in entries)
     units: List[BatchUnit] = []
     tallies: List[Dict[str, int]] = []
-    for index, ((_, processor, _, cfg), group) in enumerate(zip(entries, group_of)):
-        schedules = planned[group]
-        reasons = plan_reasons[group] if leaders[group] == index else {}
-        tally = {"solve:" + reason: count for reason, count in reasons.items()}
+    for (_, processor, _, cfg), group in zip(entries, group_of):
+        tally: Dict[str, int] = {}
         sim_config = cfg.simulation_config()
-        for schedule in schedules.values():
+        for schedule in planned[group].values():
             unit = BatchUnit(schedule=schedule, processor=processor,
                              policy=copy.deepcopy(cfg.policy), config=sim_config,
                              workload=cfg.workload, rng=np.random.default_rng(cfg.seed))

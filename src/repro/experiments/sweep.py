@@ -94,9 +94,9 @@ class SweepResult:
     def fallback_summary(self) -> Dict[str, int]:
         """Merged ``{reason: count}`` fallback tally across every comparison.
 
-        Keys are prefixed ``"batch:"`` / ``"solve:"`` (see
+        Keys are prefixed ``"batch:"`` (see
         :class:`~repro.experiments.harness.ComparisonResult`); empty when no
-        batched stage fell back.
+        simulation unit fell back.
         """
         return aggregate_fallback_reasons(result.fallback_reasons for result in self.results)
 

@@ -3,16 +3,7 @@
 from .acs import ACSScheduler
 from .base import VoltageScheduler
 from .baselines import ConstantSpeedScheduler, MaxSpeedScheduler
-from .batched_solver import (
-    NLPSolveTask,
-    SolveMemo,
-    default_solve_memo,
-    plan_expansions,
-    run_program,
-    run_programs,
-    solve_fallback_reason,
-    solve_tasks,
-)
+from .batched_solver import SolveMemo, default_solve_memo, plan_expansions, solve_nlp
 from .evaluation import (
     AnalyticOutcome,
     CompiledEvaluation,
@@ -35,14 +26,10 @@ __all__ = [
     "WCSScheduler",
     "StochasticACSScheduler",
     "sample_scenarios",
-    "NLPSolveTask",
     "SolveMemo",
     "default_solve_memo",
     "plan_expansions",
-    "run_program",
-    "run_programs",
-    "solve_fallback_reason",
-    "solve_tasks",
+    "solve_nlp",
     "LiteralNLPScheduler",
     "MaxSpeedScheduler",
     "ConstantSpeedScheduler",

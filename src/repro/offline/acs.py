@@ -17,10 +17,11 @@ module for the mapping to the paper's Section 3.2 formulation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..analysis.preemption import FullyPreemptiveSchedule
 from .base import VoltageScheduler
-from .batched_solver import NLPSolveTask, run_program
+from .batched_solver import SolveMemo, solve_nlp
 from .nlp import ReducedNLP, SolverOptions
 from .schedule import StaticSchedule
 
@@ -50,7 +51,8 @@ class ACSScheduler(VoltageScheduler):
     def name(self) -> str:
         return "acs"
 
-    def schedule_expansion(self, expansion: FullyPreemptiveSchedule) -> StaticSchedule:
+    def schedule_expansion(self, expansion: FullyPreemptiveSchedule, *,
+                           memo: Optional[SolveMemo] = None) -> StaticSchedule:
         """Solve the average-case NLP from several starting points and keep the best.
 
         SLSQP can stall on the piecewise-smooth objective depending on where it
@@ -60,26 +62,15 @@ class ACSScheduler(VoltageScheduler):
         by construction), which guarantees that ACS is never worse than the
         baseline on the average-case objective.
         """
-        return run_program(self.schedule_program(expansion))
-
-    def schedule_program(self, expansion: FullyPreemptiveSchedule):
-        """:meth:`schedule_expansion` as a batchable wave program.
-
-        Wave 1 solves the heuristically seeded ACS problem and the WCS warm
-        start together; wave 2 re-solves ACS from the WCS solution.  Driven
-        sequentially this performs the exact solve sequence documented above;
-        driven by the batched planner the independent wave members share one
-        stacked evaluation.
-        """
         nlp = ReducedNLP(expansion, self.processor, workload_mode="acec", options=self.options)
+        plain = solve_nlp(nlp, memo=memo)
         if not self.seed_with_wcs:
-            (schedule,) = yield (NLPSolveTask(nlp),)
-            candidates = [schedule]
+            candidates = [plain]
         else:
             wcs_nlp = ReducedNLP(expansion, self.processor, workload_mode="wcec", options=self.options)
-            plain, wcs_schedule = yield (NLPSolveTask(nlp), NLPSolveTask(wcs_nlp))
+            wcs_schedule = solve_nlp(wcs_nlp, memo=memo)
             wcs_vectors = nlp.pack(wcs_schedule.end_times(), wcs_schedule.wc_budgets())
-            (seeded,) = yield (NLPSolveTask(nlp, x0=wcs_vectors),)
+            seeded = solve_nlp(nlp, wcs_vectors, memo=memo)
             candidates = [plain, seeded, StaticSchedule.from_vectors(
                 expansion, wcs_schedule.end_times(), wcs_schedule.wc_budgets(),
                 method="acs",

@@ -9,6 +9,7 @@ from typing import Optional
 from ..analysis.preemption import FullyPreemptiveSchedule, expand_fully_preemptive
 from ..core.taskset import TaskSet
 from ..power.processor import ProcessorModel
+from .batched_solver import SolveMemo
 from .schedule import StaticSchedule
 
 __all__ = ["VoltageScheduler"]
@@ -37,25 +38,12 @@ class VoltageScheduler(ABC):
         return self.schedule_expansion(expansion)
 
     @abstractmethod
-    def schedule_expansion(self, expansion: FullyPreemptiveSchedule) -> StaticSchedule:
-        """Compute the static schedule for an existing expansion."""
+    def schedule_expansion(self, expansion: FullyPreemptiveSchedule, *,
+                           memo: Optional[SolveMemo] = None) -> StaticSchedule:
+        """Compute the static schedule for an existing expansion.
 
-    def schedule_program(self, expansion: FullyPreemptiveSchedule):
-        """The scheduler's solve sequence as a batchable *program*.
-
-        A program is a generator that yields waves of
-        :class:`~repro.offline.batched_solver.NLPSolveTask` tuples, receives
-        the matching tuple of solved :class:`StaticSchedule` objects for each
-        wave, and returns the final schedule.  Driving a program sequentially
-        (:func:`~repro.offline.batched_solver.run_program`) reproduces
-        :meth:`schedule_expansion` bitwise; driving many programs together
-        (:func:`~repro.offline.batched_solver.run_programs`) lets the batched
-        planner stack their solver evaluations across problems.
-
-        The default delegates to :meth:`schedule_expansion` without yielding —
-        right for schedulers that do not solve NLPs.  Schedulers built on
-        :class:`~repro.offline.nlp.ReducedNLP` override this and express
-        :meth:`schedule_expansion` in terms of it.
+        Schedulers built on :class:`~repro.offline.nlp.ReducedNLP` solve
+        through :func:`~repro.offline.batched_solver.solve_nlp`, which
+        answers each solve from ``memo`` when it holds it; the others ignore
+        ``memo``.  Either way the schedule is bitwise the unmemoized one.
         """
-        return self.schedule_expansion(expansion)
-        yield ()  # pragma: no cover - unreachable; makes this a generator

@@ -22,6 +22,7 @@ from ..analysis.preemption import FullyPreemptiveSchedule
 from ..analysis.response_time import breakdown_frequency
 from ..core.errors import InfeasibleTaskSetError
 from .base import VoltageScheduler
+from .batched_solver import SolveMemo
 from .initialization import worst_case_simulation_vectors
 from .schedule import StaticSchedule
 
@@ -36,7 +37,8 @@ class MaxSpeedScheduler(VoltageScheduler):
     def name(self) -> str:
         return "max_speed"
 
-    def schedule_expansion(self, expansion: FullyPreemptiveSchedule) -> StaticSchedule:
+    def schedule_expansion(self, expansion: FullyPreemptiveSchedule, *,
+                           memo: Optional[SolveMemo] = None) -> StaticSchedule:
         end_times, budgets = worst_case_simulation_vectors(expansion, self.processor)
         schedule = StaticSchedule.from_vectors(
             expansion, end_times, budgets, method=self.name,
@@ -63,7 +65,8 @@ class ConstantSpeedScheduler(VoltageScheduler):
     def name(self) -> str:
         return "constant_speed"
 
-    def schedule_expansion(self, expansion: FullyPreemptiveSchedule) -> StaticSchedule:
+    def schedule_expansion(self, expansion: FullyPreemptiveSchedule, *,
+                           memo: Optional[SolveMemo] = None) -> StaticSchedule:
         frequency = self.frequency
         if frequency is None:
             frequency = breakdown_frequency(expansion.taskset, self.processor)

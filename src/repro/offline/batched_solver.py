@@ -1,52 +1,42 @@
-"""Batched offline planning: cross-problem vectorized NLP solves plus a solve memo.
+"""Offline planning: one NLP solve at a time, each memoized where it is made.
 
-A Figure-6 sweep solves hundreds of *independent* :class:`~repro.offline.nlp.ReducedNLP`
-instances — one ACS and one WCS problem per task set — and each solve spends
-most of its wall-clock in :class:`~repro.offline.evaluation.CompiledEvaluation`
-calls whose per-row NumPy dispatch overhead dwarfs the arithmetic.  This module
-amortises that overhead *across problems* without changing a single bit of any
-solver trajectory:
+A Figure-6 sweep runs hundreds of :class:`~repro.offline.nlp.ReducedNLP`
+solves — one WCS and two ACS solves per task set — and many of them
+repeat: the WCS problem ACS warm-starts from is the WCS scheduler's own,
+and sweeps replan the same task sets across policies, seeds and resumed
+runs.  This module makes every repeat cost one lookup:
 
-* **Scheduler programs** (:meth:`~repro.offline.base.VoltageScheduler.schedule_program`)
-  describe a scheduler's solve sequence as waves of :class:`NLPSolveTask`
-  requests.  :func:`run_programs` drives many programs in lock-step, so the
-  independent solves of a whole sweep become one concurrent pool.
-* **The evaluation coordinator** (:class:`_EvaluationCoordinator`) runs each
-  SLSQP instance on its own thread, blocked on an evaluation-request queue.
-  Whenever every live solver is waiting, the coordinator drains the pending
-  objective/jacobian requests into one *stacked* cross-problem evaluation
-  (:func:`stacked_energies`) and hands each solver exactly the numbers the
-  per-problem evaluation would have produced — bitwise — so every trajectory,
-  and therefore every :class:`~repro.offline.schedule.StaticSchedule`, is
-  unchanged.  Problems the vectorized evaluation cannot reproduce (non-linear
-  delay laws, non-SLSQP methods) fall back to plain sequential solves, per
-  problem, mirroring the runtime engine's ``batch_fallback_reason`` discipline
-  (:func:`solve_fallback_reason`).
+* :func:`solve_nlp` is where every NLP-backed scheduler solves: it looks
+  the problem up in a :class:`SolveMemo` and otherwise runs
+  :meth:`ReducedNLP.solve <repro.offline.nlp.ReducedNLP.solve>` once and
+  records the result.
 * **The solve memo** (:class:`SolveMemo`) is a content-addressed cache keyed —
   with the result store's hashing discipline (:func:`~repro.scenarios.store.signature_key`)
-  — by everything solve-relevant: the task set, the horizon, the processor,
-  the workload mode, the solver options, the scenario set, the warm-start
-  vector and the numpy/scipy versions.  ACS/WCS re-solves of identical task
-  sets across policies, seeds and resumed sweeps then cost one solve; backed
-  by a
-  :class:`~repro.scenarios.store.ResultStore` the memo survives a killed sweep.
+  — by everything solve-relevant (:func:`solve_signature`): the task set,
+  the horizon, the processor, the workload mode, the solver options, the
+  scenario set, the warm-start vector and the numpy/scipy versions.  Backed
+  by a :class:`~repro.scenarios.store.ResultStore` the memo survives a
+  killed sweep.
+* :func:`plan_key` keys a whole comparison's planning inputs, so the harness
+  plans each distinct problem of a chunk once, and :func:`plan_expansions`
+  is the harness's planning entry point.
 
-The determinism contract matches the runtime engines: for the same inputs, the
-batched planner returns schedules bitwise-identical to sequential
-``schedule_expansion`` calls (``tests/offline/test_batched_solver.py``).
+A memo hit rebuilds the schedule from its stored vectors, bitwise the
+schedule the solve returned, so memoized planning is bitwise-identical to
+unmemoized ``schedule_expansion`` calls (``tests/offline/test_batched_solver.py``).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, is_dataclass
-from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, is_dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
 
-from ..core.errors import ReproError, SchedulingError
+from ..core.errors import ReproError
 from ..power.processor import ProcessorModel
 from ..telemetry.core import current as _telemetry
 from .evaluation import _EPS, CompiledEvaluation
@@ -54,61 +44,25 @@ from .nlp import ReducedNLP
 from .schedule import StaticSchedule
 
 __all__ = [
-    "NLPSolveTask",
     "SolveMemo",
-    "SchedulerProgram",
     "default_solve_memo",
     "plan_expansions",
     "plan_key",
-    "run_program",
-    "run_programs",
-    "solve_fallback_reason",
+    "solve_nlp",
     "solve_signature",
-    "solve_tasks",
-    "stacked_energies",
 ]
-
-#: A scheduler program: yields waves of solve tasks, receives the matching
-#: wave of schedules, and returns the final schedule via ``StopIteration``.
-SchedulerProgram = Generator[Tuple["NLPSolveTask", ...], Tuple[StaticSchedule, ...], StaticSchedule]
 
 #: Telemetry counter names, precomputed so the disabled path allocates nothing.
 _MEMO_HIT = "solve_memo.hit"
 _MEMO_MISS = "solve_memo.miss"
 _MEMO_COMPUTED = "solve_memo.computed"
-_OBJECTIVE_EVALS = "nlp.objective_evaluations"
-_JACOBIAN_EVALS = "nlp.jacobian_evaluations"
-
-
-@dataclass(frozen=True)
-class NLPSolveTask:
-    """One solver invocation: a reduced NLP plus an optional warm-start vector."""
-
-    nlp: ReducedNLP
-    x0: Optional[np.ndarray] = None
-
-
-def solve_fallback_reason(task: NLPSolveTask) -> Optional[str]:
-    """Why ``task`` cannot join a stacked solve, or ``None`` if it can.
-
-    Mirrors the runtime engine's ``batch_fallback_reason``: a non-``None``
-    reason routes the task to a plain per-problem sequential solve, so the
-    batched planner never has to *approximate* — it only batches what it can
-    reproduce bitwise.
-    """
-    nlp = task.nlp
-    if nlp._compiled is None:
-        return f"processor law {nlp.processor.law!r} has no vectorized evaluation"
-    if nlp.options.method != "SLSQP":
-        return f"solver method {nlp.options.method!r}"
-    return None
 
 
 # --------------------------------------------------------------------- #
 # Solve memo (content-addressed, ResultStore hashing discipline)
 # --------------------------------------------------------------------- #
-def solve_signature(task: NLPSolveTask) -> Dict[str, Any]:
-    """Everything that determines a solve's outcome, as a canonical dictionary.
+def solve_signature(nlp: ReducedNLP, x0: Optional[np.ndarray] = None) -> Dict[str, Any]:
+    """Everything that determines the outcome of ``nlp.solve(x0)``, as a canonical dictionary.
 
     ``verbose`` is excluded (it only toggles solver chatter); every other
     option, the task set, the horizon, the processor physics, the workload
@@ -122,7 +76,6 @@ def solve_signature(task: NLPSolveTask) -> Dict[str, Any]:
     from ..reporting.serialization import taskset_to_dict
     from ..scenarios.store import STORE_FORMAT, processor_signature
 
-    nlp = task.nlp
     options = asdict(nlp.options)
     options.pop("verbose", None)
     scenarios = None
@@ -137,7 +90,7 @@ def solve_signature(task: NLPSolveTask) -> Dict[str, Any]:
         "workload_mode": nlp.workload_mode,
         "options": options,
         "scenarios": scenarios,
-        "x0": None if task.x0 is None else [float(v) for v in np.asarray(task.x0, dtype=float)],
+        "x0": None if x0 is None else [float(v) for v in np.asarray(x0, dtype=float)],
         "build": {"numpy": np.__version__, "scipy": scipy.__version__},
     }
 
@@ -207,7 +160,7 @@ def _schedule_payload(schedule: StaticSchedule) -> Dict[str, Any]:
 
 
 def _schedule_from_payload(nlp: ReducedNLP, payload: Mapping[str, Any]) -> StaticSchedule:
-    """Rebuild a memoized schedule against the requesting task's expansion.
+    """Rebuild a memoized schedule against the requesting NLP's expansion.
 
     ``from_vectors`` re-derives the average-case budgets deterministically,
     and JSON floats round-trip exactly, so the reconstruction is
@@ -231,9 +184,8 @@ class SolveMemo:
     :class:`~repro.scenarios.store.ResultStore` ``get``/``put`` interface,
     which makes solves resumable across killed sweeps and worker processes.
 
-    ``hits`` counts solves answered from the memo (including in-flight
-    duplicates deduplicated within one wave); ``computed`` counts solver
-    invocations that actually ran.
+    ``hits`` counts lookups answered from the memo; ``computed`` counts
+    solver invocations that actually ran.
     """
 
     def __init__(self, store: Optional[Any] = None, *, max_entries: int = 512):
@@ -278,6 +230,7 @@ def default_solve_memo() -> SolveMemo:
 # --------------------------------------------------------------------- #
 # Stacked cross-problem evaluation
 # --------------------------------------------------------------------- #
+# Unused by the planner: kept only while the benchmark's layer tracer wraps these two by name.
 def stacked_energies(
     lanes: Sequence[Tuple[CompiledEvaluation, np.ndarray, np.ndarray]],
 ) -> List[np.ndarray]:
@@ -404,24 +357,7 @@ def stacked_energies(
     return [energy[bounds[lane]:bounds[lane + 1]].copy() for lane in range(len(lanes))]
 
 
-# --------------------------------------------------------------------- #
-# Evaluation coordinator (lock-step solver threads)
-# --------------------------------------------------------------------- #
-class _Request:
-    """One evaluation request parked on the coordinator's queue."""
-
-    __slots__ = ("nlp", "kind", "payload", "event", "value", "error")
-
-    def __init__(self, nlp: ReducedNLP, kind: str, payload: Any):
-        self.nlp = nlp
-        self.kind = kind  # "scalar" (float list) or "batch" ((n_vars, K) columns)
-        self.payload = payload
-        self.event = threading.Event()
-        self.value: Any = None
-        self.error: Optional[BaseException] = None
-
-
-def _evaluate_drain(batch: Sequence[_Request]) -> None:
+def _evaluate_drain(batch: Sequence[Any]) -> None:
     """Answer one drained wave of requests with per-problem-exact values.
 
     An all-scalar drain (every solver is in a line search) keeps the scalar
@@ -436,7 +372,7 @@ def _evaluate_drain(batch: Sequence[_Request]) -> None:
             request.value = request.nlp._scalar_energy(request.payload)
         return
     lanes: List[Tuple[CompiledEvaluation, np.ndarray, np.ndarray]] = []
-    plan: List[Tuple[_Request, int, int]] = []
+    plan: List[Tuple[Any, int, int]] = []
     for request in batch:
         nlp = request.nlp
         if request.kind == "scalar":
@@ -462,289 +398,43 @@ def _evaluate_drain(batch: Sequence[_Request]) -> None:
         request.value = float(energy[0]) if request.kind == "scalar" else energy
 
 
-class _EvaluationCoordinator:
-    """Runs many SLSQP instances on threads and batch-evaluates their requests.
-
-    Every solver thread blocks after submitting an objective/jacobian request;
-    once *all* live solvers are blocked, the coordinator drains the queue in
-    one stacked evaluation and releases them.  Progress is guaranteed because
-    a live solver thread is always either computing (and will submit or
-    finish) or already parked on the queue.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._pending: List[_Request] = []
-        self._live = 0
-        self._failure: Optional[BaseException] = None
-
-    # ---- solver-thread side ------------------------------------------- #
-    def _submit(self, request: _Request) -> Any:
-        _telemetry().count(_OBJECTIVE_EVALS if request.kind == "scalar" else _JACOBIAN_EVALS)
-        with self._cond:
-            if self._failure is not None:
-                raise self._failure
-            self._pending.append(request)
-            self._cond.notify_all()
-        request.event.wait()
-        if request.error is not None:
-            raise request.error
-        return request.value
-
-    def evaluate_scalar(self, nlp: ReducedNLP, values: List[float]) -> float:
-        return self._submit(_Request(nlp, "scalar", values))
-
-    def evaluate_batch(self, nlp: ReducedNLP, columns: np.ndarray) -> np.ndarray:
-        return self._submit(_Request(nlp, "batch", columns))
-
-    # ---- coordinator side --------------------------------------------- #
-    def run(self, tasks: Sequence[NLPSolveTask]) -> List[StaticSchedule]:
-        count = len(tasks)
-        schedules: List[Optional[StaticSchedule]] = [None] * count
-        errors: List[Optional[BaseException]] = [None] * count
-
-        def solver_main(index: int, task: NLPSolveTask) -> None:
-            try:
-                schedules[index] = task.nlp.solve(task.x0)
-            except BaseException as error:  # noqa: BLE001 - reported to the caller
-                errors[index] = error
-            finally:
-                task.nlp._backend = None
-                with self._cond:
-                    self._live -= 1
-                    self._cond.notify_all()
-
-        threads = []
-        self._live = count
-        for index, task in enumerate(tasks):
-            task.nlp._backend = self
-            threads.append(threading.Thread(
-                target=solver_main, args=(index, task),
-                name=f"nlp-solver-{index}", daemon=True,
-            ))
-        for thread in threads:
-            thread.start()
-        while True:
-            with self._cond:
-                self._cond.wait_for(
-                    lambda: self._live == 0
-                    or (self._pending and len(self._pending) >= self._live)
-                )
-                if self._live == 0 and not self._pending:
-                    break
-                batch, self._pending = self._pending, []
-            _telemetry().observe("solve.drain_width", float(len(batch)))
-            try:
-                _evaluate_drain(batch)
-            except BaseException as error:  # noqa: BLE001 - poison every waiter
-                with self._cond:
-                    self._failure = error
-                for request in batch:
-                    request.error = error
-            finally:
-                for request in batch:
-                    request.event.set()
-        for thread in threads:
-            thread.join()
-        for error in errors:
-            if error is not None:
-                raise error
-        return [schedule for schedule in schedules]  # all non-None: no error raised
-
-
 # --------------------------------------------------------------------- #
-# Wave solving and program driving
+# Solving and planning
 # --------------------------------------------------------------------- #
-def solve_tasks(
-    tasks: Sequence[NLPSolveTask],
-    memo: Optional[SolveMemo] = None,
-    *,
-    fallback_out: Optional[List[Optional[str]]] = None,
-) -> List[StaticSchedule]:
-    """Solve one wave of tasks: memoized, deduplicated, stacked where possible.
+def solve_nlp(nlp: ReducedNLP, x0: Optional[np.ndarray] = None,
+              memo: Optional[SolveMemo] = None) -> StaticSchedule:
+    """``nlp.solve(x0)``, answered from ``memo`` when it already holds the solve.
 
-    Order of resolution per task: a memo hit replays the stored vectors; an
-    in-flight duplicate (identical signature within this wave) is solved once
-    and every requester receives its own reconstructed schedule (schedules
-    are mutable — sharing one object across requesters would leak one
-    caller's mutations into another's); the rest are solved — concurrently
-    through the evaluation coordinator when vectorizable, sequentially
-    otherwise — and recorded in the memo.
-
-    ``fallback_out``, when given, is rewritten to one entry per task: the
-    ``solve_fallback_reason`` string for tasks that took the sequential
-    fallback, ``None`` for everything else (memo hits and in-wave
-    duplicates never reach a solver, so they carry no reason).
+    A hit rebuilds a fresh schedule from the stored vectors (schedules are
+    mutable, so no two callers share one object); a miss runs the solver
+    under one ``solve`` span and records the result.
     """
     from ..scenarios.store import signature_key
 
-    tasks = list(tasks)
-    schedules: List[Optional[StaticSchedule]] = [None] * len(tasks)
-    keys = [signature_key(solve_signature(task)) for task in tasks]
-    if fallback_out is not None:
-        fallback_out[:] = [None] * len(tasks)
-
-    unresolved: List[int] = []
-    for index, key in enumerate(keys):
-        payload = memo.lookup(key) if memo is not None else None
-        if payload is not None:
-            schedules[index] = _schedule_from_payload(tasks[index].nlp, payload)
-        else:
-            unresolved.append(index)
-
-    first_of: Dict[str, int] = {}
-    duplicates: Dict[int, int] = {}
-    unique: List[int] = []
-    for index in unresolved:
-        key = keys[index]
-        if key in first_of:
-            duplicates[index] = first_of[key]
-        else:
-            first_of[key] = index
-            unique.append(index)
-
-    concurrent: List[int] = []
-    for index in unique:
-        task = tasks[index]
-        reason = solve_fallback_reason(task)
-        if reason is not None:
-            _telemetry().count("solve.fallback." + reason)
-            if fallback_out is not None:
-                fallback_out[index] = reason
-            with _telemetry().span("solve.sequential"):
-                schedules[index] = task.nlp.solve(task.x0)
-        else:
-            concurrent.append(index)
-    if len(concurrent) == 1:
-        index = concurrent[0]
-        with _telemetry().span("solve.wave"):
-            schedules[index] = tasks[index].nlp.solve(tasks[index].x0)
-    elif concurrent:
-        _telemetry().observe("solve.wave_width", float(len(concurrent)))
-        with _telemetry().span("solve.wave"):
-            solved = _EvaluationCoordinator().run([tasks[index] for index in concurrent])
-        for index, schedule in zip(concurrent, solved):
-            schedules[index] = schedule
-
+    key = None
     if memo is not None:
-        for index in unique:
-            label = f"{tasks[index].nlp.expansion.taskset.name}/{tasks[index].nlp.workload_mode}"
-            memo.record(keys[index], _schedule_payload(schedules[index]), label=label)
-    for index, source in duplicates.items():
-        if memo is not None:
-            memo.hits += 1
-        schedules[index] = _schedule_from_payload(
-            tasks[index].nlp, _schedule_payload(schedules[source])
-        )
-    return [schedule for schedule in schedules]
-
-
-def run_program(program: SchedulerProgram) -> StaticSchedule:
-    """Drive one scheduler program sequentially (the reference path).
-
-    Tasks are solved one by one in yield order — exactly the call sequence
-    the pre-program ``schedule_expansion`` implementations performed.
-    """
-    try:
-        tasks = next(program)
-        while True:
-            tasks = program.send(tuple(task.nlp.solve(task.x0) for task in tasks))
-    except StopIteration as stop:
-        if stop.value is None:
-            raise SchedulingError("scheduler program finished without a schedule") from None
-        return stop.value
-
-
-def run_programs(programs: Sequence[SchedulerProgram],
-                 memo: Optional[SolveMemo] = None,
-                 *,
-                 fallback_out: Optional[List[Dict[str, int]]] = None) -> List[StaticSchedule]:
-    """Drive many scheduler programs in lock-step waves.
-
-    Each round advances every active program by one wave and solves the union
-    of their yielded tasks through :func:`solve_tasks` — the wider the wave,
-    the more problems one stacked evaluation amortises.
-
-    ``fallback_out``, when given, is rewritten to one ``{reason: count}``
-    tally per program, attributing each sequential-fallback solve to the
-    program that requested it.
-    """
-    programs = list(programs)
-    if fallback_out is not None:
-        fallback_out[:] = [{} for _ in programs]
-    results: List[Optional[StaticSchedule]] = [None] * len(programs)
-    inbox: List[Tuple[StaticSchedule, ...]] = [()] * len(programs)
-    started = [False] * len(programs)
-    active = list(range(len(programs)))
-    while active:
-        wave: List[Tuple[int, Tuple[NLPSolveTask, ...]]] = []
-        still_active: List[int] = []
-        for index in active:
-            try:
-                if started[index]:
-                    tasks = programs[index].send(inbox[index])
-                else:
-                    started[index] = True
-                    tasks = next(programs[index])
-            except StopIteration as stop:
-                if stop.value is None:
-                    raise SchedulingError("scheduler program finished without a schedule") from None
-                results[index] = stop.value
-                continue
-            wave.append((index, tuple(tasks)))
-            still_active.append(index)
-        active = still_active
-        if not wave:
-            break
-        wave_reasons: Optional[List[Optional[str]]] = [] if fallback_out is not None else None
-        solved = solve_tasks(
-            [task for _, tasks in wave for task in tasks], memo=memo, fallback_out=wave_reasons
-        )
-        cursor = 0
-        for index, tasks in wave:
-            inbox[index] = tuple(solved[cursor:cursor + len(tasks)])
-            if fallback_out is not None and wave_reasons is not None:
-                for reason in wave_reasons[cursor:cursor + len(tasks)]:
-                    if reason is not None:
-                        tally = fallback_out[index]
-                        tally[reason] = tally.get(reason, 0) + 1
-            cursor += len(tasks)
-    return [result for result in results]
+        key = signature_key(solve_signature(nlp, x0))
+        payload = memo.lookup(key)
+        if payload is not None:
+            return _schedule_from_payload(nlp, payload)
+    with _telemetry().span("solve"):
+        schedule = nlp.solve(x0)
+    if memo is not None:
+        label = f"{nlp.expansion.taskset.name}/{nlp.workload_mode}"
+        memo.record(key, _schedule_payload(schedule), label=label)
+    return schedule
 
 
 def plan_expansions(
     items: Sequence[Tuple[Any, Mapping[str, Any]]],
     memo: Optional[SolveMemo] = None,
-    *,
-    fallback_out: Optional[List[Dict[str, int]]] = None,
 ) -> List[Dict[str, StaticSchedule]]:
-    """Plan many ``(expansion, {name: scheduler})`` groups as one solver pool.
+    """Plan many ``(expansion, {name: scheduler})`` groups through one solve memo.
 
-    This is the harness entry point: every scheduler of every group
-    contributes its program, all programs advance in lock-step, and the
-    result is one ``{name: schedule}`` dictionary per group — bitwise what
-    per-group sequential ``schedule_expansion`` calls produce.
-
-    ``fallback_out``, when given, is rewritten to one ``{reason: count}``
-    tally per *group*, merging the tallies of every scheduler program the
-    group contributed (see :func:`run_programs`).
+    This is the harness entry point: one ``{name: schedule}`` dictionary per
+    group, bitwise what unmemoized ``schedule_expansion`` calls produce.
     """
-    programs: List[SchedulerProgram] = []
-    placements: List[Tuple[int, str]] = []
-    for group, (expansion, methods) in enumerate(items):
-        for name, scheduler in methods.items():
-            programs.append(scheduler.schedule_program(expansion))
-            placements.append((group, name))
-    program_reasons: Optional[List[Dict[str, int]]] = [] if fallback_out is not None else None
-    with _telemetry().span("plan.batched"):
-        schedules = run_programs(programs, memo=memo, fallback_out=program_reasons)
-    out: List[Dict[str, StaticSchedule]] = [{} for _ in items]
-    for (group, name), schedule in zip(placements, schedules):
-        out[group][name] = schedule
-    if fallback_out is not None and program_reasons is not None:
-        fallback_out[:] = [{} for _ in items]
-        for (group, _), tally in zip(placements, program_reasons):
-            merged = fallback_out[group]
-            for reason, count in tally.items():
-                merged[reason] = merged.get(reason, 0) + count
-    return out
+    with _telemetry().span("plan"):
+        return [{name: scheduler.schedule_expansion(expansion, memo=memo)
+                 for name, scheduler in methods.items()}
+                for expansion, methods in items]

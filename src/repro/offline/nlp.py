@@ -51,6 +51,9 @@ from .schedule import StaticSchedule
 
 __all__ = ["ReducedNLP", "SolverOptions"]
 
+#: Telemetry counter: solver iterations summed over every computed solve.
+_SOLVE_ITERATIONS = "solve.iterations"
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -153,11 +156,6 @@ class ReducedNLP:
         self._bounds_upper: Optional[np.ndarray] = None
         self._last_point: Optional[np.ndarray] = None
         self._last_value: float = 0.0
-        #: Optional evaluation backend (the batched planner's coordinator).
-        #: When set, compiled objective/batch evaluations are routed through it
-        #: so many concurrent solves can share one stacked evaluation; the
-        #: backend is contractually bitwise-transparent.
-        self._backend = None
         self._compiled: Optional[List[Tuple[float, CompiledEvaluation]]] = None
         if CompiledEvaluation.supported(self.processor):
             if self.scenarios is not None:
@@ -220,10 +218,7 @@ class ReducedNLP:
         """
         if self._compiled is not None:
             values = np.asarray(x, dtype=float).tolist()
-            if self._backend is not None:
-                energy = self._backend.evaluate_scalar(self, values)
-            else:
-                energy = self._scalar_energy(values)
+            energy = self._scalar_energy(values)
             # Memoize the last point: the solver evaluates the objective and
             # then the gradient at the same x, and the gradient needs f0.
             self._last_point = np.array(values)
@@ -275,14 +270,7 @@ class ReducedNLP:
             raise SchedulingError(
                 "objective_batch requires the compiled evaluation (linear-law processor)"
             )
-        columns = np.asarray(x_columns, dtype=float)
-        if self._backend is not None:
-            return self._backend.evaluate_batch(self, columns)
-        return self._batch_energy(columns)
-
-    def _batch_energy(self, columns: np.ndarray) -> np.ndarray:
-        """Compiled batched objective of a ``(n_vars, K)`` column matrix."""
-        end_times, budgets = self._unpack_batch(columns)
+        end_times, budgets = self._unpack_batch(np.asarray(x_columns, dtype=float))
         if self.scenarios is not None:
             total_weight = sum(weight for weight, _ in self.scenarios)
             energy = np.zeros(end_times.shape[1])
@@ -462,15 +450,18 @@ class ReducedNLP:
                 "disp": self.options.verbose,
             },
         )
+        iterations = int(result.get("nit", -1))
         telemetry = _telemetry()
         if telemetry.enabled:  # the name is built only when someone records it
             telemetry.count(f"solve.status.{int(result.status)}")
+            if iterations >= 0:
+                telemetry.count(_SOLVE_ITERATIONS, iterations)
         end_times, budgets = self.unpack(np.asarray(result.x, dtype=float))
         repaired = self._repair(end_times, budgets)
         metadata = {
             "solver_status": int(result.status),
             "solver_message": str(result.message),
-            "solver_iterations": int(result.get("nit", -1)),
+            "solver_iterations": iterations,
             "fallback": False,
         }
         method_name = "acs" if self.workload_mode == "acec" else "wcs"

@@ -42,7 +42,7 @@ through :mod:`repro.offline.nlp`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from ..analysis.preemption import FullyPreemptiveSchedule
 from ..core.errors import SchedulingError
 from ..core.workload import fill_average_workloads
 from .base import VoltageScheduler
+from .batched_solver import SolveMemo, solve_nlp
 from .evaluation import evaluate_vectors
 from .nlp import ReducedNLP, SolverOptions
 from .schedule import StaticSchedule
@@ -76,7 +77,8 @@ class LiteralNLPScheduler(VoltageScheduler):
     def _blocks(self, x: np.ndarray, n: int) -> Tuple[np.ndarray, ...]:
         return tuple(x[i * n:(i + 1) * n] for i in range(6))
 
-    def schedule_expansion(self, expansion: FullyPreemptiveSchedule) -> StaticSchedule:
+    def schedule_expansion(self, expansion: FullyPreemptiveSchedule, *,
+                           memo: Optional[SolveMemo] = None) -> StaticSchedule:
         from scipy import optimize  # deferred like ReducedNLP.solve's
 
         subs = expansion.sub_instances
@@ -141,7 +143,7 @@ class LiteralNLPScheduler(VoltageScheduler):
         bounds.extend((processor.vmin, processor.vmax) for _ in range(n))      # Va
         bounds.extend((processor.vmin, processor.vmax) for _ in range(n))      # Vw
 
-        x0 = self._initial_guess(expansion)
+        x0 = self._initial_guess(expansion, memo)
         result = optimize.minimize(
             objective,
             x0,
@@ -186,13 +188,14 @@ class LiteralNLPScheduler(VoltageScheduler):
     # ------------------------------------------------------------------ #
     # Initial guess
     # ------------------------------------------------------------------ #
-    def _initial_guess(self, expansion: FullyPreemptiveSchedule) -> np.ndarray:
+    def _initial_guess(self, expansion: FullyPreemptiveSchedule,
+                       memo: Optional[SolveMemo]) -> np.ndarray:
         subs = expansion.sub_instances
         n = len(subs)
         processor = self.processor
         reduced = ReducedNLP(expansion, processor, workload_mode="acec", options=self.options)
         if self.seed_with_reduced:
-            seed_schedule = reduced.solve()
+            seed_schedule = solve_nlp(reduced, memo=memo)
         else:
             end_times, budgets = reduced.fallback_vectors()
             seed_schedule = StaticSchedule.from_vectors(expansion, end_times, budgets, method="seed")

@@ -25,7 +25,7 @@ from ..analysis.preemption import FullyPreemptiveSchedule
 from ..core.errors import SchedulingError
 from ..workloads.distributions import NormalWorkload, WorkloadModel
 from .base import VoltageScheduler
-from .batched_solver import NLPSolveTask, run_program
+from .batched_solver import SolveMemo, solve_nlp
 from .nlp import ReducedNLP, SolverOptions
 from .schedule import StaticSchedule
 
@@ -77,26 +77,23 @@ class StochasticACSScheduler(VoltageScheduler):
     def name(self) -> str:
         return "acs_stochastic"
 
-    def schedule_expansion(self, expansion: FullyPreemptiveSchedule) -> StaticSchedule:
-        return run_program(self.schedule_program(expansion))
+    def schedule_expansion(self, expansion: FullyPreemptiveSchedule, *,
+                           memo: Optional[SolveMemo] = None) -> StaticSchedule:
+        """ACS's multi-start solve with the scenario-weighted objective.
 
-    def schedule_program(self, expansion: FullyPreemptiveSchedule):
-        """The sample-average solve sequence as a batchable wave program.
-
-        Mirrors :meth:`ACSScheduler.schedule_program`: wave 1 pairs the
-        scenario-weighted solve with the WCS warm start (the WCS problem is
-        the same reduced NLP :class:`~repro.offline.wcs.WCSScheduler` solves),
-        wave 2 re-solves the weighted objective from the WCS solution.
+        Like :meth:`~repro.offline.acs.ACSScheduler.schedule_expansion`, the
+        weighted problem is solved from the default guess and from the WCS
+        solution (the reduced NLP :class:`~repro.offline.wcs.WCSScheduler`
+        solves), and the WCS schedule itself is kept as a feasible candidate.
         """
         scenarios = sample_scenarios(expansion, self.workload, self.n_scenarios, self.seed)
         nlp = ReducedNLP(expansion, self.processor, workload_mode="acec",
                          options=self.options, scenarios=scenarios)
-        # Warm start from the WCS solution and keep it as a feasible candidate,
-        # mirroring ACSScheduler's multi-seed strategy.
+        plain = solve_nlp(nlp, memo=memo)
         wcs_nlp = ReducedNLP(expansion, self.processor, workload_mode="wcec", options=self.options)
-        plain, wcs_schedule = yield (NLPSolveTask(nlp), NLPSolveTask(wcs_nlp))
+        wcs_schedule = solve_nlp(wcs_nlp, memo=memo)
         wcs_vectors = nlp.pack(wcs_schedule.end_times(), wcs_schedule.wc_budgets())
-        (seeded,) = yield (NLPSolveTask(nlp, x0=wcs_vectors),)
+        seeded = solve_nlp(nlp, wcs_vectors, memo=memo)
         candidates = [plain, seeded, StaticSchedule.from_vectors(
             expansion, wcs_schedule.end_times(), wcs_schedule.wc_budgets(),
             method=self.name,

@@ -11,10 +11,11 @@ placed with the average case in mind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..analysis.preemption import FullyPreemptiveSchedule
 from .base import VoltageScheduler
-from .batched_solver import NLPSolveTask, run_program
+from .batched_solver import SolveMemo, solve_nlp
 from .nlp import ReducedNLP, SolverOptions
 from .schedule import StaticSchedule
 
@@ -31,10 +32,7 @@ class WCSScheduler(VoltageScheduler):
     def name(self) -> str:
         return "wcs"
 
-    def schedule_expansion(self, expansion: FullyPreemptiveSchedule) -> StaticSchedule:
-        return run_program(self.schedule_program(expansion))
-
-    def schedule_program(self, expansion: FullyPreemptiveSchedule):
+    def schedule_expansion(self, expansion: FullyPreemptiveSchedule, *,
+                           memo: Optional[SolveMemo] = None) -> StaticSchedule:
         nlp = ReducedNLP(expansion, self.processor, workload_mode="wcec", options=self.options)
-        (schedule,) = yield (NLPSolveTask(nlp),)
-        return schedule
+        return solve_nlp(nlp, memo=memo)

@@ -625,8 +625,8 @@ class ScenarioResult:
     computed: int
     skipped: int
     elapsed_seconds: float = 0.0
-    #: Merged per-unit fallback tallies of a comparison sweep's batched
-    #: stages (``"batch:<reason>"`` / ``"solve:<reason>"`` keys; empty when
+    #: Merged per-unit tallies of a comparison sweep's simulation units that
+    #: fell back from the batched engine (``"batch:<reason>"`` keys; empty when
     #: nothing fell back — see :class:`~repro.experiments.harness.ComparisonResult`).
     fallback_reasons: Dict[str, int] = field(default_factory=dict)
 

@@ -1,9 +1,9 @@
 """Telemetry collector: hierarchical spans, counters, and gauges.
 
 The pipeline is instrumented at stage granularity (a scenario run, a
-planning wave, a batched simulation, a store lookup) — never inside the
-per-step hot loops.  Instrumentation sites call :func:`current` and talk
-to whatever collector is active:
+planning pass, one NLP solve, a batched simulation, a store lookup) —
+never inside the per-step hot loops.  Instrumentation sites call
+:func:`current` and talk to whatever collector is active:
 
 * :class:`NullTelemetry` (the default) — every operation is a no-op and,
   crucially, allocates **zero** telemetry objects.  ``span()`` hands back
@@ -13,8 +13,8 @@ to whatever collector is active:
   discipline.
 * :class:`Telemetry` — records :class:`Span` rows (``perf_counter_ns``
   start/stop with parent links), monotonic counters, and value
-  observations (gauges), all thread-safe so the batched-solver worker
-  threads can report without coordination.
+  observations (gauges), all thread-safe so any thread can report
+  without coordination.
 
 Timing sites that must keep producing a wall-clock number even when
 telemetry is off (``elapsed_seconds`` result fields) use ``stage()``,
@@ -53,8 +53,8 @@ class Span:
 
     ``index`` is the span's position in the recording order; ``parent``
     is the index of the enclosing span on the same thread (or ``None``
-    for a root), giving the ``scenario.run > plan.batched > solve.wave``
-    hierarchy without any tree bookkeeping at record time.
+    for a root), giving the ``scenario.run > scenario.execute > plan >
+    solve`` hierarchy without any tree bookkeeping at record time.
     """
 
     name: str
@@ -173,10 +173,10 @@ class NullTelemetry:
 class Telemetry:
     """Recording collector: spans with parent links, counters, gauges.
 
-    Thread-safe: the batched NLP coordinator's worker threads and a
-    process's main thread can record concurrently.  Span parent links
-    are per-thread (each thread keeps its own stack), so a worker's
-    spans root at the wave they run under without cross-thread races.
+    Thread-safe: worker threads (the sweep server runs units on
+    ``asyncio.to_thread``) and a process's main thread can record
+    concurrently.  Span parent links are per-thread (each thread keeps its
+    own stack), so spans of concurrent threads never nest in each other.
     """
 
     enabled = True

@@ -2,9 +2,10 @@
 
 A batched comparison that cannot vectorize a unit silently took the compiled
 fallback before this accounting existed; now every fallback surfaces as a
-``"batch:<reason>"`` (simulation) or ``"solve:<reason>"`` (planning) tally on
-the :class:`ComparisonResult`, sweeps merge them, and a sweep that falls back
-for more than half its units warns once.
+``"batch:<reason>"`` tally on the :class:`ComparisonResult`, sweeps merge
+them, and a sweep that falls back for more than half its units warns once.
+Other keys (such as the ``"solve:<reason>"`` tallies of records stored by
+earlier releases) merge alike but never count towards the warning.
 """
 
 import warnings

@@ -1,8 +1,8 @@
-"""Harness-level equivalence: pooled planning never changes any result.
+"""Harness-level equivalence: memoized planning never changes any result.
 
 :func:`compare_schedulers` plans every comparison through
-:func:`~repro.offline.batched_solver.plan_expansions` (one solver pool plus
-the solve memo).  Its :class:`ComparisonResult` must be bitwise-identical to
+:func:`~repro.offline.batched_solver.plan_expansions` and the solve memo.
+Its :class:`ComparisonResult` must be bitwise-identical to
 the plain reference — every scheduler's own ``schedule_expansion`` followed
 by one ``DVSSimulator.run`` per method — schedules *and* the simulations run
 on top of them, across the full online matrix (all four DVS policies x all
@@ -115,7 +115,7 @@ def test_discrete_voltage_simulation(processor, two_task_set):
 # --------------------------------------------------------------------- #
 # Plan sharing within a chunk
 # --------------------------------------------------------------------- #
-def sharing_entries(processor, taskset, other_taskset, *, batched=True):
+def sharing_entries(processor, taskset, other_taskset):
     """One chunk: ``taskset`` under four seeds/policies/workloads, plus one
     comparison of ``other_taskset`` in the middle — two distinct problems."""
     settings = [(11, "greedy", NormalWorkload()), (12, "static", BimodalWorkload(0.3)),
@@ -123,11 +123,11 @@ def sharing_entries(processor, taskset, other_taskset, *, batched=True):
     entries = [
         (taskset, processor, make_schedulers(("wcs", "acs"), processor),
          ComparisonConfig(n_hyperperiods=2, seed=seed, policy=get_policy(policy),
-                          workload=workload, batched=batched))
+                          workload=workload, batched=True))
         for seed, policy, workload in settings
     ]
     entries.insert(2, (other_taskset, processor, make_schedulers(("wcs", "acs"), processor),
-                       ComparisonConfig(n_hyperperiods=2, seed=15, batched=batched)))
+                       ComparisonConfig(n_hyperperiods=2, seed=15, batched=True)))
     return entries
 
 
@@ -135,14 +135,18 @@ def payload_bytes(results):
     return [json.dumps(comparison_result_to_dict(result), sort_keys=True) for result in results]
 
 
-def test_shared_plans_leave_every_payload_unchanged(processor, two_task_set, three_task_set):
-    entries = sharing_entries(processor, two_task_set, three_task_set)
-    pooled = harness._compare_chunk(entries, SolveMemo())
-    alone = [harness._compare_chunk([entry], SolveMemo())[0] for entry in entries]
-    assert payload_bytes(pooled) == payload_bytes(alone)
-    # The members of one problem hold the very same (read-only) schedules.
-    assert pooled[0].outcomes["acs"].schedule is pooled[4].outcomes["acs"].schedule
-    assert pooled[0].outcomes["acs"].schedule is not pooled[2].outcomes["acs"].schedule
+def test_shared_plans_leave_every_payload_unchanged(processor, cmos, two_task_set,
+                                                   three_task_set):
+    # cmos has no vectorized evaluation: its solves and its simulation units
+    # take the reference paths, and must share plans just the same.
+    for proc in (processor, cmos):
+        entries = sharing_entries(proc, two_task_set, three_task_set)
+        pooled = harness._compare_chunk(entries, SolveMemo())
+        alone = [harness._compare_chunk([entry], SolveMemo())[0] for entry in entries]
+        assert payload_bytes(pooled) == payload_bytes(alone)
+        # The members of one problem hold the very same (read-only) schedules.
+        assert pooled[0].outcomes["acs"].schedule is pooled[4].outcomes["acs"].schedule
+        assert pooled[0].outcomes["acs"].schedule is not pooled[2].outcomes["acs"].schedule
 
 
 def test_each_distinct_problem_is_planned_once(monkeypatch, processor, two_task_set,
@@ -161,25 +165,18 @@ def test_each_distinct_problem_is_planned_once(monkeypatch, processor, two_task_
     monkeypatch.setattr(harness, "expand_fully_preemptive", counting_expand)
     monkeypatch.setattr(ReducedNLP, "solve", counting_solve)
     entries = sharing_entries(processor, two_task_set, three_task_set)
+    memo = SolveMemo()
     with using(Telemetry()) as telemetry:
-        harness._compare_chunk(entries, SolveMemo())
+        harness._compare_chunk(entries, memo)
     assert expanded == ["two-tasks", "three-tasks"]
     # Per problem: WCS, ACS from the default guess, ACS from the WCS solution.
     assert sorted(solved) == ["three-tasks"] * 3 + ["two-tasks"] * 3
     assert telemetry.counters["plan.shared"] == len(entries) - 2
     assert telemetry.counters["solve_memo.computed"] == 6
+    # ACS's WCS warm start is the WCS scheduler's own solve: one real hit per
+    # problem, counted alike by the memo and by telemetry.
+    assert telemetry.counters["solve_memo.hit"] == memo.hits == 2
+    assert telemetry.counters["solve_memo.miss"] == 6
     statuses = {name: count for name, count in telemetry.counters.items()
                 if name.startswith("solve.status.")}
     assert sum(statuses.values()) == 6
-
-
-def test_fallback_tally_sits_on_the_first_member_only(cmos, two_task_set, three_task_set):
-    """A ``cmos`` processor plans through the sequential fallback; only the
-    comparison that planned a problem carries its ``solve:<reason>`` tally."""
-    entries = sharing_entries(cmos, two_task_set, three_task_set, batched=False)
-    pooled = harness._compare_chunk(entries, SolveMemo())
-    (alone_first,) = harness._compare_chunk(entries[:1], SolveMemo())
-    reason = "solve:processor law 'cmos' has no vectorized evaluation"
-    assert alone_first.fallback_reasons == {reason: 3}
-    assert [result.fallback_reasons for result in pooled] == [
-        {reason: 3}, {}, {reason: 3}, {}, {}]

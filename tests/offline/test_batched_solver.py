@@ -1,29 +1,22 @@
-"""Batched offline planner: bitwise equivalence and solve memoization.
+"""Memoized offline planning: bitwise equivalence and the solve memo.
 
-``plan_expansions`` runs many schedulers' NLP solves concurrently against a
-stacked objective evaluation.  The planner's whole value rests on a hard
-promise: every :class:`StaticSchedule` it returns is *bitwise identical* to
-the one the scheduler's own sequential ``schedule_expansion`` produces —
-same end times, same budgets, same objective value, float for float.  These
-tests hold it to that promise across every registered scheduler (including
-the scenario-weighted stochastic ACS and the x0-seeded ACS waves), across
-cross-task-set batches, and through the content-addressed solve memo (warm
-replays must recompute nothing and still hand out fresh, independently
-mutable schedule objects).
+``plan_expansions`` plans many schedulers' groups through one content-addressed
+solve memo.  Its whole value rests on a hard promise: every
+:class:`StaticSchedule` it returns is *bitwise identical* to the one the
+scheduler's own unmemoized ``schedule_expansion`` produces — same end times,
+same budgets, same objective value, float for float.  These tests hold it to
+that promise across every registered scheduler (including the
+scenario-weighted stochastic ACS and the x0-seeded ACS solve), across
+task sets, and through the memo (warm replays must recompute nothing and
+still hand out fresh, independently mutable schedule objects).  The memo's
+keys are pinned, so a refactor cannot silently orphan an on-disk memo.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.preemption import expand_fully_preemptive
-from repro.offline import (
-    NLPSolveTask,
-    SolveMemo,
-    plan_expansions,
-    run_program,
-    solve_fallback_reason,
-    solve_tasks,
-)
+from repro.offline import SolveMemo, plan_expansions, solve_nlp
 from repro.offline.batched_solver import plan_key, solve_signature
 from repro.offline.acs import ACSScheduler
 from repro.offline.baselines import ConstantSpeedScheduler, MaxSpeedScheduler
@@ -54,7 +47,7 @@ def all_schedulers(processor):
 class TestBitwiseEquivalence:
     def test_batched_planning_matches_sequential_solves(self, processor,
                                                         three_task_set):
-        """Every scheduler, one shared batch vs one-at-a-time: bitwise equal."""
+        """Every scheduler, memoized plan vs unmemoized solves: bitwise equal."""
         methods = all_schedulers(processor)
         expansion = expand_fully_preemptive(three_task_set)
         sequential = {name: scheduler.schedule_expansion(expansion)
@@ -67,7 +60,7 @@ class TestBitwiseEquivalence:
     def test_cross_problem_batch_matches_per_problem_plans(self, processor,
                                                            two_task_set,
                                                            three_task_set):
-        """Two task sets' solves interleave in shared waves, bitwise equal."""
+        """Two task sets planned through one memo, bitwise equal."""
         items = [
             (expand_fully_preemptive(two_task_set), all_schedulers(processor)),
             (expand_fully_preemptive(three_task_set), all_schedulers(processor)),
@@ -79,36 +72,24 @@ class TestBitwiseEquivalence:
                                            scheduler.schedule_expansion(expansion))
 
     def test_seeded_acs_wave_structure(self, processor, two_task_set):
-        """ACS's x0-seeded second wave survives batching bitwise."""
+        """ACS's x0-seeded re-solve survives memoized planning bitwise."""
         expansion = expand_fully_preemptive(two_task_set)
         scheduler = ACSScheduler(processor)
-        assert scheduler.seed_with_wcs  # the two-wave path is the default
+        assert scheduler.seed_with_wcs  # the WCS-seeded path is the default
         (batched,) = plan_expansions(
             [(expansion, {"acs": scheduler})], memo=SolveMemo())
         assert_schedules_identical(batched["acs"],
                                    scheduler.schedule_expansion(expansion))
 
     def test_cmos_law_takes_the_sequential_fallback(self, cmos, two_task_set):
-        """Non-linear processors can't stack evaluations; the per-problem
-        fallback must still return the bitwise-identical schedule."""
+        """Non-linear processors solve through the reference objective; the
+        memoized plan must still return the bitwise-identical schedule."""
         expansion = expand_fully_preemptive(two_task_set)
-        nlp = ReducedNLP(expansion, cmos, workload_mode="wcec")
-        reason = solve_fallback_reason(NLPSolveTask(nlp))
-        assert reason is not None and "cmos" in reason
         methods = {"wcs": WCSScheduler(cmos), "acs": ACSScheduler(cmos)}
         (batched,) = plan_expansions([(expansion, methods)], memo=SolveMemo())
         for name, scheduler in methods.items():
             assert_schedules_identical(batched[name],
                                        scheduler.schedule_expansion(expansion))
-
-    def test_non_slsqp_method_takes_the_sequential_fallback(self, processor,
-                                                            two_task_set):
-        expansion = expand_fully_preemptive(two_task_set)
-        options = SolverOptions(method="trust-constr")
-        nlp = ReducedNLP(expansion, processor, workload_mode="wcec",
-                         options=options)
-        reason = solve_fallback_reason(NLPSolveTask(nlp))
-        assert reason is not None and "trust-constr" in reason
 
 
 class TestSolveMemo:
@@ -127,15 +108,15 @@ class TestSolveMemo:
     def test_identical_solves_within_one_wave_are_deduplicated(
             self, processor, two_task_set):
         """WCS's wcec NLP appears once per scheduler that seeds from it, but
-        is solved once per wave."""
+        is solved once."""
         memo = SolveMemo()
         expansion = expand_fully_preemptive(two_task_set)
         methods = {"wcs": WCSScheduler(processor), "acs": ACSScheduler(processor)}
         plan_expansions([(expansion, methods)], memo=memo)
-        # wcs + (acs plain, acs wcs-seed wave 1, acs seeded wave 2) = 4 tasks,
-        # but the two wcec solves coincide -> 3 computed, >= 1 memo hit.
+        # wcs + (acs plain, acs wcs seed, acs seeded) = 4 solves, but the two
+        # wcec solves coincide -> 3 computed, the second one a memo hit.
         assert memo.computed == 3
-        assert memo.hits >= 1
+        assert memo.hits == 1
 
     def test_replayed_schedules_are_independently_mutable(self, processor,
                                                           two_task_set):
@@ -144,10 +125,11 @@ class TestSolveMemo:
         memo = SolveMemo()
         expansion = expand_fully_preemptive(two_task_set)
         nlp = ReducedNLP(expansion, processor, workload_mode="wcec")
-        (first,) = solve_tasks((NLPSolveTask(nlp),), memo=memo)
+        first = solve_nlp(nlp, memo=memo)
         first.method = "mutated"
         nlp2 = ReducedNLP(expansion, processor, workload_mode="wcec")
-        (second,) = solve_tasks((NLPSolveTask(nlp2),), memo=memo)
+        second = solve_nlp(nlp2, memo=memo)
+        assert memo.hits == 1
         assert second is not first
         assert second.method != "mutated"
 
@@ -189,20 +171,32 @@ class TestSolveMemo:
         from repro.scenarios.store import signature_key
 
         nlp = ReducedNLP(expand_fully_preemptive(two_task_set), processor)
-        here = signature_key(solve_signature(NLPSolveTask(nlp)))
+        here = signature_key(solve_signature(nlp))
         monkeypatch.setattr(scipy, "__version__", scipy.__version__ + ".other")
-        assert signature_key(solve_signature(NLPSolveTask(nlp))) != here
+        assert signature_key(solve_signature(nlp)) != here
 
-    def test_run_program_rejects_programs_without_a_result(self, processor,
-                                                           two_task_set):
-        from repro.core.errors import SchedulingError
+    @pytest.mark.parametrize("mode, x0, key", [
+        ("wcec", None, "a8b7ffeaa0cc220ef0f1d98250075d59294dec949f0f0c10907526b41fbacde8"),
+        ("acec", None, "899622a2e39ab9afb9d31e9d2d1c960ec295fed56a6db63abc8044985982954d"),
+        ("acec", [4.0, 9.0, 14.0, 19.0, 2000.0, 6000.0],
+         "aff772adffb2b8baad3f99b27ec332369a827a190d39193206557f338d5f271c"),
+    ], ids=["wcs", "acs", "acs-x0"])
+    def test_memo_keys_are_pinned(self, processor, two_task_set, monkeypatch,
+                                  mode, x0, key):
+        """The keys of an on-disk ``solve-memo/`` never move under a refactor.
 
-        def bad_program():
-            yield ()
-            return None
+        The solver build is pinned to fixed strings, so the hex values hold
+        on every numpy/scipy release.
+        """
+        import scipy
 
-        with pytest.raises(SchedulingError):
-            run_program(bad_program())
+        from repro.scenarios.store import signature_key
+
+        monkeypatch.setattr(np, "__version__", "0.0-pinned")
+        monkeypatch.setattr(scipy, "__version__", "0.0-pinned")
+        nlp = ReducedNLP(expand_fully_preemptive(two_task_set), processor, workload_mode=mode)
+        start = None if x0 is None else np.array(x0)
+        assert signature_key(solve_signature(nlp, start)) == key
 
 
 class TestPlanKey:

@@ -58,6 +58,10 @@ class TestColdRun:
         statuses = [count for name, count in counters.items() if name.startswith("solve.status.")]
         assert sum(statuses) == counters["solve_memo.computed"]
 
+    def test_computed_solves_count_their_iterations(self, runs):
+        _, counters = runs["cold"]
+        assert counters["solve.iterations"] > 0
+
 
 class TestWarmRun:
     def test_replays_everything_from_the_store(self, runs):
@@ -73,7 +77,7 @@ class TestWarmRun:
     def test_replay_never_touches_the_solver(self, runs):
         _, counters = runs["warm"]
         assert not any(name.startswith("solve_memo") for name in counters)
-        assert not any(name.startswith("nlp.") for name in counters)
+        assert not any(name.startswith("solve.") for name in counters)
 
 
 class TestForcedRun:
@@ -85,8 +89,8 @@ class TestForcedRun:
         assert counters["solve_memo.hit"] > 0
         assert "solve_memo.computed" not in counters
         assert "solve_memo.miss" not in counters
-        # Memoized solves mean the NLP machinery never runs at all.
-        assert "nlp.objective_evaluations" not in counters
+        # Memoized solves mean the solver never runs at all.
+        assert "solve.iterations" not in counters
         assert not any(name.startswith("solve.status.") for name in counters)
 
     def test_bitwise_equal_results_across_all_three_runs(self, runs):

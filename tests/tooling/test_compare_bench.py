@@ -100,15 +100,15 @@ def manifest_store(root: Path, scenario: str, stages: dict, elapsed: float) -> P
 
 
 def test_manifest_mode_localises_stage_regressions(tmp_path, capsys):
-    base = manifest_store(tmp_path / "old", "fig", {"plan.batched": 1.0, "sim.comparison": 1.0}, 2.0)
-    fresh = manifest_store(tmp_path / "new", "fig", {"plan.batched": 2.0, "sim.comparison": 1.0}, 3.0)
+    base = manifest_store(tmp_path / "old", "fig", {"plan": 1.0, "sim.comparison": 1.0}, 2.0)
+    fresh = manifest_store(tmp_path / "new", "fig", {"plan": 2.0, "sim.comparison": 1.0}, 3.0)
     status = compare_bench.main(
         ["--manifests", str(base), str(fresh), "--threshold", "25", "--fail"])
     out = capsys.readouterr().out
     assert status == 1
-    assert "! plan.batched: 1.000s -> 2.000s" in out
+    assert "! plan: 1.000s -> 2.000s" in out
     assert "  sim.comparison: 1.000s -> 1.000s" in out  # unregressed stage stays unmarked
-    assert "::warning title=stage regression::fig/plan.batched" in out
+    assert "::warning title=stage regression::fig/plan" in out
     assert "::warning title=stage regression::fig/sim.comparison" not in out
 
 
