@@ -1,7 +1,7 @@
-"""Benchmark: the batched experiment harness, serial vs process pool.
+"""Benchmark: the scenario engine's comparison sweep, serial vs process pool.
 
 Runs the same random-taskset sweep once in-process and once on a worker
-pool, asserts the two reports are byte-identical (the harness's determinism
+pool, asserts the two reports are byte-identical (the engine's determinism
 contract) and prints both wall-clock times.  The speedup depends on core
 count and on how evenly the NLP sizes are distributed over the workers, so
 only determinism — not a minimum speedup — is asserted.
@@ -10,21 +10,24 @@ only determinism — not a minimum speedup — is asserted.
 import multiprocessing
 import time
 
-from repro.experiments.sweep import SweepConfig, run_sweep
+from repro.scenarios import ScenarioEngine, ScenarioSpec
 from repro.utils.tables import format_markdown_table
 
 N_TASKSETS = 8
-SEED = 2005
-#: Divisor-friendly pool: keeps every NLP small so the benchmark finishes
-#: in seconds while still giving the pool real work to distribute.
-PERIODS = (10.0, 20.0, 40.0)
+#: One point, ``N_TASKSETS`` random task sets: what ``repro sweep --tasks 3``
+#: runs.  The divisor-friendly period pool keeps every NLP small so the
+#: benchmark finishes in seconds while still giving the pool real work.
+SWEEP = ScenarioSpec.from_dict({
+    "kind": "comparison",
+    "name": "parallel-sweep",
+    "taskset": {"source": "random", "n_tasks": 3, "periods": [10.0, 20.0, 40.0]},
+    "simulation": {"hyperperiods": 20, "seed": 2005, "repetitions": N_TASKSETS},
+})
 
 
 def _sweep(jobs: int):
-    config = SweepConfig(n_tasksets=N_TASKSETS, n_tasks=3, n_hyperperiods=20,
-                         seed=SEED, jobs=jobs, periods=PERIODS)
     started = time.perf_counter()
-    result = run_sweep(config)
+    result = ScenarioEngine().run(SWEEP, n_jobs=jobs)
     return result, time.perf_counter() - started
 
 
@@ -39,13 +42,17 @@ def test_parallel_sweep(benchmark, run_once):
     serial, parallel, serial_seconds, parallel_seconds, workers = run_once(
         benchmark, _run_benchmark)
 
+    def improvement(result):
+        (point,) = result.points
+        return point["methods"]["acs"]["mean_improvement_percent"]
+
     print()
     print(f"Batched sweep: {N_TASKSETS} random task sets, serial vs {workers} workers")
     print(format_markdown_table(
         ["mode", "wall-clock s", "mean acs improvement %"],
-        [["serial (jobs=1)", serial_seconds, serial.mean_improvement("acs")],
-         [f"parallel (jobs={workers})", parallel_seconds, parallel.mean_improvement("acs")]]))
+        [["serial (jobs=1)", serial_seconds, improvement(serial)],
+         [f"parallel (jobs={workers})", parallel_seconds, improvement(parallel)]]))
 
     # The determinism contract: identical reports regardless of worker count.
     assert serial.to_markdown() == parallel.to_markdown()
-    assert serial.total_misses() == parallel.total_misses()
+    assert serial.points == parallel.points

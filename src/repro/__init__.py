@@ -15,11 +15,10 @@ every substrate it needs:
   and slack reclamation;
 * :mod:`repro.workloads` — workload distributions, random task sets and the
   CNC / GAP case studies;
-* :mod:`repro.experiments` — the comparison harness, the motivation table
-  and the free-form sweep;
+* :mod:`repro.experiments` — the comparison harness and the motivation table;
 * :mod:`repro.scenarios` — the declarative scenario runner (and the runner of
-  the Figure-6 sweeps): TOML/JSON specs, the compiling engine and the
-  content-addressed, resumable result store.
+  the Figure-6 sweeps and ``repro sweep``): TOML/JSON specs, the compiling
+  engine and the content-addressed, resumable result store.
 
 Quickstart::
 

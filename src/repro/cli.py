@@ -6,11 +6,16 @@ table to standard output:
 * ``motivation`` — Table 1 / Figures 1–2 (the non-preemptive example);
 * ``figure6a``   — random task-set sweep (supports ``--jobs N``);
 * ``figure6b``   — CNC and GAP case studies (supports ``--jobs N``);
+* ``sweep``      — one random task-set comparison, ``--tasksets`` repetitions
+  (``--jobs N``; any worker count produces bitwise-identical output);
+* ``scalability`` — the multicore sweep: energy across core counts m ∈
+  {1, 2, 4, 8} and across partitioning heuristics;
 
-  both run the document of ``examples/scenarios/figure6a.toml`` /
-  ``figure6b.toml`` on the scenario engine, without a result store;
+  each builds a scenario document (``examples/scenarios/figure6a.toml``,
+  ``figure6b.toml`` and ``scalability.toml`` for the figures, with the flags
+  applied) and runs it on the scenario engine, without a result store;
 
-and expose the online runtime and the batched harness directly:
+and expose the online runtime and the multicore planner directly:
 
 * ``simulate``   — schedule one application and simulate it under one or more
   online DVS policies (``--policy static|greedy|lookahead|proportional|all``);
@@ -19,14 +24,9 @@ and expose the online runtime and the batched harness directly:
   plus the ASCII Gantt chart projected from the trace, optionally with
   sporadic release jitter (``--jitter J``) and a JSON event dump
   (``--output FILE``);
-* ``sweep``      — configurable random-taskset sweep on a process pool
-  (``--jobs N``; any worker count produces bitwise-identical output);
 * ``partition``  — partition an application across ``--cores`` processors,
   plan each core offline, simulate the multicore system and serialise the
   resulting ``MulticoreResult``;
-* ``scalability`` — the multicore sweep: energy across core counts m ∈
-  {1, 2, 4, 8} and across partitioning heuristics (the scenario document of
-  ``examples/scenarios/scalability.toml`` with the flags applied);
 
 and the declarative scenario runner (see ``docs/scenarios.md``):
 
@@ -38,16 +38,7 @@ and the declarative scenario runner (see ``docs/scenarios.md``):
 * ``stats``     — render the stage timings, counters and fallback tallies of
   past runs from the stored manifests (and optionally a telemetry JSONL)
   without re-running anything;
-* ``store``     — inspect (``ls``) or garbage-collect (``gc``) the store;
-
-and the sweep service (see the "Sweep service" section of
-``docs/architecture.md``):
-
-* ``serve``     — run the sharded, deduplicating experiment server over one
-  result store (``--workers N``, ``--unit-timeout S``, ``--retries N``);
-  SIGTERM drains in-flight requests before exit;
-* ``submit``    — send a scenario file to a running server and stream its
-  per-unit progress; the final table is identical to a local ``run``.
+* ``store``     — inspect (``ls``) or garbage-collect (``gc``) the store.
 
 Use ``--full`` for the paper-scale sample sizes (slow) and ``--quick`` for a
 smoke-test-sized run.
@@ -72,7 +63,6 @@ from .allocation.partitioners import available_partitioners
 from .core.errors import ExperimentError, ReproError
 from .experiments.harness import make_schedulers, scheduler_names
 from .experiments.motivation import run_motivation
-from .experiments.sweep import SweepConfig, run_sweep
 from .power.presets import ideal_processor
 from .runtime.multicore import MulticoreRunner
 from .runtime.policies import available_policies, get_policy
@@ -214,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser(
         "sweep",
-        help="random-taskset sweep on a process pool (batched harness)")
+        help="one random-taskset comparison over --tasksets task sets")
     sweep.add_argument("--tasksets", type=int, default=8, help="number of random task sets")
     sweep.add_argument("--tasks", type=int, default=4, help="tasks per task set")
     sweep.add_argument("--ratio", type=float, default=0.5, help="BCEC/WCEC ratio")
@@ -227,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--quick", action="store_true", help="tiny sample sizes (smoke test)")
     sweep.add_argument("--output", default=None,
                        help="also write the full result as JSON to this path")
-    sweep.set_defaults(runner=_run_sweep)
+    sweep.set_defaults(runner=_run_paper_scenario, scenario=_sweep_spec)
 
     partition = subparsers.add_parser(
         "partition",
@@ -311,39 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also aggregate spans/counters from this telemetry JSONL dump")
     stats.set_defaults(runner=_run_stats)
 
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the sweep server: one shared store, dedup, sharded workers")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="TCP port (0 = ephemeral; the bound address is printed)")
-    serve.add_argument("--store", default=None, metavar="DIR",
-                       help=f"result store directory (default: $REPRO_STORE or {DEFAULT_STORE_DIR})")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="concurrent unit computations (worker processes)")
-    serve.add_argument("--unit-timeout", type=float, default=None, metavar="S",
-                       help="wall-clock bound per unit attempt; on expiry the "
-                            "worker is killed and the unit retried")
-    serve.add_argument("--retries", type=int, default=2,
-                       help="additional attempts after a retryable unit failure "
-                            "(worker death, timeout)")
-    serve.add_argument("--backoff", type=float, default=0.5, metavar="S",
-                       help="initial retry backoff, doubling per attempt")
-    serve.set_defaults(runner=_run_serve)
-
-    submit = subparsers.add_parser(
-        "submit",
-        help="submit a scenario file to a running sweep server")
-    submit.add_argument("spec", metavar="SPEC",
-                        help="scenario file (TOML/JSON); sent unvalidated, the "
-                             "server applies the usual loader rules")
-    submit.add_argument("--profile", default=None,
-                        help="named override profile declared in the spec (e.g. 'smoke')")
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, required=True,
-                        help="port of the running server (see its startup line)")
-    submit.set_defaults(runner=_run_submit)
-
     store = subparsers.add_parser(
         "store",
         help="inspect or garbage-collect the scenario result store")
@@ -409,6 +366,30 @@ def _scalability_spec(args: argparse.Namespace) -> ScenarioSpec:
         document["multicore"]["partitioners"] = [
             part.strip() for part in args.partitioners.split(",") if part.strip()]
     return ScenarioSpec.from_dict(document)
+
+
+def _sweep_spec(args: argparse.Namespace) -> ScenarioSpec:
+    """``sweep``: one random-taskset comparison, ``--tasksets`` repetitions, no matrix.
+
+    --quick caps the *size* knobs (task sets, tasks, hyperperiods) and
+    restricts the period pool so the NLPs stay tiny, but the scenario knobs
+    (ratio, utilization, policy, seed) are honoured as given.
+    """
+    taskset: Dict[str, Any] = {"source": "random", "n_tasks": args.tasks,
+                               "ratio": args.ratio, "utilization": args.utilization}
+    simulation = {"hyperperiods": args.hyperperiods, "seed": args.seed,
+                  "repetitions": args.tasksets}
+    if args.quick:
+        taskset.update(n_tasks=min(args.tasks, 3), periods=[10.0, 20.0, 40.0])
+        simulation.update(hyperperiods=5, repetitions=min(args.tasksets, 2))
+    return ScenarioSpec.from_dict({
+        "kind": "comparison",
+        "name": "sweep",
+        "taskset": taskset,
+        "offline": {"methods": ["wcs", "acs"], "baseline": "wcs"},
+        "online": {"policy": args.policy},
+        "simulation": simulation,
+    })
 
 
 def _run_paper_scenario(args: argparse.Namespace) -> str:
@@ -533,32 +514,6 @@ def _run_trace(args: argparse.Namespace) -> str:
     return "\n".join(sections)
 
 
-def _run_sweep(args: argparse.Namespace) -> str:
-    if args.quick:
-        # --quick caps the *size* knobs (tasksets, tasks, hyperperiods) and
-        # restricts the period pool so the NLPs stay tiny, but scenario knobs
-        # (ratio, utilization, policy, seed) are honoured as given.
-        config = SweepConfig(n_tasksets=min(args.tasksets, 2), n_tasks=min(args.tasks, 3),
-                             bcec_wcec_ratio=args.ratio,
-                             target_utilization=args.utilization, n_hyperperiods=5,
-                             seed=args.seed, policy=args.policy, jobs=args.jobs,
-                             periods=(10.0, 20.0, 40.0))
-    else:
-        config = SweepConfig(n_tasksets=args.tasksets, n_tasks=args.tasks,
-                             bcec_wcec_ratio=args.ratio,
-                             target_utilization=args.utilization,
-                             n_hyperperiods=args.hyperperiods,
-                             seed=args.seed, policy=args.policy, jobs=args.jobs)
-    result = run_sweep(config)
-    if args.output:
-        from .reporting.serialization import save_json, sweep_result_to_dict
-        save_json(sweep_result_to_dict(result), args.output)
-    report = result.to_markdown()
-    # Wall-clock goes on a separate trailing line so the deterministic report
-    # above stays byte-identical across --jobs values.
-    return f"{report}\n\nwall-clock: {result.elapsed_seconds:.2f}s (jobs={config.jobs})"
-
-
 def _run_partition(args: argparse.Namespace) -> str:
     if args.cores < 1:
         raise ExperimentError(f"--cores must be at least 1, got {args.cores}")
@@ -608,81 +563,6 @@ def _run_partition(args: argparse.Namespace) -> str:
                f"misses: {result.miss_count}")
     return "\n".join([header, "", table, "", summary,
                       f"wrote MulticoreResult to {output_path}"])
-
-
-def _run_serve(args: argparse.Namespace) -> str:
-    import asyncio
-    import signal
-
-    from .scenarios import ResultStore
-    from .server import SweepServer
-
-    if args.workers < 1:
-        raise ExperimentError(f"--workers must be at least 1, got {args.workers}")
-    if args.retries < 0:
-        raise ExperimentError(f"--retries must be at least 0, got {args.retries}")
-    store = ResultStore(_resolve_store_dir(args.store))
-    server = SweepServer(store, workers=args.workers, unit_timeout=args.unit_timeout,
-                         retries=args.retries, backoff=args.backoff)
-
-    async def serve() -> None:
-        host, port = await server.start(args.host, args.port)
-        # The startup line is the machine-readable contract scripts (and the
-        # CI serve job) parse for the ephemeral port — printed eagerly, the
-        # runner's return value only appears after the drain.
-        print(f"serving on {host}:{port} (store: {store.root})", flush=True)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, stop.set)
-        await stop.wait()
-        print("draining in-flight requests...", file=sys.stderr, flush=True)
-        await server.drain()
-
-    asyncio.run(serve())
-    counters = server.telemetry.snapshot()["counters"]
-    return (f"drained cleanly: {counters.get('serve.requests', 0)} request(s), "
-            f"{counters.get('serve.units.computed', 0)} unit(s) computed "
-            f"(store: {store.root})")
-
-
-def _run_submit(args: argparse.Namespace) -> str:
-    from .scenarios.loader import ScenarioLoader
-    from .server import client
-
-    document = ScenarioLoader().read_document(args.spec)
-    if "name" not in document:
-        # Same fallback a local run applies: an unnamed scenario is named
-        # after its file stem (the server never sees the filename).
-        document = {**document, "name": Path(args.spec).stem}
-    final = None
-    try:
-        for event in client.submit(document, host=args.host, port=args.port,
-                                   profile=args.profile):
-            kind = event.get("event")
-            if kind == "accepted":
-                print(f"accepted: {event['scenario']} — {event['units']} unit(s), "
-                      f"{event['points']} point(s)", file=sys.stderr, flush=True)
-            elif kind == "unit":
-                attempts = event.get("attempts", 0)
-                suffix = f" after {attempts} attempt(s)" if attempts > 1 else ""
-                print(f"unit {event['key'][:12]} [{event['label']}]: "
-                      f"{event['status']}{suffix}", file=sys.stderr, flush=True)
-            elif kind == "error":
-                print(f"server error: {event.get('message')}", file=sys.stderr, flush=True)
-            elif kind == "result":
-                final = event
-    except OSError as error:
-        raise ExperimentError(
-            f"cannot reach sweep server at {args.host}:{args.port}: {error}") from None
-    if final is None:
-        raise ExperimentError(
-            f"server at {args.host}:{args.port} closed the stream without a result")
-    if final["status"] != "ok":
-        raise ExperimentError(f"{final['failed']} unit(s) failed permanently on the server")
-    summary = (f"units: computed={final['computed']} deduped={final['deduped']} "
-               f"coalesced={final['coalesced']}")
-    return "\n".join([final["markdown"], "", summary])
 
 
 def _telemetry_jsonl_path(store_dir: Optional[str], name: str, spec_path: str,

@@ -2,7 +2,7 @@
 
 The Figure-6 sweeps and the multicore scalability grid are scenario
 documents run by :mod:`repro.scenarios`; this package holds the comparison
-harness they compile to, the motivation table and the per-task-set sweep.
+harness they compile to and the motivation table.
 """
 
 from .harness import (
@@ -14,12 +14,10 @@ from .harness import (
     default_schedulers,
     make_schedulers,
     random_comparison_job,
-    run_comparisons,
     scheduler_names,
 )
 from .motivation import MotivationConfig, MotivationResult, motivation_taskset, run_motivation
 from .seeding import derive_rng, derive_seed, seed_sequence
-from .sweep import SweepConfig, SweepResult, run_sweep
 
 __all__ = [
     "ComparisonConfig",
@@ -30,11 +28,7 @@ __all__ = [
     "default_schedulers",
     "make_schedulers",
     "random_comparison_job",
-    "run_comparisons",
     "scheduler_names",
-    "SweepConfig",
-    "SweepResult",
-    "run_sweep",
     "derive_seed",
     "derive_rng",
     "seed_sequence",

@@ -12,7 +12,7 @@ This is the glue the paper's evaluation needs: for a given task set it
 On top of the single-taskset :func:`compare_schedulers`, the harness provides
 a **batched, multiprocess runner**: a sweep is described as a list of
 picklable :class:`ComparisonJob` work units and executed by
-:func:`run_comparisons`, serially or on a :class:`concurrent.futures`
+:func:`iter_comparisons`, serially or on a :class:`concurrent.futures`
 process pool.  Every job carries its own explicitly derived RNG seeds (see
 :mod:`repro.experiments.seeding`), so the results are bitwise-identical
 regardless of worker count or completion order.  Both entry points share one
@@ -49,6 +49,7 @@ from ..runtime.simulator import DVSSimulator, SimulationConfig
 from ..workloads.arrivals import ArrivalModel
 from ..workloads.distributions import NormalWorkload, WorkloadModel
 from ..telemetry.core import current as _telemetry
+from ..telemetry.core import map_counted
 from ..workloads.random_tasksets import RandomTaskSetConfig, generate_random_taskset
 from .seeding import SIMULATION_STREAM, TASKSET_STREAM, derive_rng, derive_seed
 
@@ -59,7 +60,6 @@ __all__ = [
     "ComparisonJob",
     "aggregate_fallback_reasons",
     "compare_schedulers",
-    "run_comparisons",
     "iter_comparisons",
     "random_comparison_job",
     "default_schedulers",
@@ -123,8 +123,8 @@ class ComparisonConfig:
         conventionally ending with a stream tag — e.g. ``(point_index,
         sample_index, seeding.SIMULATION_STREAM)`` — so simulation seeds can
         never collide with the task-set generation stream.  A ``None`` seed
-        stays ``None``.  This is how the scenario engine and the sweep seed
-        every work unit; see :mod:`repro.experiments.seeding`.
+        stays ``None``.  This is how the scenario engine seeds every work
+        unit; see :mod:`repro.experiments.seeding`.
         """
         if self.seed is None:
             return self
@@ -452,10 +452,15 @@ def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
                      solve_memo_root: Optional[str] = None) -> Iterator[ComparisonResult]:
     """Execute comparison jobs, yielding each result as soon as it is known.
 
-    Results arrive in submission order with the same bitwise guarantee as
-    :func:`run_comparisons`.  Streaming is what lets incremental consumers
-    (the scenario result store) persist every finished unit immediately, so
-    a run killed mid-sweep loses at most the units still in flight.
+    ``n_jobs=1`` runs in-process; ``n_jobs>1`` fans the chunks out over a
+    :class:`ProcessPoolExecutor`.  Results arrive in submission order and
+    are bitwise-identical for any ``n_jobs``, because every job derives its
+    randomness from its own coordinates.  A ``solve_memo_root`` (the
+    scenario store's directory) makes the offline solve memo persistent, so
+    resumed or repeated sweeps skip solved NLPs.  Streaming is what lets
+    incremental consumers (the scenario result store) persist every
+    finished unit immediately, so a run killed mid-sweep loses at most the
+    units still in flight.
 
     Jobs run in chunks.  When every job opts into the batched engine
     (``ComparisonConfig(batched=True)``), a chunk is all jobs in-process, or
@@ -480,20 +485,6 @@ def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
             yield from run_chunk(chunk)
         return
     with ProcessPoolExecutor(max_workers=min(n_jobs, len(chunks))) as pool:
-        for results in pool.map(run_chunk, chunks):
+        for results in map_counted(pool, run_chunk, chunks):
             yield from results
 
-
-def run_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
-                    solve_memo_root: Optional[str] = None) -> List[ComparisonResult]:
-    """Execute a batch of comparison jobs, optionally on a process pool.
-
-    ``n_jobs=1`` runs in-process (no pool overhead, easiest to debug);
-    ``n_jobs>1`` fans the units out over a :class:`ProcessPoolExecutor`.
-    Results are returned in submission order and are bitwise-identical for
-    any ``n_jobs``, because every unit derives its randomness from its own
-    coordinates rather than from shared-generator call order.  A
-    ``solve_memo_root`` (the scenario store's directory) makes the offline
-    solve memo persistent, so resumed or repeated sweeps skip solved NLPs.
-    """
-    return list(iter_comparisons(jobs, n_jobs=n_jobs, solve_memo_root=solve_memo_root))

@@ -13,7 +13,6 @@ from .serialization import (
     schedule_from_dict,
     schedule_to_dict,
     simulation_result_to_dict,
-    sweep_result_to_dict,
     taskset_from_dict,
     taskset_to_dict,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "schedule_from_dict",
     "simulation_result_to_dict",
     "comparison_result_to_dict",
-    "sweep_result_to_dict",
     "partition_to_dict",
     "multicore_plan_to_dict",
     "multicore_result_to_dict",

@@ -12,8 +12,7 @@ round-trips for both, without pickling arbitrary objects:
 * :func:`trace_to_dicts` / :func:`trace_from_dicts` (the typed event stream
   of :mod:`repro.runtime.trace`; the golden-trace fixtures under
   ``tests/fixtures/traces/`` are this row form on disk)
-* :func:`comparison_result_to_dict` / :func:`sweep_result_to_dict` (the
-  experiment-harness aggregates, e.g. for ``repro sweep --output``)
+* :func:`comparison_result_to_dict` (one task set's scheduler comparison)
 * :func:`scenario_result_to_dict` (the declarative scenario runner; the same
   per-unit dictionaries double as the payloads of the content-addressed
   result store, which is what makes store replays bitwise-identical)
@@ -38,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard dependency ed
     from ..allocation.multicore import MulticorePlan
     from ..allocation.partitioners import Partition
     from ..experiments.harness import ComparisonResult
-    from ..experiments.sweep import SweepResult
     from ..runtime.multicore import MulticoreResult
     from ..scenarios.engine import ScenarioResult
 
@@ -51,7 +49,6 @@ __all__ = [
     "trace_to_dicts",
     "trace_from_dicts",
     "comparison_result_to_dict",
-    "sweep_result_to_dict",
     "partition_to_dict",
     "multicore_plan_to_dict",
     "multicore_result_to_dict",
@@ -226,45 +223,6 @@ def comparison_result_to_dict(result: "ComparisonResult") -> Dict:
     }
     if result.fallback_reasons:
         data["fallback_reasons"] = dict(result.fallback_reasons)
-    return data
-
-
-def sweep_result_to_dict(result: "SweepResult") -> Dict:
-    """Serialise an aggregated sweep (configuration, aggregates, per-taskset results).
-
-    ``elapsed_seconds`` is reported for convenience but is the only
-    non-deterministic field; everything else is bitwise-stable across worker
-    counts and runs.
-    """
-    cfg = result.config
-    config: Dict = {
-        "n_tasksets": cfg.n_tasksets,
-        "n_tasks": cfg.n_tasks,
-        "bcec_wcec_ratio": cfg.bcec_wcec_ratio,
-        "target_utilization": cfg.target_utilization,
-        "n_hyperperiods": cfg.n_hyperperiods,
-        "seed": cfg.seed,
-        "policy": cfg.policy,
-        "schedulers": list(cfg.schedulers),
-        "baseline": cfg.baseline,
-        "jobs": cfg.jobs,
-    }
-    data = {
-        "config": config,
-        "aggregate": {
-            method: {
-                "mean_energy_per_hyperperiod": result.mean_energy(method),
-                "mean_improvement_over_baseline_percent": result.mean_improvement(method),
-            }
-            for method in result.methods()
-        },
-        "total_deadline_misses": result.total_misses(),
-        "elapsed_seconds": result.elapsed_seconds,
-        "results": [comparison_result_to_dict(r) for r in result.results],
-    }
-    fallback_reasons = result.fallback_summary()
-    if fallback_reasons:
-        data["fallback_reasons"] = fallback_reasons
     return data
 
 

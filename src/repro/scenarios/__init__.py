@@ -13,7 +13,7 @@ the committed scenario files (the Figure 6 sweeps, the motivation table and
 the multicore scalability grid).
 """
 
-from .engine import CompiledPoint, CompiledScenario, ScenarioEngine, ScenarioResult, run_unit
+from .engine import CompiledPoint, CompiledScenario, ScenarioEngine, ScenarioResult
 from .loader import ScenarioLoader, load_scenario
 from .spec import (
     ArrivalsSpec,
@@ -28,12 +28,11 @@ from .spec import (
     TasksetSpec,
     WorkloadSpec,
 )
-from .store import STORE_FORMAT, ClaimRecord, MemoryStore, ResultStore, StoreEntry, signature_key
+from .store import STORE_FORMAT, MemoryStore, ResultStore, StoreEntry, signature_key
 
 __all__ = [
     "ScenarioEngine",
     "ScenarioResult",
-    "run_unit",
     "CompiledPoint",
     "CompiledScenario",
     "ScenarioLoader",
@@ -52,7 +51,6 @@ __all__ = [
     "ResultStore",
     "MemoryStore",
     "StoreEntry",
-    "ClaimRecord",
     "STORE_FORMAT",
     "signature_key",
 ]

@@ -5,9 +5,9 @@ units — picklable :class:`~repro.experiments.harness.ComparisonJob` batches
 for ``comparison`` scenarios (executed through :func:`iter_comparisons`, so
 ``--jobs N`` keeps the bitwise serial/parallel guarantee),
 per-``(m, partitioner)`` multicore plans for ``multicore`` scenarios, and the
-motivation table for ``motivation`` ones.  It is the only runner of the
-paper's figures: ``repro figure6a``, ``figure6b`` and ``scalability`` build a
-scenario document and run it here.
+motivation table for ``motivation`` ones.  It is the only sweep runner:
+``repro run`` executes spec files here, and ``repro figure6a``, ``figure6b``,
+``scalability`` and ``sweep`` build a scenario document and run it here.
 
 A point's matrix-axis indices are the seed coordinates of its work units
 (plus the repetition index for random task sets), so
@@ -23,7 +23,7 @@ import copy
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from ..runtime.multicore import MulticoreRunner
 from ..runtime.policies import get_policy
 from ..runtime.simulator import SimulationConfig
 from ..telemetry.core import current as _telemetry
+from ..telemetry.core import map_counted
 from ..utils.tables import format_markdown_table
 from ..workloads.cnc import cnc_taskset
 from ..workloads.gap import gap_taskset
@@ -59,7 +60,6 @@ __all__ = [
     "ScenarioResult",
     "CompiledPoint",
     "CompiledScenario",
-    "run_unit",
 ]
 
 #: ``simulation.engine = "auto"`` crossover: sweeps with at least this many
@@ -197,30 +197,6 @@ def _run_motivation_unit(unit: _MotivationUnit) -> Dict[str, Any]:
 
 _Unit = Union[ComparisonJob, _MulticoreUnit, _MotivationUnit]
 
-
-def run_unit(unit: _Unit, solve_memo_root: Optional[str] = None) -> Dict[str, Any]:
-    """Execute one compiled work unit to its serialised payload form.
-
-    This is the unit-level entry point shared by every execution path: the
-    batch runner uses it for the serial multicore/motivation cases, and the
-    sweep server's worker processes call nothing else — a unit computed by a
-    server shard is byte-for-byte the payload a ``repro run`` of the same
-    spec would have stored.  ``solve_memo_root`` (a store directory, as a
-    picklable string) routes comparison planning through the shared
-    persistent solve memo.  Module-level so process pools can pickle it.
-    """
-    if isinstance(unit, ComparisonJob):
-        from ..reporting.serialization import comparison_result_to_dict
-
-        (result,) = iter_comparisons([unit], n_jobs=1, solve_memo_root=solve_memo_root)
-        return comparison_result_to_dict(result)
-    if isinstance(unit, _MulticoreUnit):
-        return _run_multicore_unit(unit)
-    if isinstance(unit, _MotivationUnit):
-        return _run_motivation_unit(unit)
-    raise ExperimentError(f"unknown work-unit type {type(unit).__name__}")
-
-
 #: One expanded matrix cell: axis indices, axis values, and the resolved point spec.
 _ExpandedPoint = Tuple[Tuple[int, ...], Dict[str, Any], ScenarioSpec]
 
@@ -289,22 +265,6 @@ class ScenarioEngine:
         if spec.kind == "multicore":
             return self._compile_multicore(spec)
         return self._compile_motivation(spec)
-
-    @staticmethod
-    def unit_labels(compiled: CompiledScenario) -> Dict[str, str]:
-        """``{unit key: point label}`` over every unit of a compiled scenario."""
-        return {key: point.label for point in compiled.points for key in point.unit_keys}
-
-    def iter_units(self, compiled: CompiledScenario) -> Iterator[Tuple[str, _Unit, str]]:
-        """Yield ``(key, unit, label)`` for every work unit of a compiled scenario.
-
-        This is the unit-level view the sweep server schedules from: each
-        tuple is independently executable via :func:`run_unit` and
-        independently persistable under ``key``.
-        """
-        labels = self.unit_labels(compiled)
-        for key, unit in compiled.units.items():
-            yield key, unit, labels[key]
 
     def _expand_matrix(self, spec: ScenarioSpec) -> List["_ExpandedPoint"]:
         base = spec.to_dict()
@@ -459,7 +419,7 @@ class ScenarioEngine:
         with telemetry.stage("scenario.run") as timer:
             with telemetry.span("scenario.compile"):
                 compiled = self.compile(spec)
-            labels = self.unit_labels(compiled)
+            labels = {key: point.label for point in compiled.points for key in point.unit_keys}
             payloads: Dict[str, Dict[str, Any]] = {}
             pending = []
             with telemetry.span("scenario.replay"):
@@ -543,15 +503,16 @@ class ScenarioEngine:
             units = [compiled.units[key] for key in multicore_keys]
             if n_jobs == 1 or len(units) <= 1:
                 for key, unit in zip(multicore_keys, units):
-                    persist(key, run_unit(unit))
+                    persist(key, _run_multicore_unit(unit))
             else:
                 with ProcessPoolExecutor(max_workers=min(n_jobs, len(units))) as pool:
-                    for key, payload in zip(multicore_keys, pool.map(_run_multicore_unit, units)):
+                    payloads = map_counted(pool, _run_multicore_unit, units)
+                    for key, payload in zip(multicore_keys, payloads):
                         persist(key, payload)
         for key in pending:
             unit = compiled.units[key]
             if isinstance(unit, _MotivationUnit):
-                persist(key, run_unit(unit))
+                persist(key, _run_motivation_unit(unit))
         return computed
 
     # ------------------------------------------------------------------ #
@@ -564,8 +525,8 @@ class ScenarioEngine:
 
         ``payloads`` must cover every unit key of ``compiled``; because
         aggregation always reads the serialised payload form, it does not
-        matter whether a payload was computed here, replayed from the store,
-        or streamed back from a sweep server — the rows are bitwise-identical.
+        matter whether a payload was computed here or replayed from the
+        store — the rows are bitwise-identical.
         """
         return [self._aggregate_point(compiled.spec, point, payloads) for point in compiled.points]
 

@@ -63,9 +63,8 @@ class ScenarioLoader:
     def read_document(self, path: Union[str, Path]) -> Dict[str, Any]:
         """Parse a ``.toml``/``.json`` scenario file to its raw document.
 
-        No profile merging, no validation — this is the pre-merge table a
-        sweep-server client ships in a ``/submit`` body, so the server
-        validates with exactly the rules a local ``load`` would apply.
+        No profile merging, no validation: :meth:`load` merges and
+        validates it, and :meth:`profiles` lists its profile names.
         """
         source = Path(path)
         if not source.exists():

@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "STORE_FORMAT",
-    "ClaimRecord",
     "StoreEntry",
     "ResultStore",
     "processor_signature",
@@ -102,16 +101,6 @@ class StoreEntry:
         return self.store_format != STORE_FORMAT
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
-    """One advisory in-flight claim (``<store>/claims/<key>.json``)."""
-
-    key: str
-    owner: str
-    pid: int
-    created: float
-
-
 class ResultStore:
     """A directory of content-addressed result records.
 
@@ -125,7 +114,6 @@ class ResultStore:
     def __init__(self, root: Union[str, Path], *, telemetry_prefix: str = "result_store"):
         self.root = Path(root)
         self.objects = self.root / "objects"
-        self.claims_dir = self.root / "claims"
         self._hit_counter = telemetry_prefix + ".hit"
         self._miss_counter = telemetry_prefix + ".miss"
         self._computed_counter = telemetry_prefix + ".computed"
@@ -186,62 +174,6 @@ class ResultStore:
         return False
 
     # ------------------------------------------------------------------ #
-    # In-flight claims (advisory)
-    # ------------------------------------------------------------------ #
-    def claim_path(self, key: str) -> Path:
-        return self.claims_dir / f"{key}.json"
-
-    def claim(self, key: str, owner: str = "") -> bool:
-        """Record an advisory in-flight claim on ``key``.
-
-        Claims make a store's pending work observable: the sweep server
-        claims each unit before computing it and releases the claim after
-        the result record lands, so ``claims()`` lists exactly what is in
-        flight, and a crashed computer leaves a visible orphan instead of
-        silence.  Claims are *advisory* — they never block :meth:`get` or
-        :meth:`put`, and correctness still rests entirely on atomic record
-        writes.  Returns ``False`` when the key is already claimed
-        (exclusive-create, so two claimants cannot both win).
-        """
-        self.claims_dir.mkdir(parents=True, exist_ok=True)
-        record = {"key": key, "owner": owner, "pid": os.getpid(), "created": time.time()}
-        try:
-            with self.claim_path(key).open("x", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True)
-        except FileExistsError:
-            return False
-        return True
-
-    def release(self, key: str) -> bool:
-        """Drop the claim on ``key`` (missing claims are a no-op)."""
-        try:
-            self.claim_path(key).unlink()
-        except FileNotFoundError:
-            return False
-        return True
-
-    def claims(self) -> List[ClaimRecord]:
-        """Every readable claim record, oldest first."""
-        if not self.claims_dir.exists():
-            return []
-        rows: List[ClaimRecord] = []
-        for path in sorted(self.claims_dir.glob("*.json")):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            rows.append(
-                ClaimRecord(
-                    key=record.get("key", path.stem),
-                    owner=record.get("owner", ""),
-                    pid=int(record.get("pid", 0)),
-                    created=float(record.get("created", 0.0)),
-                )
-            )
-        rows.sort(key=lambda claim: (claim.created, claim.key))
-        return rows
-
-    # ------------------------------------------------------------------ #
     # Inspection and garbage collection
     # ------------------------------------------------------------------ #
     def _record_paths(self) -> Iterator[Path]:
@@ -300,9 +232,6 @@ class ResultStore:
         rename) are always eligible: ``stale_only`` and ``remove_all`` collect
         every orphan, ``older_than_days`` collects orphans older than the
         cutoff (by file mtime — an orphan carries no record metadata).
-        Leftover claim records follow the same rules — a claim that survived
-        its claimant is an orphan by definition (a live server releases every
-        claim on drain), so run gc against a *quiescent* store.
         """
         chosen = sum(1 for flag in (remove_all, older_than_days is not None, stale_only) if flag)
         if chosen != 1:
@@ -348,23 +277,6 @@ class ResultStore:
             )
             if not dry_run:
                 path.unlink()
-        claim_paths = sorted(self.claims_dir.glob("*.json")) if self.claims_dir.exists() else []
-        for path in claim_paths:
-            mtime = path.stat().st_mtime
-            if cutoff is not None and mtime >= cutoff:
-                continue
-            removed.append(
-                StoreEntry(
-                    key=path.stem,
-                    scenario="",
-                    label="(orphaned claim)",
-                    created=mtime,
-                    store_format=0,
-                    size_bytes=path.stat().st_size,
-                )
-            )
-            if not dry_run:
-                path.unlink()
         if removed and not dry_run:
             _telemetry().count(self._gc_counter, len(removed))
         return removed
@@ -379,7 +291,6 @@ class MemoryStore:
 
     def __init__(self):
         self._records: Dict[str, Dict[str, Any]] = {}
-        self._claims: Dict[str, ClaimRecord] = {}
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         payload = self._records.get(key)
@@ -392,15 +303,3 @@ class MemoryStore:
     def put(self, key: str, payload: Mapping[str, Any], *, scenario: str = "", label: str = "") -> None:
         self._records[key] = dict(payload)
         _telemetry().count("result_store.computed")
-
-    def claim(self, key: str, owner: str = "") -> bool:
-        if key in self._claims:
-            return False
-        self._claims[key] = ClaimRecord(key=key, owner=owner, pid=os.getpid(), created=time.time())
-        return True
-
-    def release(self, key: str) -> bool:
-        return self._claims.pop(key, None) is not None
-
-    def claims(self) -> List[ClaimRecord]:
-        return sorted(self._claims.values(), key=lambda claim: (claim.created, claim.key))

@@ -28,11 +28,13 @@ result payloads nor store keys (see docs/scenarios.md).
 
 from __future__ import annotations
 
+import functools
 import threading
+from concurrent.futures import Executor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 __all__ = [
     "Span",
@@ -44,7 +46,10 @@ __all__ = [
     "activate",
     "deactivate",
     "using",
+    "map_counted",
 ]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -173,9 +178,8 @@ class NullTelemetry:
 class Telemetry:
     """Recording collector: spans with parent links, counters, gauges.
 
-    Thread-safe: worker threads (the sweep server runs units on
-    ``asyncio.to_thread``) and a process's main thread can record
-    concurrently.  Span parent links are per-thread (each thread keeps its
+    Thread-safe: any thread of a process can record concurrently with its
+    main thread.  Span parent links are per-thread (each thread keeps its
     own stack), so spans of concurrent threads never nest in each other.
     """
 
@@ -258,11 +262,10 @@ class Telemetry:
 
 
 #: The process-wide default collector.  Instrumentation sites resolve it
-#: through :func:`current` at call time, so worker processes spawned by
-#: the multicore planner / comparison pool start disabled (telemetry
-#: does not propagate across process boundaries; pooled counters stay in
-#: the workers — a documented limitation until the sharded server adds a
-#: return channel).
+#: through :func:`current` at call time.  A collector does not cross a
+#: process boundary: the comparison and multicore pools run each task
+#: through :func:`map_counted`, which records it under a fresh collector
+#: in the worker and counts the returned counters into the parent's.
 NULL_TELEMETRY = NullTelemetry()
 
 _ACTIVE: Union[Telemetry, NullTelemetry] = NULL_TELEMETRY
@@ -295,3 +298,32 @@ def using(telemetry: Telemetry) -> Iterator[Telemetry]:
         yield telemetry
     finally:
         _ACTIVE = previous
+
+
+def _call_counted(function: Callable[..., _T], *args: Any) -> Tuple[_T, Dict[str, int]]:
+    """``function(*args)`` under a fresh collector: the result and its counters.
+
+    Module-level so a process pool can pickle it.  The collector's spans
+    are dropped: spans describe the parent process only.
+    """
+    with using(Telemetry()) as telemetry:
+        result = function(*args)
+    return result, telemetry.counters
+
+
+def map_counted(pool: Executor, function: Callable[..., _T], items: Iterable[Any]) -> Iterator[_T]:
+    """``pool.map(function, items)`` that keeps the workers' counters.
+
+    With a recording collector active, every task runs through
+    :func:`_call_counted` and its counters are counted into that collector
+    as its result arrives, so a ``--jobs N`` run counts what a serial run
+    counts.  With telemetry off this is plain ``pool.map``.
+    """
+    telemetry = current()
+    if not telemetry.enabled:
+        yield from pool.map(function, items)
+        return
+    for result, counters in pool.map(functools.partial(_call_counted, function), items):
+        for name, value in counters.items():
+            telemetry.count(name, value)
+        yield result

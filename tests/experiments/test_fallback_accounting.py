@@ -2,15 +2,14 @@
 
 A batched comparison that cannot vectorize a unit silently took the compiled
 fallback before this accounting existed; now every fallback surfaces as a
-``"batch:<reason>"`` tally on the :class:`ComparisonResult`, sweeps merge
-them, and a sweep that falls back for more than half its units warns once.
+``"batch:<reason>"`` tally on the :class:`ComparisonResult`, a scenario run
+merges them into ``ScenarioResult.fallback_reasons``, and a run that falls
+back for more than half its units warns once.
 Other keys (such as the ``"solve:<reason>"`` tallies of records stored by
 earlier releases) merge alike but never count towards the warning.
 """
 
 import warnings
-from dataclasses import replace
-
 import pytest
 
 from repro.core.task import Task
@@ -20,11 +19,11 @@ from repro.experiments.harness import (
     aggregate_fallback_reasons,
     compare_schedulers,
     make_schedulers,
-    run_comparisons,
     warn_if_excessive_fallback,
 )
-from repro.experiments.sweep import SweepConfig, SweepResult, _build_jobs, run_sweep
 from repro.power.presets import ideal_processor
+from repro.reporting.serialization import scenario_result_to_dict
+from repro.scenarios import ScenarioEngine, ScenarioSpec
 
 PROCESSOR = ideal_processor(fmax=1000.0)
 SCHEDULERS = ("max_speed", "wcs")
@@ -73,40 +72,40 @@ class TestComparisonTallies:
 
 
 class TestSweepSummary:
-    CFG = SweepConfig(n_tasksets=2, n_tasks=2, n_hyperperiods=2,
-                      periods=(10.0, 20.0), schedulers=("max_speed", "wcs"),
-                      baseline="max_speed")
+    #: Two random task sets x two NLP-free methods = 4 simulation units.
+    SWEEP = {
+        "kind": "comparison",
+        "name": "fallback-sweep",
+        "taskset": {"source": "random", "n_tasks": 2, "periods": [10.0, 20.0]},
+        "offline": {"methods": ["max_speed", "wcs"], "baseline": "max_speed"},
+        "simulation": {"hyperperiods": 2, "repetitions": 2, "engine": "batched"},
+    }
 
-    def batched_sweep(self, **config_changes):
-        """The sweep's jobs as one batched chunk, summarised like ``run_sweep``."""
-        jobs = [replace(job, config=replace(job.config, batched=True, **config_changes))
-                for job in _build_jobs(self.CFG, self.CFG.resolved_processor())]
-        result = SweepResult(config=self.CFG, results=run_comparisons(jobs))
-        warn_if_excessive_fallback(result.fallback_summary(), result.total_units(),
-                                   context="sweep")
-        return result
+    def batched_sweep(self, **simulation_changes):
+        document = {**self.SWEEP,
+                    "simulation": {**self.SWEEP["simulation"], **simulation_changes}}
+        return ScenarioEngine().run(ScenarioSpec.from_dict(document))
 
     def test_sweep_merges_tallies_and_warns_when_excessive(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fully vectorized sweep stays silent
             clean = self.batched_sweep()
-        assert clean.fallback_summary() == {}
-        assert clean.total_units() == 4
-        with pytest.warns(RuntimeWarning, match="fell back for 4/4"):
+        assert clean.fallback_reasons == {}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             traced = self.batched_sweep(trace=True)
-        assert traced.fallback_summary() == {"batch:trace": 4}
+        assert traced.fallback_reasons == {"batch:trace": 4}
+        fell_back = [str(warning.message) for warning in caught
+                     if issubclass(warning.category, RuntimeWarning)]
+        assert len(fell_back) == 1 and "fell back for 4/4" in fell_back[0]
 
     def test_serialized_sweep_carries_the_summary(self):
-        from repro.reporting.serialization import sweep_result_to_dict
-
-        cfg = SweepConfig(n_tasksets=1, n_tasks=2, n_hyperperiods=2,
-                          periods=(10.0, 20.0), schedulers=("max_speed",),
-                          baseline="max_speed")
-        data = sweep_result_to_dict(run_sweep(cfg))
-        # Non-default-only keys: a clean, non-batched sweep serializes exactly
-        # as it did before fallback accounting existed.
-        assert "fallback_reasons" not in data
-        assert "batched" not in data["config"]
+        # Non-default-only key: a clean run serializes exactly as it did
+        # before fallback accounting existed.
+        assert "fallback_reasons" not in scenario_result_to_dict(self.batched_sweep())
+        with pytest.warns(RuntimeWarning, match="fell back for 4/4"):
+            traced = scenario_result_to_dict(self.batched_sweep(trace=True))
+        assert traced["fallback_reasons"] == {"batch:trace": 4}
 
 
 class TestWarning:

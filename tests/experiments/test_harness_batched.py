@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from repro.experiments.harness import (
     ComparisonConfig,
     compare_schedulers,
+    iter_comparisons,
     make_schedulers,
     random_comparison_job,
-    run_comparisons,
 )
 from repro.power.presets import ideal_processor
 from repro.workloads.random_tasksets import RandomTaskSetConfig
@@ -69,18 +69,18 @@ def build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods, batched):
 )
 def test_batched_sweep_reproduces_serial_harness_bitwise(
         seed, n_tasksets, n_tasks, n_hyperperiods):
-    serial = run_comparisons(
-        build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods, batched=False))
-    batched = run_comparisons(
-        build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods, batched=True))
+    serial = list(iter_comparisons(
+        build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods, batched=False)))
+    batched = list(iter_comparisons(
+        build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods, batched=True)))
     assert [result_fingerprint(r) for r in serial] == \
         [result_fingerprint(r) for r in batched]
 
 
 def test_batched_sweep_is_pool_invariant():
     """The lock-step chunks a pool executes agree with the in-process batch."""
-    serial = run_comparisons(build_jobs(2005, 5, 3, 3, batched=False), n_jobs=1)
-    pooled = run_comparisons(build_jobs(2005, 5, 3, 3, batched=True), n_jobs=2)
+    serial = list(iter_comparisons(build_jobs(2005, 5, 3, 3, batched=False), n_jobs=1))
+    pooled = list(iter_comparisons(build_jobs(2005, 5, 3, 3, batched=True), n_jobs=2))
     assert [result_fingerprint(r) for r in serial] == \
         [result_fingerprint(r) for r in pooled]
 

@@ -1,27 +1,32 @@
 """Serial/parallel equivalence of the batched harness and the seed derivation."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.errors import ExperimentError
 from repro.experiments.harness import (
     ComparisonConfig,
     ComparisonJob,
+    iter_comparisons,
     make_schedulers,
-    run_comparisons,
     scheduler_names,
 )
 from repro.experiments.seeding import derive_rng, derive_seed
-from repro.experiments.sweep import SweepConfig, run_sweep
-from repro.reporting.serialization import sweep_result_to_dict
 
 #: Divisor-friendly pool: hyperperiod ≤ 20, so the NLPs stay tiny and fast.
 _FAST_PERIODS = (10.0, 20.0)
 
 
-def _fast_sweep_config(jobs: int) -> SweepConfig:
-    return SweepConfig(n_tasksets=3, n_tasks=2, n_hyperperiods=4, seed=42,
-                       jobs=jobs, periods=_FAST_PERIODS)
+def _quick_sweep(capsys, tmp_path, jobs: int):
+    """``repro sweep --quick --jobs N``: the printed table and the ``--output`` JSON."""
+    target = tmp_path / f"sweep-{jobs}.json"
+    assert main(["sweep", "--quick", "--jobs", str(jobs), "--output", str(target)]) == 0
+    report, wall_clock = capsys.readouterr().out.rstrip("\n").rsplit("\n", 1)
+    assert wall_clock.startswith("wall-clock:") and wall_clock.endswith(f"(jobs={jobs})")
+    return report, json.loads(target.read_text())
 
 
 class TestSeedDerivation:
@@ -79,7 +84,7 @@ class TestComparisonJob:
         job = ComparisonJob(processor=processor,
                             config=ComparisonConfig(n_hyperperiods=3, seed=1),
                             taskset=two_task_set)
-        (result,) = run_comparisons([job])
+        (result,) = list(iter_comparisons([job]))
         assert set(result.methods()) == {"wcs", "acs"}
 
     def test_random_job_requires_seed(self, processor):
@@ -92,36 +97,29 @@ class TestComparisonJob:
         job = ComparisonJob(processor=processor, config=ComparisonConfig(),
                             taskset=two_task_set)
         with pytest.raises(ExperimentError):
-            run_comparisons([job], n_jobs=0)
+            list(iter_comparisons([job], n_jobs=0))
 
 
 class TestSerialParallelEquivalence:
-    def test_sweep_results_bitwise_identical(self):
-        serial = run_sweep(_fast_sweep_config(jobs=1))
-        parallel = run_sweep(_fast_sweep_config(jobs=2))
-        for left, right in zip(serial.results, parallel.results):
-            assert left.taskset_name == right.taskset_name
-            for method in ("wcs", "acs"):
-                # Bitwise: exact float equality, not approx.
-                assert left.energy(method) == right.energy(method)
-                assert (left.outcomes[method].simulation.energy_per_hyperperiod
-                        == right.outcomes[method].simulation.energy_per_hyperperiod)
-        assert serial.to_markdown() == parallel.to_markdown()
+    def test_sweep_results_bitwise_identical(self, capsys, tmp_path):
+        serial, serial_data = _quick_sweep(capsys, tmp_path, jobs=1)
+        parallel, parallel_data = _quick_sweep(capsys, tmp_path, jobs=2)
+        assert "| wcs energy | acs energy |" in serial
+        assert serial == parallel
+        # Bitwise: JSON floats round-trip exactly, so this is float equality.
+        assert serial_data["points"] == parallel_data["points"]
 
-    def test_sweep_json_identical_up_to_wall_clock(self):
-        serial = sweep_result_to_dict(run_sweep(_fast_sweep_config(jobs=1)))
-        parallel = sweep_result_to_dict(run_sweep(_fast_sweep_config(jobs=2)))
+    def test_sweep_json_identical_up_to_wall_clock(self, capsys, tmp_path):
+        _, serial = _quick_sweep(capsys, tmp_path, jobs=1)
+        _, parallel = _quick_sweep(capsys, tmp_path, jobs=2)
         serial.pop("elapsed_seconds")
         parallel.pop("elapsed_seconds")
-        config_serial = serial["config"].pop("jobs")
-        config_parallel = parallel["config"].pop("jobs")
-        assert (config_serial, config_parallel) == (1, 2)
         assert serial == parallel
 
-    def test_rerun_is_reproducible(self):
-        first = run_sweep(_fast_sweep_config(jobs=1))
-        second = run_sweep(_fast_sweep_config(jobs=1))
-        assert first.to_markdown() == second.to_markdown()
+    def test_rerun_is_reproducible(self, capsys, tmp_path):
+        first, _ = _quick_sweep(capsys, tmp_path, jobs=1)
+        second, _ = _quick_sweep(capsys, tmp_path, jobs=1)
+        assert first == second
 
 
 class TestFigureParallelEquivalence:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.power.presets import ideal_processor
 from repro.reporting.serialization import scenario_result_to_dict
-from repro.scenarios import ScenarioEngine, ScenarioError, ScenarioSpec, TasksetSpec, run_unit
+from repro.scenarios import ScenarioEngine, ScenarioError, ScenarioSpec, TasksetSpec
 from repro.scenarios.engine import build_taskset
 
 QUICK = {
@@ -70,8 +70,12 @@ class TestSweep:
 class TestPoint:
     def test_single_point_runs(self):
         document = {**QUICK, "multicore": {"cores": [2], "partitioners": ["wfd"]}}
-        (unit,) = ScenarioEngine().compile(ScenarioSpec.from_dict(document)).units.values()
-        payload = run_unit(unit)
+        spec = ScenarioSpec.from_dict(document)
+        engine = ScenarioEngine()
+        (point,) = engine.run(spec).points
+        assert point["coords"] == {"multicore.cores": 2, "multicore.partitioner": "wfd"}
+        (key,) = engine.compile(spec).units
+        payload = engine.store.get(key)
         assert payload["n_cores"] == 2
         assert payload["partitioner"] == "wfd"
         assert payload["deadline_misses"] == 0

@@ -227,53 +227,3 @@ class TestParallelDeterminism:
         second = ScenarioEngine().run(spec).to_markdown()
         assert first == second
         assert "| ratio" in first and "misses" in first
-
-
-class TestUnitLevelApi:
-    """The unit-level view (`iter_units`/`run_unit`/`aggregate`) the sweep
-    server schedules from must agree exactly with the batch `run` path."""
-
-    SPEC = {
-        "kind": "motivation",
-        "name": "unit-api",
-        "power": {"model": "ideal", "vmax": 5.0, "vmin": 0.5, "fmax": 1000.0},
-    }
-
-    def test_iter_units_yields_keyed_labelled_units(self):
-        engine = ScenarioEngine()
-        compiled = engine.compile(ScenarioSpec.from_dict(self.SPEC))
-        (item,) = list(engine.iter_units(compiled))
-        key, unit, label = item
-        assert key in compiled.units and compiled.units[key] is unit
-        assert label == "unit-api"
-
-    def test_run_unit_plus_aggregate_matches_engine_run(self):
-        from repro.scenarios import run_unit
-
-        engine = ScenarioEngine()
-        spec = ScenarioSpec.from_dict(self.SPEC)
-        compiled = engine.compile(spec)
-        payloads = {key: run_unit(unit) for key, unit, _ in engine.iter_units(compiled)}
-        assert engine.aggregate(compiled, payloads) == engine.run(spec).points
-
-    def test_run_unit_agrees_for_comparison_jobs(self):
-        from repro.scenarios import run_unit
-
-        engine = ScenarioEngine()
-        spec = ScenarioSpec.from_dict({
-            "kind": "comparison",
-            "name": "unit-api-cmp",
-            "taskset": {"source": "random", "n_tasks": 2, "periods": [10.0, 20.0]},
-            "simulation": {"hyperperiods": 2, "seed": 3},
-            "matrix": {"taskset.ratio": [0.5]},
-        })
-        compiled = engine.compile(spec)
-        payloads = {key: run_unit(unit) for key, unit, _ in engine.iter_units(compiled)}
-        assert engine.aggregate(compiled, payloads) == engine.run(spec).points
-
-    def test_run_unit_rejects_unknown_unit_types(self):
-        from repro.core.errors import ExperimentError
-        from repro.scenarios import run_unit
-
-        with pytest.raises(ExperimentError, match="unknown work-unit type"):
-            run_unit(object())

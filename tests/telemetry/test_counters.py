@@ -96,3 +96,46 @@ class TestForcedRun:
     def test_bitwise_equal_results_across_all_three_runs(self, runs):
         cold, warm, forced = (runs[k][0] for k in ("cold", "warm", "forced"))
         assert cold.points == warm.points == forced.points
+
+
+class TestPooledRun:
+    """``--jobs 2`` workers count under their own collector and hand the
+    counters back, so a pooled cold run counts what a serial one counts."""
+
+    @staticmethod
+    def cold_counters(store_root, n_jobs):
+        # The compiled engine makes every job its own pool task.
+        document = {**SPEC, "simulation": {**SPEC["simulation"], "engine": "compiled"}}
+        with using(Telemetry()) as telemetry:
+            ScenarioEngine(ResultStore(store_root)).run(
+                ScenarioSpec.from_dict(document), n_jobs=n_jobs)
+        return telemetry.counters
+
+    def test_pool_workers_report_their_solver_counters(self, tmp_path):
+        serial = self.cold_counters(tmp_path / "serial", n_jobs=1)
+        pooled = self.cold_counters(tmp_path / "pooled", n_jobs=2)
+        for counters in (serial, pooled):
+            statuses = [count for name, count in counters.items()
+                        if name.startswith("solve.status.")]
+            assert sum(statuses) == counters["solve_memo.miss"] > 0
+            assert counters["solve.iterations"] > 0
+        lookups = [counters.get("solve_memo.hit", 0) + counters["solve_memo.miss"]
+                   for counters in (serial, pooled)]
+        assert lookups[0] == lookups[1]
+
+    def test_multicore_pool_workers_report_their_solves(self):
+        spec = ScenarioSpec.from_dict({
+            "kind": "multicore",
+            "name": "counter-multicore",
+            "taskset": {"source": "cnc"},
+            "offline": {"methods": ["acs"], "baseline": "acs"},
+            "simulation": {"hyperperiods": 2},
+            "multicore": {"cores": [1, 2], "partitioners": ["wfd"]},
+        })
+        solves = []
+        for n_jobs in (1, 2):
+            with using(Telemetry()) as telemetry:
+                ScenarioEngine().run(spec, n_jobs=n_jobs)
+            solves.append(sum(count for name, count in telemetry.counters.items()
+                              if name.startswith("solve.status.")))
+        assert solves[0] == solves[1] > 0

@@ -17,16 +17,21 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.harness import run_comparisons
-from repro.experiments.sweep import SweepConfig, _build_jobs, run_sweep
-from repro.reporting.serialization import comparison_result_to_dict, sweep_result_to_dict
+from repro.experiments.harness import iter_comparisons
+from repro.reporting.serialization import comparison_result_to_dict, scenario_result_to_dict
+from repro.scenarios import ScenarioEngine, ScenarioSpec
 from repro.telemetry import Telemetry, using
 
 #: Every class the collector allocates on the *enabled* path.
 SPAN_CLASS_NAMES = ("Span", "SpanHandle")
 
-TINY_SWEEP = SweepConfig(n_tasksets=2, n_tasks=2, n_hyperperiods=2,
-                         periods=(10.0, 20.0))
+#: Two random two-task sets at one point, two hyperperiods each.
+TINY_SWEEP = {
+    "kind": "comparison",
+    "name": "tiny-sweep",
+    "taskset": {"source": "random", "n_tasks": 2, "periods": [10.0, 20.0]},
+    "simulation": {"hyperperiods": 2, "repetitions": 2},
+}
 
 
 class _Tripwire:
@@ -46,12 +51,16 @@ def _arm_tripwires(monkeypatch):
 
 
 def _run_pipeline():
-    """The tiny sweep, then its jobs again as one batched chunk; normalised."""
-    data = sweep_result_to_dict(run_sweep(TINY_SWEEP))
+    """The tiny sweep on the engine, then its jobs again as one batched chunk; normalised."""
+    spec = ScenarioSpec.from_dict(TINY_SWEEP)
+    engine = ScenarioEngine()
+    data = scenario_result_to_dict(engine.run(spec))
     data.pop("elapsed_seconds", None)
-    jobs = [replace(job, config=replace(job.config, batched=True))
-            for job in _build_jobs(TINY_SWEEP, TINY_SWEEP.resolved_processor())]
-    data["batched"] = [comparison_result_to_dict(result) for result in run_comparisons(jobs)]
+    units = engine.compile(spec).units
+    data["results"] = [engine.store.get(key) for key in units]
+    jobs = [replace(job, config=replace(job.config, batched=True)) for job in units.values()]
+    data["batched"] = [comparison_result_to_dict(result)
+                       for result in iter_comparisons(jobs)]
     return data
 
 
@@ -78,7 +87,7 @@ def test_telemetry_on_does_not_change_results():
     with using(Telemetry()) as telemetry:
         observed = _run_pipeline()
     assert observed == baseline
-    assert any(span.name == "sweep.run" for span in telemetry.spans)
+    assert any(span.name == "scenario.run" for span in telemetry.spans)
 
 
 def test_tripwire_names_are_exhaustive():

@@ -61,6 +61,29 @@ class TestParser:
             ["sweep", "--jobs", "2", "--tasksets", "6", "--policy", "lookahead"])
         assert args.jobs == 2 and args.tasksets == 6 and args.policy == "lookahead"
 
+    def test_sweep_flags_map_onto_the_document(self):
+        args_list = ["--tasksets", "6", "--tasks", "5", "--ratio", "0.3", "--utilization", "0.6",
+                     "--hyperperiods", "9", "--seed", "7", "--policy", "lookahead"]
+        args = build_parser().parse_args(["sweep", *args_list])
+        spec = args.scenario(args)
+        assert spec.kind == "comparison" and spec.matrix == ()
+        assert spec.taskset.source == "random" and spec.taskset.periods is None
+        assert (spec.taskset.n_tasks, spec.taskset.ratio, spec.taskset.utilization) == (5, 0.3, 0.6)
+        assert spec.offline.methods == ("wcs", "acs") and spec.offline.baseline == "wcs"
+        assert spec.online.policy == "lookahead"
+        assert (spec.simulation.repetitions, spec.simulation.hyperperiods,
+                spec.simulation.seed) == (6, 9, 7)
+        # --quick caps the size flags and the period pool, nothing else.
+        quick = build_parser().parse_args(["sweep", "--quick", *args_list])
+        spec = quick.scenario(quick)
+        assert (spec.simulation.repetitions, spec.taskset.n_tasks,
+                spec.simulation.hyperperiods) == (2, 3, 5)
+        assert spec.taskset.periods == (10.0, 20.0, 40.0)
+        assert (spec.taskset.ratio, spec.online.policy, spec.simulation.seed) == (0.3, "lookahead", 7)
+        small = build_parser().parse_args(["sweep", "--quick", "--tasksets", "1", "--tasks", "2"])
+        spec = small.scenario(small)
+        assert (spec.simulation.repetitions, spec.taskset.n_tasks) == (1, 2)
+
     def test_sweep_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--policy", "oracle"])
@@ -139,6 +162,8 @@ class TestMain:
         ["simulate", "--app", "demo", "--policy", ""],
         ["sweep", "--quick", "--jobs", "0"],
         ["figure6a", "--quick", "--jobs", "0"],
+        ["sweep", "--quick", "--tasksets", "0"],
+        ["sweep", "--quick", "--tasksets", "-1"],
     ])
     def test_bad_arguments_fail_cleanly(self, argv, capsys):
         assert main(argv) == 2
@@ -188,12 +213,12 @@ class TestMain:
         target = tmp_path / "sweep.json"
         assert main(["sweep", "--quick", "--output", str(target)]) == 0
         output = capsys.readouterr().out
-        assert "mean energy / hyperperiod" in output
+        assert "| wcs energy | acs energy | acs improvement % | misses |" in output
         assert "wall-clock" in output
         import json
         data = json.loads(target.read_text())
-        assert data["config"]["policy"] == "greedy"
-        assert len(data["results"]) == data["config"]["n_tasksets"]
+        assert data["scenario"]["online"]["policy"] == "greedy"
+        assert data["points"][0]["jobs"] == data["scenario"]["simulation"]["repetitions"] == 2
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="TOML scenario files need tomllib")

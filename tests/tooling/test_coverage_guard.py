@@ -63,8 +63,7 @@ def test_silent_pass_above_baseline(guard, tmp_path, capsys):
     report_path = tmp_path / "coverage.json"
     report_path.write_text(json.dumps(_report(
         {"src/repro/runtime/simulator.py": (99, 1),
-         "src/repro/telemetry/core.py": (99, 1),
-         "src/repro/server/app.py": (99, 1)})))
+         "src/repro/telemetry/core.py": (99, 1)})))
     assert guard.main([str(report_path), "--baseline", BASELINE_PATH]) == 0
     output = capsys.readouterr().out
     assert "::warning::" not in output
