@@ -676,21 +676,34 @@ def _blas_line(env: Dict[str, Any]) -> str:
 
 
 def _counter_lines(counters: Dict[str, int]) -> List[str]:
-    """The counter table, plus a warning when a counted solve ended abnormally.
+    """The counter table, plus solver-health lines for the counted solves.
 
     ``solve.status.<code>`` counts every computed solve by optimizer exit
     status; any non-zero code (8: line search failed, 9: iteration cap, ...)
     is flagged, because its schedule is not a converged optimum.
+    ``solve.blas.pinned``/``unpinned`` count the solves that ran on one BLAS
+    thread or could not be pinned; an unpinned solve is flagged, because its
+    numbers match a pinned solve's only within a tolerance.
     """
     rows = [[name, value] for name, value in sorted(counters.items())]
     lines = ["", format_markdown_table(["counter", "value"], rows)]
+    health: List[str] = []
     statuses = {name[len("solve.status."):]: value for name, value in counters.items()
                 if name.startswith("solve.status.")}
     abnormal = {code: count for code, count in statuses.items() if code != "0" and count}
     if abnormal:
         detail = ", ".join(f"status {code} x{count}" for code, count in sorted(abnormal.items()))
-        lines += ["", f"solver health: {sum(abnormal.values())} of {sum(statuses.values())} "
-                      f"solves ended abnormally ({detail})"]
+        health.append(f"solver health: {sum(abnormal.values())} of {sum(statuses.values())} "
+                      f"solves ended abnormally ({detail})")
+    pinned = counters.get("solve.blas.pinned", 0)
+    unpinned = counters.get("solve.blas.unpinned", 0)
+    if pinned or unpinned:
+        health.append(f"solver health: {pinned} solves on one BLAS thread, {unpinned} unpinned")
+    if unpinned:
+        health.append(f"warning: {unpinned} of {pinned + unpinned} solves ran with scipy's BLAS "
+                      "threads unpinned; compare their results only with a tolerance")
+    if health:
+        lines += ["", *health]
     return lines
 
 

@@ -14,7 +14,8 @@ runs.  This module makes every repeat cost one lookup:
   with the result store's hashing discipline (:func:`~repro.scenarios.store.signature_key`)
   — by everything solve-relevant (:func:`solve_signature`): the task set,
   the horizon, the processor, the workload mode, the solver options, the
-  scenario set, the warm-start vector and the numpy/scipy versions.  Backed
+  scenario set, the warm-start vector and the solver build (numpy/scipy
+  versions and the BLAS thread mode).  Backed
   by a :class:`~repro.scenarios.store.ResultStore` the memo survives a
   killed sweep.
 * :func:`plan_key` keys a whole comparison's planning inputs, so the harness
@@ -31,10 +32,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, is_dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy
 
 from ..core.errors import ReproError
 from ..power.processor import ProcessorModel
@@ -61,20 +61,23 @@ _MEMO_COMPUTED = "solve_memo.computed"
 # --------------------------------------------------------------------- #
 # Solve memo (content-addressed, ResultStore hashing discipline)
 # --------------------------------------------------------------------- #
-def solve_signature(nlp: ReducedNLP, x0: Optional[np.ndarray] = None) -> Dict[str, Any]:
+def solve_signature(nlp: ReducedNLP, x0: Optional[np.ndarray] = None, *,
+                    blas_threads: Union[int, str] = 1) -> Dict[str, Any]:
     """Everything that determines the outcome of ``nlp.solve(x0)``, as a canonical dictionary.
 
     ``verbose`` is excluded (it only toggles solver chatter); every other
     option, the task set, the horizon, the processor physics, the workload
     mode, the scenario set and the warm start all shape the trajectory and
-    are therefore part of the key.  So does the solver build: SLSQP's
-    trajectory depends on the numpy and scipy versions, and a memo written
-    under one build must never be replayed as the answer under another.
+    are therefore part of the key.  So does the solver build
+    (:func:`~repro.scenarios.store.solver_build`): SLSQP's trajectory
+    depends on the numpy and scipy versions and on the BLAS thread mode
+    ``blas_threads``, and a memo written under one build must never be
+    replayed as the answer under another.
     """
     # Lazy imports: pulling the reporting/scenario packages in at module load
     # would close an import cycle (scenarios.engine itself plans schedules).
     from ..reporting.serialization import taskset_to_dict
-    from ..scenarios.store import STORE_FORMAT, processor_signature
+    from ..scenarios.store import STORE_FORMAT, processor_signature, solver_build
 
     options = asdict(nlp.options)
     options.pop("verbose", None)
@@ -91,7 +94,7 @@ def solve_signature(nlp: ReducedNLP, x0: Optional[np.ndarray] = None) -> Dict[st
         "options": options,
         "scenarios": scenarios,
         "x0": None if x0 is None else [float(v) for v in np.asarray(x0, dtype=float)],
-        "build": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "build": solver_build(blas_threads),
     }
 
 
@@ -407,7 +410,9 @@ def solve_nlp(nlp: ReducedNLP, x0: Optional[np.ndarray] = None,
 
     A hit rebuilds a fresh schedule from the stored vectors (schedules are
     mutable, so no two callers share one object); a miss runs the solver
-    under one ``solve`` span and records the result.
+    under one ``solve`` span and records the result.  Lookups ask for a
+    solve on one BLAS thread, so a warm lookup never probes the BLAS
+    library; a solve that ran unpinned is recorded under its own key.
     """
     from ..scenarios.store import signature_key
 
@@ -420,6 +425,9 @@ def solve_nlp(nlp: ReducedNLP, x0: Optional[np.ndarray] = None,
     with _telemetry().span("solve"):
         schedule = nlp.solve(x0)
     if memo is not None:
+        blas_threads = schedule.metadata["blas_threads"]
+        if blas_threads != 1:
+            key = signature_key(solve_signature(nlp, x0, blas_threads=blas_threads))
         label = f"{nlp.expansion.taskset.name}/{nlp.workload_mode}"
         memo.record(key, _schedule_payload(schedule), label=label)
     return schedule

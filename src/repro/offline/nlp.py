@@ -36,8 +36,12 @@ cross-validate against the paper's raw variable set on small expansions.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,10 +53,68 @@ from .evaluation import CompiledEvaluation, evaluate_vectors
 from .initialization import proportional_budget_vectors, worst_case_simulation_vectors
 from .schedule import StaticSchedule
 
-__all__ = ["ReducedNLP", "SolverOptions"]
+__all__ = ["ReducedNLP", "SolverOptions", "single_blas_thread"]
 
 #: Telemetry counter: solver iterations summed over every computed solve.
 _SOLVE_ITERATIONS = "solve.iterations"
+#: Telemetry counters: computed solves that ran on one BLAS thread, or could not be pinned.
+_BLAS_PINNED = "solve.blas.pinned"
+_BLAS_UNPINNED = "solve.blas.unpinned"
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_openblas() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
+    """The thread getter and setter of scipy's bundled OpenBLAS, or ``None``.
+
+    scipy's wheels ship OpenBLAS as ``libscipy_openblas`` in ``scipy.libs/``
+    (Linux, Windows) or ``scipy/.dylibs/`` (macOS).  By the time a solve
+    runs, ``scipy.optimize`` has loaded it, so ``CDLL`` returns the instance
+    SLSQP calls.  A scipy linked against another BLAS has no such library or
+    symbols, and its solves run unpinned.  Looked up once per process.
+    """
+    import scipy
+
+    package = Path(scipy.__file__).parent
+    for path in sorted([*package.parent.glob("scipy.libs/libscipy_openblas*"),
+                        *package.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            library = ctypes.CDLL(str(path))
+            get_threads = library.scipy_openblas_get_num_threads
+            set_threads = library.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextmanager
+def single_blas_thread() -> Iterator[Union[int, str]]:
+    """Run the body on one scipy-OpenBLAS thread, then restore the caller's count.
+
+    SLSQP's dense subproblem runs on scipy's OpenBLAS, which starts one
+    thread per core.  On this package's NLPs the extra threads only burn
+    CPU (and oversubscribe pool workers), and a solve's output bits depend
+    on the thread count.  Yields the thread mode the body ran under — ``1``,
+    or ``"unpinned"`` when scipy's OpenBLAS cannot be found — and counts it
+    as ``solve.blas.pinned`` or ``solve.blas.unpinned``.  The thread count is
+    process-wide, so solves in one process must not overlap (pools use
+    processes).
+    """
+    library = _scipy_openblas()
+    if library is None:
+        _telemetry().count(_BLAS_UNPINNED)
+        yield "unpinned"
+        return
+    get_threads, set_threads = library
+    previous = get_threads()
+    set_threads(1)
+    _telemetry().count(_BLAS_PINNED)
+    try:
+        yield 1
+    finally:
+        set_threads(previous)
 
 
 @dataclass(frozen=True)
@@ -436,20 +498,21 @@ class ReducedNLP:
             and self.options.vectorized_jacobian
             and self.options.method == "SLSQP"
         )
-        result = optimize.minimize(
-            self.objective,
-            start,
-            method=self.options.method,
-            jac=self.jacobian if use_vectorized_jacobian else None,
-            bounds=self.bounds(),
-            constraints=self.linear_constraints(),
-            options={
-                "maxiter": self.options.maxiter,
-                "ftol": self.options.ftol,
-                "eps": self.options.finite_difference_step,
-                "disp": self.options.verbose,
-            },
-        )
+        with single_blas_thread() as blas_threads:
+            result = optimize.minimize(
+                self.objective,
+                start,
+                method=self.options.method,
+                jac=self.jacobian if use_vectorized_jacobian else None,
+                bounds=self.bounds(),
+                constraints=self.linear_constraints(),
+                options={
+                    "maxiter": self.options.maxiter,
+                    "ftol": self.options.ftol,
+                    "eps": self.options.finite_difference_step,
+                    "disp": self.options.verbose,
+                },
+            )
         iterations = int(result.get("nit", -1))
         telemetry = _telemetry()
         if telemetry.enabled:  # the name is built only when someone records it
@@ -462,6 +525,7 @@ class ReducedNLP:
             "solver_status": int(result.status),
             "solver_message": str(result.message),
             "solver_iterations": iterations,
+            "blas_threads": blas_threads,
             "fallback": False,
         }
         method_name = "acs" if self.workload_mode == "acec" else "wcs"

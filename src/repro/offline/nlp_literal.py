@@ -52,7 +52,7 @@ from ..core.workload import fill_average_workloads
 from .base import VoltageScheduler
 from .batched_solver import SolveMemo, solve_nlp
 from .evaluation import evaluate_vectors
-from .nlp import ReducedNLP, SolverOptions
+from .nlp import ReducedNLP, SolverOptions, single_blas_thread
 from .schedule import StaticSchedule
 
 __all__ = ["LiteralNLPScheduler"]
@@ -144,18 +144,19 @@ class LiteralNLPScheduler(VoltageScheduler):
         bounds.extend((processor.vmin, processor.vmax) for _ in range(n))      # Vw
 
         x0 = self._initial_guess(expansion, memo)
-        result = optimize.minimize(
-            objective,
-            x0,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=[
-                {"type": "ineq", "fun": constraints_vector},
-                {"type": "eq", "fun": equality_vector},
-            ],
-            options={"maxiter": self.options.maxiter, "ftol": self.options.ftol,
-                     "disp": self.options.verbose},
-        )
+        with single_blas_thread():
+            result = optimize.minimize(
+                objective,
+                x0,
+                method="SLSQP",
+                bounds=bounds,
+                constraints=[
+                    {"type": "ineq", "fun": constraints_vector},
+                    {"type": "eq", "fun": equality_vector},
+                ],
+                options={"maxiter": self.options.maxiter, "ftol": self.options.ftol,
+                         "disp": self.options.verbose},
+            )
 
         _, e_opt, _, w_opt, _, _ = self._blocks(np.asarray(result.x, dtype=float), n)
         metadata = {

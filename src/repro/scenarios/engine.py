@@ -52,7 +52,7 @@ from ..workloads.cnc import cnc_taskset
 from ..workloads.gap import gap_taskset
 from ..workloads.random_tasksets import RandomTaskSetConfig
 from .spec import ScenarioError, ScenarioSpec, TasksetSpec, _set_dotted
-from .store import STORE_FORMAT, MemoryStore, ResultStore, processor_signature, signature_key
+from .store import STORE_FORMAT, MemoryStore, ResultStore, processor_signature, signature_key, solver_build
 
 __all__ = [
     "AUTO_BATCH_THRESHOLD",
@@ -94,6 +94,7 @@ def _comparison_signature(job: ComparisonJob) -> Dict[str, Any]:
         "fast_path": config.fast_path,
         "workload": _model_signature(config.workload),
         "policy": {"type": type(config.policy).__name__, "name": config.policy.name},
+        "build": solver_build(),
     }
     # Added only when non-default so every pre-existing store hash is
     # preserved; trace-on payloads carry the event stream, hence must key
@@ -140,6 +141,7 @@ class _MulticoreUnit:
             "n_hyperperiods": self.n_hyperperiods,
             "seed": self.seed,
             "fast_path": self.fast_path,
+            "build": solver_build(),
         }
 
 
@@ -178,6 +180,7 @@ class _MotivationUnit:
             "acec": self.config.acec,
             "bcec": self.config.bcec,
             "processor": processor_signature(self.config.resolved_processor()),
+            "build": solver_build(),
         }
 
 

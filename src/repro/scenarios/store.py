@@ -35,6 +35,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Union
 
+import numpy
+import scipy
+
 from ..core.errors import ReproError
 from ..telemetry.core import current as _telemetry
 
@@ -47,6 +50,7 @@ __all__ = [
     "ResultStore",
     "processor_signature",
     "signature_key",
+    "solver_build",
 ]
 
 #: Version of the signature/payload contract.  Part of every signature, so a
@@ -56,7 +60,8 @@ __all__ = [
 #: 2: transition energy is no longer charged on zero-work dispatches (the
 #:    requeue/fmax-fringe fix in the runtime event loops), which changes
 #:    stored numbers for runs with a non-free transition model.
-STORE_FORMAT = 2
+#: 3: solves now run on one BLAS thread, so stored numbers change.
+STORE_FORMAT = 3
 
 
 def signature_key(signature: Mapping[str, Any]) -> str:
@@ -83,6 +88,17 @@ def processor_signature(processor: "ProcessorModel") -> Dict[str, Any]:
         "ceff": processor.ceff,
         "law": processor.law,
     }
+
+
+def solver_build(blas_threads: Union[int, str] = 1) -> Dict[str, Any]:
+    """The solver build every signature (work unit and solve memo) hashes.
+
+    SLSQP's output bits depend on the numpy and scipy versions and on the
+    number of BLAS threads.  Solves run on one scipy-OpenBLAS thread
+    (:func:`~repro.offline.nlp.single_blas_thread`); a solve whose pin could
+    not be set is keyed ``"unpinned"``, so it never answers a pinned lookup.
+    """
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__, "blas_threads": blas_threads}
 
 
 @dataclass(frozen=True)

@@ -176,10 +176,10 @@ class TestSolveMemo:
         assert signature_key(solve_signature(nlp)) != here
 
     @pytest.mark.parametrize("mode, x0, key", [
-        ("wcec", None, "a8b7ffeaa0cc220ef0f1d98250075d59294dec949f0f0c10907526b41fbacde8"),
-        ("acec", None, "899622a2e39ab9afb9d31e9d2d1c960ec295fed56a6db63abc8044985982954d"),
+        ("wcec", None, "45a57093b69d6d2cf20e32840d7108a3a6c49c4d598bf85ff3106c8c46ad0fe9"),
+        ("acec", None, "82458c0e04f72dec57f58aabfd012e3309979ead24843eed268b3b7212ad8474"),
         ("acec", [4.0, 9.0, 14.0, 19.0, 2000.0, 6000.0],
-         "aff772adffb2b8baad3f99b27ec332369a827a190d39193206557f338d5f271c"),
+         "e292e69edfdc905c85168a4afab59feee3fd14f669bf91c199cdcbba2c69a5ed"),
     ], ids=["wcs", "acs", "acs-x0"])
     def test_memo_keys_are_pinned(self, processor, two_task_set, monkeypatch,
                                   mode, x0, key):

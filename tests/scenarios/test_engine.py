@@ -96,18 +96,37 @@ class TestTraceAndArrivalsSignatures:
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="TOML scenario files need tomllib")
 class TestCommittedStoreKeys:
     """The first unit key of every committed spec is pinned: a refactor that
-    re-keys units would silently orphan every existing store."""
+    re-keys units would silently orphan every existing store.  The solver
+    build is pinned to fixed strings, so the hex values hold on every
+    numpy/scipy release."""
 
     @pytest.mark.parametrize(("name", "profile", "key"), [
-        ("figure6a", "smoke", "99e5fe8bb5ea500737e437390027a18e181b73e62a16b37c0ced065c0de2408e"),
-        ("figure6b", "smoke", "3f00563d3bb21b0db6a43f5c52e87e56ee393bd02a428541fe1ccc1362587d9f"),
-        ("scalability", "smoke", "9886c4889223d60e0b02763fa070b6a2c48cf5884cdca1ff097d4461ff55a3b5"),
-        ("motivation", None, "c625face388a8e16d479bdc8a05b9b424306eb563bcfe41008a3def1db7230ce"),
+        ("figure6a", "smoke", "3eb545d889feb3ec27f093b3a97e47f3ad01404a34cb49c266712f43afed5e42"),
+        ("figure6b", "smoke", "516e8708dcdb1cb1346d1f8e327b8afbc81022bdd82775b7564fbb91bc2f12ee"),
+        ("scalability", "smoke", "71024a27df51c57387c2527a5fe7f49408e5b58ddebcfc5832c9cc641b46d8ee"),
+        ("motivation", None, "bf170a311b7c2bbe949ae4b3dc052b4ba66e566d7bed01b49bb2d9da3ec1adfa"),
     ])
-    def test_first_unit_key_is_pinned(self, name, profile, key):
+    def test_first_unit_key_is_pinned(self, name, profile, key, monkeypatch):
+        import numpy
+        import scipy
+
+        monkeypatch.setattr(numpy, "__version__", "0.0-pinned")
+        monkeypatch.setattr(scipy, "__version__", "0.0-pinned")
         spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / f"{name}.toml", profile=profile)
         compiled = ScenarioEngine().compile(spec)
         assert compiled.points[0].unit_keys[0] == key
+
+    @pytest.mark.parametrize(("name", "profile"), [
+        ("figure6b", "smoke"), ("scalability", "smoke"), ("motivation", None),
+    ], ids=["comparison", "multicore", "motivation"])
+    def test_solver_build_is_part_of_every_unit_key(self, name, profile, monkeypatch):
+        """A unit computed under one scipy build is never replayed under another."""
+        import scipy
+
+        spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / f"{name}.toml", profile=profile)
+        here = ScenarioEngine().compile(spec).points[0].unit_keys[0]
+        monkeypatch.setattr(scipy, "__version__", scipy.__version__ + ".other")
+        assert ScenarioEngine().compile(spec).points[0].unit_keys[0] != here
 
 
 class TestMotivationEquivalence:

@@ -146,6 +146,23 @@ class TestStats:
         assert "solver health: 3 of 6 solves ended abnormally (status 8 x1, status 9 x2)" in rough
         assert "blas: numpy " in clean and "OPENBLAS_NUM_THREADS=" in clean
 
+    def test_reports_how_each_solve_ran_on_blas_and_warns_on_unpinned(self, capsys, tmp_path):
+        from repro.telemetry import build_manifest, write_manifest
+
+        for scenario, counters in (("all-pinned", {"solve.status.0": 3, "solve.blas.pinned": 3}),
+                                   ("mixed", {"solve.status.0": 3, "solve.blas.pinned": 2,
+                                              "solve.blas.unpinned": 1})):
+            write_manifest(tmp_path, build_manifest(
+                scenario=scenario, config={}, computed=1, skipped=0,
+                elapsed_seconds=0.0, counters=counters))
+        assert main(["stats", str(tmp_path)]) == 0
+        pinned, mixed = capsys.readouterr().out.split("== mixed")
+        assert "solver health: 3 solves on one BLAS thread, 0 unpinned" in pinned
+        assert "warning" not in pinned
+        assert "solver health: 2 solves on one BLAS thread, 1 unpinned" in mixed
+        assert ("warning: 1 of 3 solves ran with scipy's BLAS threads unpinned; "
+                "compare their results only with a tolerance") in mixed
+
     def test_empty_store_reports_no_manifests(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path)]) == 0
         assert "no run manifests" in capsys.readouterr().out

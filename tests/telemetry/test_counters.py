@@ -57,6 +57,8 @@ class TestColdRun:
         _, counters = runs["cold"]
         statuses = [count for name, count in counters.items() if name.startswith("solve.status.")]
         assert sum(statuses) == counters["solve_memo.computed"]
+        modes = [count for name, count in counters.items() if name.startswith("solve.blas.")]
+        assert sum(modes) == counters["solve_memo.computed"]
 
     def test_computed_solves_count_their_iterations(self, runs):
         _, counters = runs["cold"]
@@ -91,7 +93,7 @@ class TestForcedRun:
         assert "solve_memo.miss" not in counters
         # Memoized solves mean the solver never runs at all.
         assert "solve.iterations" not in counters
-        assert not any(name.startswith("solve.status.") for name in counters)
+        assert not any(name.startswith(("solve.status.", "solve.blas.")) for name in counters)
 
     def test_bitwise_equal_results_across_all_three_runs(self, runs):
         cold, warm, forced = (runs[k][0] for k in ("cold", "warm", "forced"))
@@ -119,6 +121,8 @@ class TestPooledRun:
                         if name.startswith("solve.status.")]
             assert sum(statuses) == counters["solve_memo.miss"] > 0
             assert counters["solve.iterations"] > 0
+            modes = [count for name, count in counters.items() if name.startswith("solve.blas.")]
+            assert sum(modes) == counters["solve_memo.miss"]
         lookups = [counters.get("solve_memo.hit", 0) + counters["solve_memo.miss"]
                    for counters in (serial, pooled)]
         assert lookups[0] == lookups[1]
