@@ -12,13 +12,12 @@ The end-to-end regeneration above is dominated by the NLP solves, so engine
 speedups barely move it.  The ``*_sim_*`` benchmarks therefore time the
 *simulation stage in isolation* — the schedules are solved once, untimed, and
 the timed region replays a widened sweep's simulations (50 task sets per
-point, 25 hyperperiods each -> 900 lock-step units) through either the
+point, 25 hyperperiods each -> 900 units) through either the
 compiled event loop or the batched structure-of-arrays engine (which must
-agree bitwise).  Batch width matters: per step the batched engine pays a
-fixed ~190-numpy-call toll spread over however many units are still live, so
-it only overtakes the compiled loop beyond roughly 200 concurrent units and
-plateaus around 2x at 900+.  The width here sits on that plateau; sweeps
-narrower than ~100 units should stay on the compiled engine.
+agree bitwise).  Width matters: per step the batched engine pays a fixed
+toll of NumPy calls spread over however many (unit, hyperperiod) lanes are
+live.  With 900 units each of its blocks is one hyperperiod of every unit
+(900 lanes); narrower sweeps get several hyperperiods per unit in a block.
 
 The ``*_plan_*`` benchmarks isolate the other stage: the offline NLP solves.
 ``plan_sequential`` times the per-scheduler loop with no memo (every round

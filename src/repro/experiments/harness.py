@@ -330,6 +330,7 @@ def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[Com
     batched = all(cfg.batched for _, _, _, cfg in entries)
     units: List[BatchUnit] = []
     tallies: List[Dict[str, int]] = []
+    schedule_reasons: Dict[int, Optional[str]] = {}
     for (_, processor, _, cfg), group in zip(entries, group_of):
         tally: Dict[str, int] = {}
         sim_config = cfg.simulation_config()
@@ -337,7 +338,7 @@ def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[Com
             unit = BatchUnit(schedule=schedule, processor=processor,
                              policy=copy.deepcopy(cfg.policy), config=sim_config,
                              workload=cfg.workload, rng=np.random.default_rng(cfg.seed))
-            reason = batch_fallback_reason(unit) if batched else None
+            reason = batch_fallback_reason(unit, schedule_reasons) if batched else None
             if reason is not None:
                 tally["batch:" + reason] = tally.get("batch:" + reason, 0) + 1
             units.append(unit)

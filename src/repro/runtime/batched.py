@@ -2,13 +2,36 @@
 
 The compiled event loop of :mod:`repro.runtime.compiled` advances one
 ``(schedule, policy, generator)`` work unit at a time; a Figure-6 sweep at
-paper scale runs hundreds of such units back to back, each one a scalar
-Python loop.  This module advances **many units per process in lock-step**:
-per-job state (``actual``, ``budget``, ``wc_remaining``, ``position``,
-``finished``) lives in 2-D ``(unit, job)`` NumPy arrays padded to the widest
-unit, per-unit event cursors advance under vectorized masks, and each step
-dispatches one job per unit with a handful of whole-array operations instead
-of one Python event loop iteration per unit.
+paper scale runs hundreds of such units over hundreds of hyperperiods each,
+back to back, as scalar Python loops.  This module advances **many
+(unit, hyperperiod) lanes per process in lock-step**.
+
+**Lanes and blocks.**  The runtime resets all job state at every hyperperiod
+boundary, so a unit's hyperperiods are independent of each other except for
+the order in which their energies are summed.  A *lane* is one
+``(unit, hyperperiod)`` pair.  The engine runs in *blocks*: a block takes the
+next ``B = max(1, LANE_BUDGET // live units)`` hyperperiods of every live
+unit (fewer for a unit with fewer left), resets all of its lanes at once and
+steps them together until every lane has finished its hyperperiod.  Per-job
+state (``actual``, ``budget``, ``wc_remaining``, ``position``, ``finished``)
+lives in 2-D ``(lane, job)`` NumPy arrays padded to the widest job count,
+per-lane event cursors advance under vectorized masks, and each step
+dispatches one job per lane with a handful of whole-array operations instead
+of one Python event loop iteration per unit.  Lanes that finish early are
+compacted out inside the block.  The static per-job tables (releases,
+deadlines, entry budgets and end-times, dispatch ranks) are built once per
+distinct ``(schedule, processor)`` — a sweep's units mostly share a few
+schedules — and the workload draws stay per unit, so only the per-lane
+dynamic state grows with ``B``.
+
+**Lane budget.**  Each lock-step iteration costs a fixed number of NumPy
+calls plus a small per-lane part, so the engine pays off only with width.
+``LANE_BUDGET`` was chosen by timing the 240 units x 60 hyperperiods of the
+benchmark's ``policy-sweep`` workload at several budgets (2-vCPU host):
+one hyperperiod per block (240 lanes) took 0.73 s in 2,160 lock-step
+iterations, 1,000 lanes (four hyperperiods per block) 0.43 s in 540, and
+2,000-3,000 lanes only 0.39-0.38 s while a block's traced peak memory grew
+from 6.4 to 10-14 MB.  It is a module constant, not an option.
 
 **Determinism contract.**  For every unit the engine produces a
 :class:`~repro.runtime.results.SimulationResult` that is *bitwise identical*
@@ -23,10 +46,18 @@ alone:
 * mask-based job selection picks the minimum dispatch rank over the eligible
   set, which is provably the job the compiled ready-heap pops (eligibility is
   monotone within a hyperperiod and ranks are a strict total order);
-* every floating-point quantity is produced by the same IEEE-754 operations
-  in the same per-unit order as the scalar loops (NumPy element-wise float64
-  arithmetic is bitwise-identical to Python float arithmetic), including the
-  first-touch insertion order of ``energy_by_task``.
+* every floating-point quantity of one hyperperiod is produced by the same
+  IEEE-754 operations in the same order as the scalar loop produces it for
+  that hyperperiod (NumPy element-wise float64 arithmetic is
+  bitwise-identical to Python float arithmetic);
+* at each block end the lanes are *folded* into their units in hyperperiod
+  order: ``energy_per_hyperperiod`` and the deadline misses are appended lane
+  by lane, the transition energy is added hyperperiod by hyperperiod, and
+  ``energy_by_task`` is a sequential fold over every lane's logged dispatch
+  segments.  The compiled loop adds each segment to one run-wide dict, so
+  summing per-hyperperiod partial sums instead would re-associate the sum and
+  change its bits.  The fold also keeps the first-touch key order of
+  ``energy_by_task``.
 
 **Fallback.**  The vectorized core covers the four built-in policies (their
 arithmetic — ``static`` and ``greedy`` first and foremost, plus ``lookahead``
@@ -36,8 +67,8 @@ and the default ``record``/no-timeline/continuous-voltage configuration.
 Arrival models (release jitter) are vectorized too: every unit's offsets are
 drawn in one :meth:`~repro.workloads.arrivals.ArrivalModel.sample_offsets`
 call before its workload draw — the scalar engines' exact stream order — and
-jittered lanes re-derive their dispatch ranks per hyperperiod with one row
-``lexsort`` (the same strict total order the compiled loop sorts by).
+jittered lanes derive their dispatch ranks with one row ``lexsort`` (the same
+strict total order the compiled loop sorts by).
 Anything else — subclassed policies (whose hooks and overrides must observe
 the exact scalar call sequence), CMOS-law processors, discrete voltage
 levels, recorded timelines, event tracing (``SimulationConfig(trace=True)``),
@@ -52,7 +83,8 @@ per unit for symmetry with the scalar paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union, TYPE_CHECKING
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 
 import numpy as np
 
@@ -75,9 +107,14 @@ from .results import DeadlineMiss, SimulationResult
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import SimulationConfig
 
-__all__ = ["BatchUnit", "simulate_batch", "batch_fallback_reason"]
+__all__ = ["BatchUnit", "LANE_BUDGET", "simulate_batch", "batch_fallback_reason"]
 
 _EPS = 1e-9
+
+#: Lock-step width a block aims for, in (unit, hyperperiod) lanes: a block
+#: advances ``max(1, LANE_BUDGET // live units)`` hyperperiods of every live
+#: unit.  Chosen by measurement (see the module docstring).
+LANE_BUDGET = 1000
 
 #: Rank-padding sentinel: real dispatch ranks are tiny (< n_jobs), so a
 #: surviving sentinel after the masked min means "no eligible job".
@@ -119,8 +156,15 @@ class BatchUnit:
                          config=self.config, workload=workload, rng=rng)
 
 
-def batch_fallback_reason(unit: BatchUnit) -> Optional[str]:
-    """Why ``unit`` must take the compiled fallback (``None`` = vectorizable)."""
+def batch_fallback_reason(unit: BatchUnit,
+                          schedule_reasons: Optional[Dict[int, Optional[str]]] = None,
+                          ) -> Optional[str]:
+    """Why ``unit`` must take the compiled fallback (``None`` = vectorizable).
+
+    ``schedule_reasons`` memoizes the per-schedule part of the check by
+    schedule identity, so a batch whose units share schedules checks each
+    schedule once; pass one dict per batch, while its schedules are alive.
+    """
     policy = unit.policy
     if isinstance(policy, str):
         policy = get_policy(policy)
@@ -139,10 +183,19 @@ def batch_fallback_reason(unit: BatchUnit) -> Optional[str]:
         return f"transition model type {type(config.transition_model).__name__}"
     if unit.processor.law != "linear":
         return f"processor law {unit.processor.law!r}"
-    instances = unit.schedule.expansion.instances
+    if schedule_reasons is None:
+        return _schedule_fallback_reason(unit.schedule)
+    key = id(unit.schedule)
+    if key not in schedule_reasons:
+        schedule_reasons[key] = _schedule_fallback_reason(unit.schedule)
+    return schedule_reasons[key]
+
+
+def _schedule_fallback_reason(schedule: StaticSchedule) -> Optional[str]:
+    instances = schedule.expansion.instances
     if not instances:
         return "empty schedule"
-    if any(not unit.schedule.entries_for_instance(instance) for instance in instances):
+    if any(not schedule.entries_for_instance(instance) for instance in instances):
         return "job without schedule entries"
     return None
 
@@ -153,8 +206,9 @@ def simulate_batch(units: Sequence[BatchUnit]) -> List[SimulationResult]:
     resolved = [unit.resolved() for unit in units]
     results: List[Optional[SimulationResult]] = [None] * len(resolved)
     vectorized: List[int] = []
+    schedule_reasons: Dict[int, Optional[str]] = {}
     for index, unit in enumerate(resolved):
-        reason = batch_fallback_reason(unit)
+        reason = batch_fallback_reason(unit, schedule_reasons)
         if reason is None:
             vectorized.append(index)
         else:
@@ -164,7 +218,6 @@ def simulate_batch(units: Sequence[BatchUnit]) -> List[SimulationResult]:
                                               unit.config, unit.workload, unit.rng)
     if vectorized:
         telemetry.count("sim.batched_units", len(vectorized))
-        telemetry.observe("sim.soa_width", float(len(vectorized)))
         with telemetry.span("sim.batch"):
             engine = _SoAEngine([resolved[index] for index in vectorized])
             for index, result in zip(vectorized, engine.run()):
@@ -173,20 +226,27 @@ def simulate_batch(units: Sequence[BatchUnit]) -> List[SimulationResult]:
 
 
 class _SoAEngine:
-    """Lock-step structure-of-arrays event loop over vectorizable units.
+    """Lock-step structure-of-arrays event loop over (unit, hyperperiod) lanes.
 
-    Shapes: ``U`` units, ``J`` = widest job count, ``E`` = widest per-job
-    entry count, ``T`` = widest task count.  Padding jobs are permanently
-    ``finished``; padding entries are never addressed because ``position``
-    stays within each job's real entry range.
+    Shapes: ``U`` units, ``S`` distinct ``(schedule, processor)`` pairs,
+    ``L`` lanes of the current block, ``J`` = widest job count, ``E`` =
+    widest per-job entry count, ``T`` = widest task count.  Padding jobs are
+    permanently ``finished``; padding entries are never addressed because
+    ``position`` stays within each job's real entry range.
     """
 
-    #: Field order of the packed per-(unit, job) hot state, axis 2 of
+    #: Field order of the packed per-(lane, job) hot state, axis 2 of
     #: ``jobpack``.  The first three columns are the ones ``_execute``
     #: writes back; the rest are read-only within a dispatch.
     _JOBPACK_FIELDS = ("budget", "actual", "wc_rem", "cur_end_abs",
                        "cur_planned", "dl_abs", "fin_abs", "ceff",
                        "position", "last_entry", "task_of_job")
+    #: Jobpack columns that hold absolute times (relative time + lane offset).
+    _ABSOLUTE_COLUMNS = [3, 5, 6]
+
+    #: Per-unit constants copied onto the lanes at every block start.
+    _LANE_CONSTANTS = ("fmax", "vmax", "vmin", "k", "fmin", "trans_free",
+                       "trans_ec", "policy_id")
 
     def _bind_jobpack_views(self) -> None:
         """(Re)bind the named 2-D attribute views into ``jobpack``."""
@@ -195,130 +255,131 @@ class _SoAEngine:
 
     def __init__(self, units: List[BatchUnit]) -> None:
         self.units = units
-        compiled = [CompiledSchedule(unit.schedule, unit.processor) for unit in units]
-        self.compiled = compiled
         U = len(units)
+        # One CompiledSchedule and one set of padded static rows per distinct
+        # (schedule, processor): the units of a sweep mostly share schedules.
+        compiled: List[CompiledSchedule] = []
+        index_of_pair: Dict[Tuple[int, ProcessorModel], int] = {}
+        unit_sched: List[int] = []
+        for unit in units:
+            pair = (id(unit.schedule), unit.processor)
+            if pair not in index_of_pair:
+                index_of_pair[pair] = len(compiled)
+                compiled.append(CompiledSchedule(unit.schedule, unit.processor))
+            unit_sched.append(index_of_pair[pair])
+        self.unit_sched = np.array(unit_sched, dtype=np.intp)
+        S = len(compiled)
         J = max(c.n_jobs for c in compiled)
         E = max(max(len(b) for b in c.entry_budgets) for c in compiled)
 
+        # ------------------------------------------------------------------ #
+        # Per-schedule static tables, padded to J jobs and E entries.
+        # ------------------------------------------------------------------ #
         self.n_jobs = np.array([c.n_jobs for c in compiled], dtype=np.int64)
-        self.n_hp = np.array([u.config.n_hyperperiods for u in units], dtype=np.int64)
         self.hyperperiod = np.array([c.hyperperiod for c in compiled], dtype=float)
-
-        # Per-unit processor/transition constants (linear law only).
-        self.fmax = np.array([u.processor.fmax for u in units], dtype=float)
-        self.vmax = np.array([u.processor.vmax for u in units], dtype=float)
-        self.vmin = np.array([u.processor.vmin for u in units], dtype=float)
-        self.k = np.array([u.processor._k for u in units], dtype=float)
-        # Same computation as the ``ProcessorModel.fmin`` property (vmin / k).
-        self.fmin = np.array([u.processor.fmin for u in units], dtype=float)
-        self.trans_free = np.array(
-            [u.config.transition_model.is_free for u in units], dtype=bool)
-        # transition_energy computes efficiency_loss * cdd * |dv²| with this
-        # exact association (left-to-right), so the pre-multiplied constant
-        # is bitwise-equivalent.
-        self.trans_ec = np.array(
-            [u.config.transition_model.efficiency_loss * u.config.transition_model.cdd
-             for u in units], dtype=float)
-        self.policy_id = np.array(
-            [_POLICY_IDS[type(unit.policy)] for unit in units], dtype=np.int64)
-
-        # The jobpack: every hot per-(unit, job) float column the dispatch
-        # kernel touches, packed into one contiguous (U, J, 11) array.  The
-        # named attributes below are 2-D *views* into it (rebound by
-        # :meth:`_bind_jobpack_views` whenever the pack is reallocated), so
-        # all bookkeeping code reads naturally while ``_execute`` pays one
-        # fancy-index gather and one scatter per step instead of ~15.
-        # ``position``/``last_entry``/``task_of_job`` ride along as floats
-        # (small integers, exact in float64) and are cast at their few index
-        # uses.
-        self.jobpack = np.zeros((U, J, len(self._JOBPACK_FIELDS)), dtype=float)
-        self.jobpack[:, :, self._JOBPACK_FIELDS.index("ceff")] = 1.0
-        self._bind_jobpack_views()
-
-        # Per-(unit, job) static data, padded to J columns.
-        self.valid = np.zeros((U, J), dtype=bool)
-        self.rel = np.zeros((U, J), dtype=float)
-        self.dl = np.zeros((U, J), dtype=float)
-        self.fin_end = np.zeros((U, J), dtype=float)
-        self.wc_total = np.zeros((U, J), dtype=float)
-        self.first_budget = np.zeros((U, J), dtype=float)
-        self.wcec = np.zeros((U, J), dtype=float)
-        self.rank = np.full((U, J), 2**31, dtype=np.int64)
-        self.job_of_rank = np.zeros((U, J), dtype=np.int64)
+        # The lane jobpack's starting values, with times relative to the
+        # hyperperiod start; a block start gathers it per lane, adds each
+        # lane's offset to the absolute-time columns and fills ``actual``.
+        self.pack_template = np.zeros((S, J, len(self._JOBPACK_FIELDS)), dtype=float)
+        self.pack_template[:, :, self._JOBPACK_FIELDS.index("ceff")] = 1.0
+        template = {name: self.pack_template[:, :, i]
+                    for i, name in enumerate(self._JOBPACK_FIELDS)}
+        self.valid = np.zeros((S, J), dtype=bool)
+        self.rel = np.zeros((S, J), dtype=float)
+        self.wcec = np.zeros((S, J), dtype=float)
+        self.sched_rank = np.full((S, J), 2**31, dtype=np.int64)
+        self.sched_job_of_rank = np.zeros((S, J), dtype=np.int64)
         # Dispatch-rank sort keys, needed only by jittered lanes: priority
         # (+inf padding keeps padding jobs behind every real job) and the
         # rank of the unique (task name, job index) pair — an
         # order-isomorphic integer stand-in for the compiled loop's string
         # tiebreak, so one row lexsort reproduces its sort exactly.
-        self.prio = np.full((U, J), np.inf, dtype=float)
-        self.tiebreak = np.zeros((U, J), dtype=np.int64)
-
-        self.entry_budget = np.zeros((U, J, E), dtype=float)
-        self.entry_end = np.zeros((U, J, E), dtype=float)
-        self.entry_slot = np.zeros((U, J, E), dtype=float)
-        self.entry_planned = np.zeros((U, J, E), dtype=float)
-
-        # Sorted *absolute* release times with a +inf sentinel column,
-        # refilled at every hyperperiod reset: the per-unit release cursor
-        # indexes this row to find the next release.  (Absolute, not
-        # relative-plus-offset, because jittered releases do not decompose.)
-        self.rel_sorted = np.full((U, J + 1), np.inf, dtype=float)
+        self.prio = np.full((S, J), np.inf, dtype=float)
+        self.tiebreak = np.zeros((S, J), dtype=np.int64)
+        self.entry_budget = np.zeros((S, J, E), dtype=float)
+        self.entry_end = np.zeros((S, J, E), dtype=float)
+        self.entry_slot = np.zeros((S, J, E), dtype=float)
+        self.entry_planned = np.zeros((S, J, E), dtype=float)
 
         self.task_names: List[List[str]] = []
         self.job_names: List[List[str]] = []
         self.job_indices: List[List[int]] = []
-        n_tasks = []
-        for u, c in enumerate(compiled):
+        for s, c in enumerate(compiled):
             n = c.n_jobs
-            self.valid[u, :n] = True
-            self.rel[u, :n] = c.release_list
-            self.dl[u, :n] = c.deadline_list
-            self.fin_end[u, :n] = c.final_end_list
-            self.wc_total[u, :n] = c.wc_total_list
-            self.first_budget[u, :n] = c.first_budget_list
-            self.wcec[u, :n] = c.wcecs
-            self.ceff[u, :n] = c.ceffs
-            self.rank[u, :n] = c.rank_of_job
-            self.job_of_rank[u, :n] = c.job_of_rank
-            self.prio[u, :n] = c.priorities
+            self.valid[s, :n] = True
+            self.rel[s, :n] = c.release_list
+            self.wcec[s, :n] = c.wcecs
+            self.sched_rank[s, :n] = c.rank_of_job
+            self.sched_job_of_rank[s, :n] = c.job_of_rank
+            self.prio[s, :n] = c.priorities
             order = sorted(range(n), key=lambda j: (c.task_names[j], c.job_indices[j]))
             for tb, j in enumerate(order):
-                self.tiebreak[u, j] = tb
+                self.tiebreak[s, j] = tb
+            template["budget"][s, :n] = c.first_budget_list
+            template["wc_rem"][s, :n] = c.wc_total_list
+            template["dl_abs"][s, :n] = c.deadline_list
+            template["fin_abs"][s, :n] = c.final_end_list
+            template["ceff"][s, :n] = c.ceffs
             names: List[str] = []
             index_of: Dict[str, int] = {}
             for j in range(n):
                 budgets = c.entry_budgets[j]
-                self.last_entry[u, j] = len(budgets) - 1
-                self.entry_budget[u, j, :len(budgets)] = budgets
-                self.entry_end[u, j, :len(budgets)] = c.entry_end_times[j]
-                self.entry_slot[u, j, :len(budgets)] = c.entry_slot_starts[j]
-                self.entry_planned[u, j, :len(budgets)] = c.entry_planned[j]
+                template["last_entry"][s, j] = len(budgets) - 1
+                self.entry_budget[s, j, :len(budgets)] = budgets
+                self.entry_end[s, j, :len(budgets)] = c.entry_end_times[j]
+                self.entry_slot[s, j, :len(budgets)] = c.entry_slot_starts[j]
+                self.entry_planned[s, j, :len(budgets)] = c.entry_planned[j]
                 name = c.task_names[j]
                 if name not in index_of:
                     index_of[name] = len(names)
                     names.append(name)
-                self.task_of_job[u, j] = index_of[name]
+                template["task_of_job"][s, j] = index_of[name]
             self.task_names.append(names)
             self.job_names.append(list(c.task_names))
             self.job_indices.append(list(c.job_indices))
-            n_tasks.append(len(names))
-        T = max(n_tasks)
-        self.n_tasks_arr = np.array(n_tasks, dtype=np.int64)
-        self.max_entries = np.array(
-            [max(len(b) for b in c.entry_budgets) for c in compiled], dtype=np.int64)
+        template["cur_end_abs"][:] = self.entry_end[:, :, 0]
+        template["cur_planned"][:] = self.entry_planned[:, :, 0]
+        T = max(len(names) for names in self.task_names)
+
+        # ------------------------------------------------------------------ #
+        # Per-unit constants and workload draws.
+        # ------------------------------------------------------------------ #
+        self.n_hp = np.array([u.config.n_hyperperiods for u in units], dtype=np.int64)
+        # Linear-law processor and transition constants.  ``fmin`` is the
+        # same computation as the ``ProcessorModel.fmin`` property
+        # (vmin / k); transition_energy computes efficiency_loss * cdd *
+        # |dv²| with this exact association (left-to-right), so the
+        # pre-multiplied ``trans_ec`` is bitwise-equivalent.
+        self.per_unit = {
+            "fmax": np.array([u.processor.fmax for u in units], dtype=float),
+            "vmax": np.array([u.processor.vmax for u in units], dtype=float),
+            "vmin": np.array([u.processor.vmin for u in units], dtype=float),
+            "k": np.array([u.processor._k for u in units], dtype=float),
+            "fmin": np.array([u.processor.fmin for u in units], dtype=float),
+            "trans_free": np.array(
+                [u.config.transition_model.is_free for u in units], dtype=bool),
+            "trans_ec": np.array(
+                [u.config.transition_model.efficiency_loss * u.config.transition_model.cdd
+                 for u in units], dtype=float),
+            "policy_id": np.array(
+                [_POLICY_IDS[type(u.policy)] for u in units], dtype=np.int64),
+        }
 
         # Whole-run workload draws, one sample_batch call per unit exactly as
         # the compiled path makes it (the bitwise RNG-stream contract), rows
-        # padded to (widest horizon, J) so a hyperperiod reset is one gather.
+        # padded to (widest horizon, J) so a block start is one gather.
         # Arrival jitter is drawn first, per unit, mirroring run_compiled's
-        # stream order (jitter draw, then workload draw); lanes without an
-        # arrival model make no draw and keep all-zero jitter rows.
+        # stream order (jitter draw, then workload draw); units without an
+        # arrival model make no draw, and with none in the batch there is no
+        # jitter table at all.
         self.has_jitter = np.array(
             [unit.config.arrivals is not None for unit in units], dtype=bool)
-        self.jitter_arr = np.zeros((U, int(self.n_hp.max()), J), dtype=float)
-        self.samples_arr = np.zeros((U, int(self.n_hp.max()), J), dtype=float)
-        for u, (unit, c) in enumerate(zip(units, compiled)):
+        H = int(self.n_hp.max())
+        self.jitter_arr = (np.zeros((U, H, J), dtype=float)
+                           if self.has_jitter.any() else None)
+        self.samples_arr = np.zeros((U, H, J), dtype=float)
+        for u, unit in enumerate(units):
+            c = compiled[unit_sched[u]]
             if unit.config.arrivals is not None:
                 offs = unit.config.arrivals.sample_offsets(
                     unit.rng, c.instances, int(self.n_hp[u]))
@@ -326,192 +387,243 @@ class _SoAEngine:
             drawn = unit.workload.sample_batch(unit.rng, c.tasks, int(self.n_hp[u]))
             self.samples_arr[u, :int(self.n_hp[u]), :c.n_jobs] = drawn
 
-        # Dynamic state.
-        self.active = np.ones(U, dtype=bool)
-        self.time = np.zeros(U, dtype=float)
-        self.offset = np.zeros(U, dtype=float)
-        self.hp_index = np.zeros(U, dtype=np.int64)
-        self.cursor = np.zeros(U, dtype=np.int64)
-        self.unfinished = np.zeros((U, J), dtype=bool)
-        #: Jobs whose current entry budget is exhausted but whose position has
-        #: not been advanced yet (maintained incrementally at dispatch/reset
-        #: time so the step loop never scans all budgets).
-        self.pending_advance = np.zeros((U, J), dtype=bool)
-        self.rel_abs = np.zeros((U, J), dtype=float)
-        self.cur_slot_abs = np.zeros((U, J), dtype=float)
-        self.has_voltage = np.zeros(U, dtype=bool)
-        self.cur_voltage = np.zeros(U, dtype=float)
-        self.energy_hp = np.zeros(U, dtype=float)
-        self.trans_hp = np.zeros(U, dtype=float)
+        # ------------------------------------------------------------------ #
+        # Per-unit run-wide results, folded from the lanes at each block end.
+        # ------------------------------------------------------------------ #
+        self.hp_done = np.zeros(U, dtype=np.int64)
         self.trans_total = np.zeros(U, dtype=float)
         self.task_energy = np.zeros((U, T), dtype=float)
         self.task_touched = np.zeros((U, T), dtype=bool)
         self.task_order: List[List[int]] = [[] for _ in range(U)]
         self.energy_per_hp: List[List[float]] = [[] for _ in range(U)]
         self.misses: List[List[DeadlineMiss]] = [[] for _ in range(U)]
-        self.u_range = np.arange(U)
+        self.results: List[Optional[SimulationResult]] = [None] * U
 
         # Voltage history only feeds transition accounting; with every model
         # free the charge is identically zero, so tracking can be skipped.
-        self.track_voltage = not bool(np.all(self.trans_free))
-        #: Distinct policy ids in the batch (static; recomputed on compaction).
-        self.pid_list = sorted(set(self.policy_id.tolist()))
-        #: Row -> original unit index; rows of exhausted units are dropped by
-        #: :meth:`_compact`, their results already assembled into ``done``.
-        self.slot = np.arange(U)
-        self.done: List[Optional[SimulationResult]] = [None] * U
-        self._want_compact = False
+        self.track_voltage = not bool(np.all(self.per_unit["trans_free"]))
 
     # ------------------------------------------------------------------ #
-    # Hyperperiod reset (mirrors CompiledRunner.reset_hyperperiod)
-    # ------------------------------------------------------------------ #
-    def _reset_lanes(self, lanes: np.ndarray) -> None:
-        offset = self.offset
-        offset[lanes] = self.hp_index[lanes] * self.hyperperiod[lanes]
-        rows = self.samples_arr[lanes, self.hp_index[lanes]]
-        cycles = np.minimum(np.maximum(rows, 0.0), self.wcec[lanes])
-        self.actual[lanes] = cycles
-        self.budget[lanes] = self.first_budget[lanes]
-        self.wc_rem[lanes] = self.wc_total[lanes]
-        self.position[lanes] = 0
-        self.unfinished[lanes] = (cycles > _EPS) & self.valid[lanes]
-        self.pending_advance[lanes] = (self.first_budget[lanes] <= _EPS) & \
-            (self.last_entry[lanes] > 0)
-        off = offset[lanes][:, None]
-        rel_abs = self.rel[lanes] + off
-        jm = self.has_jitter[lanes]
-        if jm.any():
-            # Release jitter, added after the offset — the compiled loop's
-            # exact association (release + offset, then += jitter).  All-zero
-            # jitter rows (PeriodicArrivals) are bitwise no-ops.
-            jl = lanes[jm]
-            rel_abs[jm] += self.jitter_arr[jl, self.hp_index[jl]]
-            # Jittered releases reshuffle dispatch order across hyperperiods:
-            # re-derive the rank permutation exactly as CompiledRunner sorts
-            # its jobs — by (priority, absolute release, task name, job
-            # index), the last two standing in as the precomputed integer
-            # ``tiebreak``.  np.lexsort's primary key is the *last* one.
-            order = np.lexsort(
-                (self.tiebreak[jl], rel_abs[jm], self.prio[jl]), axis=-1)
-            self.job_of_rank[jl] = order
-            ranks = np.empty_like(order)
-            np.put_along_axis(
-                ranks, order,
-                np.broadcast_to(np.arange(order.shape[1]), order.shape),
-                axis=1)
-            # Padding jobs pick up small ranks here (their +inf priority
-            # sorts them last); harmless — they are never eligible, and the
-            # masked rank reduction only looks at eligible jobs.
-            self.rank[jl] = ranks
-        self.rel_abs[lanes] = rel_abs
-        # Refill the sorted-release row with *absolute* times (+inf padding;
-        # the sentinel column J never needs rewriting).
-        self.rel_sorted[lanes, :rel_abs.shape[1]] = np.sort(
-            np.where(self.valid[lanes], rel_abs, np.inf), axis=1)
-        self.dl_abs[lanes] = self.dl[lanes] + off
-        self.fin_abs[lanes] = self.fin_end[lanes] + off
-        self.cur_slot_abs[lanes] = self.entry_slot[lanes, :, 0] + off
-        self.cur_end_abs[lanes] = self.entry_end[lanes, :, 0] + off
-        self.cur_planned[lanes] = self.entry_planned[lanes, :, 0]
-        self.cursor[lanes] = 0
-        self.time[lanes] = offset[lanes]
-        self.energy_hp[lanes] = 0.0
-        self.trans_hp[lanes] = 0.0
-        self.has_voltage[lanes] = False
-
-    def _finish_hyperperiod(self, lanes: np.ndarray) -> None:
-        for u in lanes:
-            self.energy_per_hp[u].append(float(self.energy_hp[u]))
-        # Per-hyperperiod fold in hyperperiod order, as the scalar driver does.
-        self.trans_total[lanes] = self.trans_total[lanes] + self.trans_hp[lanes]
-        self.hp_index[lanes] += 1
-        exhausted = lanes[self.hp_index[lanes] >= self.n_hp[lanes]]
-        if exhausted.size:
-            # Assemble finished units' results now, while their rows are
-            # still present; a later compaction may drop the rows entirely.
-            for u in exhausted:
-                self.done[int(self.slot[u])] = self._result(int(u))
-            self.active[exhausted] = False
-            remaining = int(self.active.sum())
-            if remaining <= 0.75 * self.active.size and self.active.size >= 8:
-                self._want_compact = True
-        continuing = lanes[self.hp_index[lanes] < self.n_hp[lanes]]
-        if continuing.size:
-            self._reset_lanes(continuing)
-
-    # Attributes compacted with the unit rows, grouped by shape.
-    _ROW_1D = ("n_jobs", "n_hp", "hyperperiod", "fmax", "vmax", "vmin", "k",
-               "fmin", "trans_free", "trans_ec", "policy_id", "active", "time",
-               "offset", "hp_index", "cursor", "has_voltage", "cur_voltage",
-               "energy_hp", "trans_hp", "trans_total", "slot", "max_entries",
-               "n_tasks_arr", "has_jitter")
-    _ROW_2D = ("valid", "rel", "dl", "fin_end", "wc_total", "first_budget",
-               "wcec", "rank", "job_of_rank", "prio", "tiebreak",
-               "unfinished", "pending_advance", "rel_abs", "cur_slot_abs")
-    _ROW_3D = ("entry_budget", "entry_end", "entry_slot", "entry_planned")
-    _ROW_LISTS = ("units", "compiled", "task_names", "job_names",
-                  "job_indices", "task_order", "energy_per_hp", "misses")
-
-    def _compact(self) -> None:
-        """Drop rows of exhausted units and re-pad to the surviving widths.
-
-        Rows finish at very different times (heterogeneous horizons), so
-        without compaction every step keeps paying for the widest, longest
-        unit in the original batch.  Pure row slicing — the surviving rows'
-        values are untouched, so results stay bitwise identical.
-        """
-        keep = np.nonzero(self.active)[0]
-        if keep.size == self.active.size:
-            return
-        # Gauge, not per-step: compaction fires once per batch of retiring
-        # rows, so the observation cost stays off the hot loop.
-        _telemetry().observe("sim.soa_width", float(keep.size))
-        if keep.size == 0:
-            self.active = self.active[:0]
-            return
-        J = int(self.n_jobs[keep].max())
-        E = int(self.max_entries[keep].max())
-        T = int(self.n_tasks_arr[keep].max())
-        for name in self._ROW_1D:
-            setattr(self, name, getattr(self, name)[keep])
-        for name in self._ROW_2D:
-            setattr(self, name, getattr(self, name)[keep][:, :J])
-        self.rel_sorted = self.rel_sorted[keep][:, :J + 1]
-        for name in self._ROW_3D:
-            setattr(self, name, getattr(self, name)[keep][:, :J, :E])
-        self.jobpack = self.jobpack[keep][:, :J]
-        self._bind_jobpack_views()
-        self.task_energy = self.task_energy[keep][:, :T]
-        self.task_touched = self.task_touched[keep][:, :T]
-        self.samples_arr = self.samples_arr[keep][:, :int(self.n_hp.max()), :J]
-        self.jitter_arr = self.jitter_arr[keep][:, :int(self.n_hp.max()), :J]
-        for name in self._ROW_LISTS:
-            values = getattr(self, name)
-            setattr(self, name, [values[index] for index in keep])
-        self.u_range = np.arange(keep.size)
-        self.pid_list = sorted(set(self.policy_id.tolist()))
-
-    # ------------------------------------------------------------------ #
-    # Main loop
+    # Blocks
     # ------------------------------------------------------------------ #
     def run(self) -> List[SimulationResult]:
         for unit in self.units:
             unit.policy.on_simulation_start(unit.schedule, unit.processor)
-        self._reset_lanes(self.u_range)
+        telemetry = _telemetry()
         with np.errstate(divide="ignore", invalid="ignore"):
             while True:
-                if self._want_compact:
-                    self._compact()
-                    self._want_compact = False
-                if not self.active.any():
+                live = np.nonzero(self.hp_done < self.n_hp)[0]
+                if not live.size:
                     break
-                self._step()
-        return list(self.done)  # type: ignore[arg-type]
+                counts = np.minimum(max(1, LANE_BUDGET // live.size),
+                                    self.n_hp[live] - self.hp_done[live])
+                telemetry.count("sim.lane_blocks")
+                telemetry.observe("sim.soa_width", float(counts.sum()))
+                self._start_block(live, counts)
+                while True:
+                    if self._want_compact:
+                        self._compact()
+                        self._want_compact = False
+                    if not self.active.any():
+                        break
+                    self._step()
+                self._fold_block(live, counts)
+        return self.results  # type: ignore[return-value]
 
+    def _start_block(self, live: np.ndarray, counts: np.ndarray) -> None:
+        """Reset one lane per (live unit, hyperperiod) of the block.
+
+        Mirrors ``CompiledRunner.reset_hyperperiod`` plus the per-hyperperiod
+        set-up of ``run_hyperperiod``, for every lane at once.  Lanes are laid
+        out unit by unit, hyperperiods ascending, and ``lane_id`` keeps that
+        position through compaction: it is the fold order.
+        """
+        lane_unit = np.repeat(live, counts)
+        L = lane_unit.size
+        first_lane = np.repeat(np.cumsum(counts) - counts, counts)
+        lane_hp = self.hp_done[lane_unit] + (np.arange(L) - first_lane)
+        sched = self.unit_sched[lane_unit]
+        J = int(self.n_jobs[sched].max())
+        self.lane_id = np.arange(L)
+        self.lane_sched = sched
+        self.lane_hp = lane_hp
+        self.lane_range = np.arange(L)
+        for name in self._LANE_CONSTANTS:
+            setattr(self, name, self.per_unit[name][lane_unit])
+
+        offset = lane_hp * self.hyperperiod[sched]
+        off = offset[:, None]
+        self.offset = offset
+        cycles = np.minimum(np.maximum(self.samples_arr[lane_unit, lane_hp, :J], 0.0),
+                            self.wcec[sched, :J])
+        # The jobpack: every hot per-(lane, job) float column the dispatch
+        # kernel touches, packed into one contiguous (L, J, 11) array.  The
+        # named attributes are 2-D *views* into it (rebound by
+        # :meth:`_bind_jobpack_views` whenever the pack is reallocated), so
+        # all bookkeeping code reads naturally while ``_execute`` pays one
+        # fancy-index gather and one scatter per step instead of ~15.
+        # ``position``/``last_entry``/``task_of_job`` ride along as floats
+        # (small integers, exact in float64) and are cast at their few index
+        # uses.
+        self.jobpack = self.pack_template[sched, :J]
+        self.jobpack[:, :, self._ABSOLUTE_COLUMNS] += off[:, :, None]
+        self._bind_jobpack_views()
+        self.actual[:] = cycles
+        valid = self.valid[sched, :J]
+        self.unfinished = (cycles > _EPS) & valid
+        #: Jobs whose current entry budget is exhausted but whose position has
+        #: not been advanced yet (maintained incrementally at dispatch/reset
+        #: time so the step loop never scans all budgets).
+        self.pending_advance = (self.budget <= _EPS) & (self.last_entry > 0)
+        rel_abs = self.rel[sched, :J] + off
+        self.rank = self.sched_rank[sched, :J]
+        self.job_of_rank = self.sched_job_of_rank[sched, :J]
+        if self.jitter_arr is not None:
+            jm = self.has_jitter[lane_unit]
+            if jm.any():
+                # Release jitter, added after the offset — the compiled loop's
+                # exact association (release + offset, then += jitter).
+                # All-zero jitter rows (PeriodicArrivals) are bitwise no-ops.
+                jittered = np.nonzero(jm)[0]
+                rel_abs[jittered] += self.jitter_arr[lane_unit[jittered], lane_hp[jittered], :J]
+                # Jittered releases reshuffle the dispatch order: derive the
+                # rank permutation exactly as CompiledRunner sorts its jobs —
+                # by (priority, absolute release, task name, job index), the
+                # last two standing in as the precomputed integer
+                # ``tiebreak``.  np.lexsort's primary key is the *last* one.
+                js = sched[jittered]
+                order = np.lexsort(
+                    (self.tiebreak[js, :J], rel_abs[jittered], self.prio[js, :J]), axis=-1)
+                self.job_of_rank[jittered] = order
+                ranks = np.empty_like(order)
+                np.put_along_axis(
+                    ranks, order,
+                    np.broadcast_to(np.arange(order.shape[1]), order.shape),
+                    axis=1)
+                # Padding jobs pick up small ranks here (their +inf priority
+                # sorts them last); harmless — they are never eligible, and
+                # the masked rank reduction only looks at eligible jobs.
+                self.rank[jittered] = ranks
+        self.rel_abs = rel_abs
+        # Sorted *absolute* release times with a +inf sentinel column: the
+        # per-lane release cursor indexes this row to find the next release.
+        # (Absolute, not relative-plus-offset, because jittered releases do
+        # not decompose.)
+        self.rel_sorted = np.full((L, J + 1), np.inf, dtype=float)
+        self.rel_sorted[:, :J] = np.sort(np.where(valid, rel_abs, np.inf), axis=1)
+        self.cur_slot_abs = self.entry_slot[sched, :J, 0] + off
+        self.cursor = np.zeros(L, dtype=np.int64)
+        self.time = offset.copy()
+        self.active = np.ones(L, dtype=bool)
+        self.has_voltage = np.zeros(L, dtype=bool)
+        self.cur_voltage = np.zeros(L, dtype=float)
+        self.energy_hp = np.zeros(L, dtype=float)
+        self.trans_hp = np.zeros(L, dtype=float)
+        #: Distinct policy ids among the lanes (recomputed on compaction).
+        self.pid_list = sorted(set(self.policy_id.tolist()))
+        # Per-lane outcomes, by lane id, written as each lane finishes.
+        self.block_energy = np.zeros(L, dtype=float)
+        self.block_trans = np.zeros(L, dtype=float)
+        #: Dispatch log for the ``energy_by_task`` fold: one (lane ids, task
+        #: indices, segment energies) triple per step, in step order.
+        self.segments: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: (lane id, miss) in the order the misses happened.
+        self.block_misses: List[Tuple[int, DeadlineMiss]] = []
+        self._want_compact = False
+
+    def _finish_lanes(self, lanes: np.ndarray) -> None:
+        """Retire lanes whose hyperperiod is over; their outcomes wait for the fold."""
+        ids = self.lane_id[lanes]
+        self.block_energy[ids] = self.energy_hp[lanes]
+        self.block_trans[ids] = self.trans_hp[lanes]
+        self.active[lanes] = False
+        remaining = int(self.active.sum())
+        if remaining <= 0.75 * self.active.size and self.active.size >= 8:
+            self._want_compact = True
+
+    def _fold_block(self, live: np.ndarray, counts: np.ndarray) -> None:
+        """Fold the block's lanes into their units, in hyperperiod order.
+
+        Every run-wide sum is extended exactly as the compiled loop extends
+        it: hyperperiod by hyperperiod for the energies and the transition
+        energy, and segment by segment for ``energy_by_task``.
+        """
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        energies = self.block_energy.tolist()
+        for u, start, end in zip(live.tolist(), starts.tolist(), ends.tolist()):
+            self.energy_per_hp[u].extend(energies[start:end])
+        for b in range(int(counts.max())):
+            has = counts > b
+            self.trans_total[live[has]] += self.block_trans[starts[has] + b]
+        # Lane ids ascend in (unit, hyperperiod) order, so a stable sort by
+        # lane id puts every unit's events in the compiled loop's order.
+        unit_of_lane = np.repeat(live, counts)
+        for lane, miss in sorted(self.block_misses, key=itemgetter(0)):
+            self.misses[unit_of_lane[lane]].append(miss)
+        if self.segments:
+            lanes, tasks, energy = (np.concatenate(column) for column in zip(*self.segments))
+            order = np.argsort(lanes, kind="stable")
+            units = unit_of_lane[lanes[order]]
+            tasks = tasks[order]
+            fresh = ~self.task_touched[units, tasks]
+            if fresh.any():
+                # First touch in fold order fixes energy_by_task's key order.
+                fresh_units = units[fresh]
+                fresh_tasks = tasks[fresh]
+                T = self.task_energy.shape[1]
+                _, first = np.unique(fresh_units * T + fresh_tasks, return_index=True)
+                for i in np.sort(first).tolist():
+                    u, t = int(fresh_units[i]), int(fresh_tasks[i])
+                    self.task_touched[u, t] = True
+                    self.task_order[u].append(t)
+            # ufunc.at applies the additions one by one, in index order: a
+            # sequential fold per (unit, task), as the compiled dict update.
+            np.add.at(self.task_energy.reshape(-1),
+                      units * self.task_energy.shape[1] + tasks, energy[order])
+        self.hp_done[live] += counts
+        for u in live[self.hp_done[live] >= self.n_hp[live]].tolist():
+            self.results[u] = self._result(u)
+
+    # Lane attributes compacted together, grouped by shape.
+    _LANE_1D = ("lane_id", "lane_sched", "lane_hp", "active", "time",
+                "offset", "cursor", "has_voltage", "cur_voltage", "energy_hp",
+                "trans_hp") + _LANE_CONSTANTS
+    _LANE_2D = ("rank", "job_of_rank", "unfinished", "pending_advance", "rel_abs",
+                "cur_slot_abs")
+
+    def _compact(self) -> None:
+        """Drop finished lanes and re-pad to the surviving job width.
+
+        Lanes finish at very different times (heterogeneous schedules and
+        draws), so without compaction every step keeps paying for the
+        widest, longest lane of the block.  Pure row slicing — the surviving
+        lanes' values are untouched, so results stay bitwise identical.
+        """
+        keep = np.nonzero(self.active)[0]
+        if keep.size == self.active.size:
+            return
+        if keep.size == 0:
+            self.active = self.active[:0]
+            return
+        J = int(self.n_jobs[self.lane_sched[keep]].max())
+        for name in self._LANE_1D:
+            setattr(self, name, getattr(self, name)[keep])
+        for name in self._LANE_2D:
+            setattr(self, name, getattr(self, name)[keep][:, :J])
+        self.rel_sorted = self.rel_sorted[keep][:, :J + 1]
+        self.jobpack = self.jobpack[keep][:, :J]
+        self._bind_jobpack_views()
+        self.lane_range = np.arange(keep.size)
+        self.pid_list = sorted(set(self.policy_id.tolist()))
+
+    # ------------------------------------------------------------------ #
+    # Lock-step loop
+    # ------------------------------------------------------------------ #
     def _step(self) -> None:
         active = self.active
         t_eps = self.time + _EPS
-        # Exhausted units keep an all-False ``unfinished`` row, so ``live``
+        # Finished lanes keep an all-False ``unfinished`` row, so ``live``
         # needs no explicit ``active`` term.
         released = self.rel_abs <= t_eps[:, None]
         live = released & self.unfinished
@@ -522,12 +634,13 @@ class _SoAEngine:
         advance = self.pending_advance & live
         while advance.any():
             uu, jj = np.nonzero(advance)
+            ss = self.lane_sched[uu]
             self.position[uu, jj] += 1.0
             pp = self.position[uu, jj].astype(np.intp)
-            self.budget[uu, jj] = self.entry_budget[uu, jj, pp]
-            self.cur_slot_abs[uu, jj] = self.entry_slot[uu, jj, pp] + self.offset[uu]
-            self.cur_end_abs[uu, jj] = self.entry_end[uu, jj, pp] + self.offset[uu]
-            self.cur_planned[uu, jj] = self.entry_planned[uu, jj, pp]
+            self.budget[uu, jj] = self.entry_budget[ss, jj, pp]
+            self.cur_slot_abs[uu, jj] = self.entry_slot[ss, jj, pp] + self.offset[uu]
+            self.cur_end_abs[uu, jj] = self.entry_end[ss, jj, pp] + self.offset[uu]
+            self.cur_planned[uu, jj] = self.entry_planned[ss, jj, pp]
             self.pending_advance[uu, jj] = (self.budget[uu, jj] <= _EPS) & \
                 (pp < self.last_entry[uu, jj])
             advance = self.pending_advance & live
@@ -538,20 +651,20 @@ class _SoAEngine:
         eligible = live & (self.cur_slot_abs <= t_eps[:, None])
         # One masked reduction answers both questions at once: the minimum
         # dispatch rank over the eligible set is the ready-heap pop (ranks are
-        # a per-unit permutation, so ``job_of_rank`` inverts the winner), and
+        # a per-lane permutation, so ``job_of_rank`` inverts the winner), and
         # the initial value surviving means nothing was eligible.  Min over a
         # set of distinct ints picks the same element as argmin over the
         # penalty formulation — bitwise-identical dispatch order.
         min_rank = np.min(self.rank, axis=1, initial=_NO_RANK, where=eligible)
         any_eligible = min_rank < _NO_RANK
 
-        # Next release per unit: first sorted release strictly beyond time+eps
+        # Next release per lane: first sorted release strictly beyond time+eps
         # (``rel_sorted`` already holds absolute times).
-        next_release = self.rel_sorted[self.u_range, self.cursor]
+        next_release = self.rel_sorted[self.lane_range, self.cursor]
         behind = active & (next_release <= t_eps)
         while behind.any():
             self.cursor[behind] += 1
-            next_release = self.rel_sorted[self.u_range, self.cursor]
+            next_release = self.rel_sorted[self.lane_range, self.cursor]
             behind = active & (next_release <= t_eps)
 
         executing = active & any_eligible
@@ -565,7 +678,7 @@ class _SoAEngine:
 
     def _resolve_stalls(self, stalled: np.ndarray, live: np.ndarray,
                         next_release: np.ndarray) -> None:
-        # Stalled rows are few; compress to them before any (row, job) work.
+        # Stalled lanes are few; compress to them before any (lane, job) work.
         rows = np.nonzero(stalled)[0]
         live_rows = live[rows]
         any_live = live_rows.any(axis=1)
@@ -590,7 +703,7 @@ class _SoAEngine:
                 self.time[jump] = np.maximum(self.time[jump], release[finite])
             done = idle[~finite]
             if done.size:
-                self._finish_hyperperiod(done)
+                self._finish_lanes(done)
 
     def _execute(self, lanes: np.ndarray, sel: np.ndarray,
                  next_release: np.ndarray) -> None:
@@ -665,15 +778,7 @@ class _SoAEngine:
         segment = cycles * ((ceff_sel * voltage) * voltage)
         self.energy_hp[lanes] += segment
         self.time[lanes] = now + duration
-
-        self.task_energy[lanes, tasks] += segment
-        touched = self.task_touched[lanes, tasks]
-        if not touched.all():
-            for where in np.nonzero(~touched)[0]:
-                u = lanes[where]
-                t = tasks[where]
-                self.task_touched[u, t] = True
-                self.task_order[u].append(int(t))
+        self.segments.append((self.lane_id[lanes], tasks, segment))
 
         new_actual = np.maximum(a_sel - cycles, 0.0)
         new_budget = np.maximum(b_sel - cycles, 0.0)
@@ -694,21 +799,22 @@ class _SoAEngine:
             finish_time = self.time[lanes]
             missed = finished & (finish_time > dl_abs + 1e-6 * np.maximum(1.0, dl_abs))
             for where in np.nonzero(missed)[0]:
-                u = int(lanes[where])
+                lane = int(lanes[where])
+                s = int(self.lane_sched[lane])
                 j = int(sel[where])
-                self.misses[u].append(DeadlineMiss(
-                    task_name=self.job_names[u][j],
-                    job_index=self.job_indices[u][j],
-                    hyperperiod_index=int(self.hp_index[u]),
+                self.block_misses.append((int(self.lane_id[lane]), DeadlineMiss(
+                    task_name=self.job_names[s][j],
+                    job_index=self.job_indices[s][j],
+                    hyperperiod_index=int(self.lane_hp[lane]),
                     deadline=float(dl_abs[where]),
                     finish_time=float(finish_time[where]),
-                ))
+                )))
 
     def _policy_frequency(self, lanes, now, end_abs, b_sel, planned, wc_sel,
                           dl_abs, fin_abs, fmin, fmax) -> np.ndarray:
         """Vectorized ``frequency_from`` of the built-in policies."""
         if len(self.pid_list) == 1:
-            # Homogeneous batch (the common sweep shape): no mask gathers.
+            # Homogeneous lanes (the common sweep shape): no mask gathers.
             return self._policy_kernel(self.pid_list[0], now, end_abs, b_sel,
                                        planned, wc_sel, dl_abs, fin_abs,
                                        fmin, fmax)
@@ -749,9 +855,10 @@ class _SoAEngine:
     # ------------------------------------------------------------------ #
     def _result(self, u: int) -> SimulationResult:
         unit = self.units[u]
+        s = int(self.unit_sched[u])
         per_hp = self.energy_per_hp[u]
         energy_by_task = {
-            self.task_names[u][t]: float(self.task_energy[u, t])
+            self.task_names[s][t]: float(self.task_energy[u, t])
             for t in self.task_order[u]
         }
         return SimulationResult(
@@ -763,6 +870,6 @@ class _SoAEngine:
             transition_energy=float(self.trans_total[u]),
             energy_by_task=energy_by_task,
             deadline_misses=self.misses[u],
-            jobs_completed=int(self.n_jobs[u] * self.n_hp[u]),
+            jobs_completed=int(self.n_jobs[s] * self.n_hp[u]),
             timeline=None,
         )

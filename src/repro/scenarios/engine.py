@@ -65,8 +65,9 @@ __all__ = [
 #: ``simulation.engine = "auto"`` crossover: sweeps with at least this many
 #: simulation work units (jobs x scheduler methods) run on the batched SoA
 #: engine, smaller ones on the compiled scalar loop.  Measured on the
-#: Figure-6a shape: below ~200 units the batched engine's padding and
-#: array-allocation overhead outweighs its lock-step amortisation.
+#: Figure-6a shape when the batched engine advanced one hyperperiod per unit
+#: at a time; since it lock-steps (unit, hyperperiod) lanes its crossover
+#: depends on units x hyperperiods and lies lower (docs/scenarios.md).
 AUTO_BATCH_THRESHOLD = 200
 
 

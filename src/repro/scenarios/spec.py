@@ -240,11 +240,11 @@ class SimulationSpec:
 
     ``engine`` selects the runtime event loop: ``"compiled"`` (the scalar
     fast path), ``"batched"`` (the structure-of-arrays engine of
-    :mod:`repro.runtime.batched`, which advances all of a sweep's work units
-    in lock-step), or ``"auto"`` (the default: the scenario engine counts
-    the sweep's work units after expansion and picks batched only past the
-    measured crossover, ~200 units, below which SoA padding overhead beats
-    its amortisation).  All choices are bitwise-identical for the same
+    :mod:`repro.runtime.batched`, which advances (unit, hyperperiod) lanes
+    of all of a sweep's work units in lock-step), or ``"auto"`` (the
+    default: the scenario engine counts the sweep's work units after
+    expansion and picks batched at ``AUTO_BATCH_THRESHOLD`` = 200 units or
+    more).  All choices are bitwise-identical for the same
     spec, so the engine deliberately does **not** enter the result-store
     signature — a batched run store-hits records computed by a compiled
     run and vice versa.

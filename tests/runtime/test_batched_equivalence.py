@@ -10,7 +10,9 @@ tests hold it to that promise with no tolerances anywhere, across
 * all four built-in DVS policies x all four workload models,
 * non-free voltage-transition models,
 * heterogeneous multi-unit batches (different schedules, policies, horizon
-  lengths in one lock-step advance), and
+  lengths in one lock-step advance),
+* block boundaries: one hyperperiod per block, ragged blocks (a horizon that
+  is not a multiple of the block length) and the default lane budget, and
 * every fallback configuration (CMOS law, discrete voltages, timelines,
   subclassed policies), which must route per-unit to the compiled loop and
   still return the right result.
@@ -27,6 +29,7 @@ from repro.offline.wcs import WCSScheduler
 from repro.power.presets import cmos_processor, ideal_processor
 from repro.power.transition import TransitionModel
 from repro.power.voltage import VoltageLevels
+from repro.runtime import batched as batched_engine
 from repro.runtime.batched import BatchUnit, batch_fallback_reason, simulate_batch
 from repro.runtime.compiled import run_compiled
 from repro.runtime.policies import GreedySlackPolicy, available_policies, get_policy
@@ -44,6 +47,19 @@ WORKLOADS = [
     FixedWorkload(mode="acec"),
     BimodalWorkload(burst_probability=0.3),
 ]
+
+
+def lane_budgets(n_units):
+    """Lane budgets that put the block boundaries of ``n_units`` units apart.
+
+    ``one-hp-blocks`` advances one hyperperiod per block; ``ragged-blocks``
+    advances four hyperperiods of every live unit per block (more as units
+    retire), so a horizon that is not a multiple of the block length ends
+    on a short block; ``default`` keeps the module's budget.  The tests run
+    every budget in turn, so each keeps its one test id.
+    """
+    return {"one-hp-blocks": 1, "ragged-blocks": 4 * n_units,
+            "default": batched_engine.LANE_BUDGET}
 
 
 @pytest.fixture(scope="module")
@@ -77,17 +93,18 @@ def run_both(processor, schedule, workload, policy, seed=20250729, **config_kwar
     return batched, compiled
 
 
-def assert_identical(batched, compiled):
+def assert_identical(batched, compiled, where=""):
     """Exact (bitwise) equality of every reported aggregate."""
-    assert batched.method == compiled.method
-    assert batched.policy == compiled.policy
-    assert batched.n_hyperperiods == compiled.n_hyperperiods
-    assert batched.total_energy == compiled.total_energy
-    assert batched.energy_per_hyperperiod == compiled.energy_per_hyperperiod
-    assert batched.transition_energy == compiled.transition_energy
-    assert batched.energy_by_task == compiled.energy_by_task
-    assert batched.deadline_misses == compiled.deadline_misses
-    assert batched.jobs_completed == compiled.jobs_completed
+    assert batched.method == compiled.method, where
+    assert batched.policy == compiled.policy, where
+    assert batched.n_hyperperiods == compiled.n_hyperperiods, where
+    assert batched.total_energy == compiled.total_energy, where
+    assert batched.energy_per_hyperperiod == compiled.energy_per_hyperperiod, where
+    assert batched.transition_energy == compiled.transition_energy, where
+    assert batched.energy_by_task == compiled.energy_by_task, where
+    assert list(batched.energy_by_task) == list(compiled.energy_by_task), where
+    assert batched.deadline_misses == compiled.deadline_misses, where
+    assert batched.jobs_completed == compiled.jobs_completed, where
 
 
 @pytest.mark.parametrize("policy", available_policies())
@@ -98,13 +115,15 @@ def test_policies_and_workloads(linear_processor, wcs_schedule, policy, workload
 
 
 @pytest.mark.parametrize("policy", available_policies())
-def test_transition_overhead(linear_processor, wcs_schedule, policy):
-    batched, compiled = run_both(
-        linear_processor, wcs_schedule, NormalWorkload(), policy,
-        transition_model=TransitionModel(cdd=0.2, efficiency_loss=0.8),
-    )
-    assert compiled.transition_energy > 0.0
-    assert_identical(batched, compiled)
+def test_transition_overhead(linear_processor, wcs_schedule, policy, monkeypatch):
+    for blocks, budget in lane_budgets(1).items():
+        monkeypatch.setattr(batched_engine, "LANE_BUDGET", budget)
+        batched, compiled = run_both(
+            linear_processor, wcs_schedule, NormalWorkload(), policy,
+            transition_model=TransitionModel(cdd=0.2, efficiency_loss=0.8),
+        )
+        assert compiled.transition_energy > 0.0
+        assert_identical(batched, compiled, blocks)
 
 
 def test_first_touch_task_order_is_preserved(linear_processor, wcs_schedule):
@@ -114,7 +133,7 @@ def test_first_touch_task_order_is_preserved(linear_processor, wcs_schedule):
     assert list(batched.energy_by_task) == list(compiled.energy_by_task)
 
 
-def test_mixed_batch_matches_individual_runs(linear_processor, taskset):
+def test_mixed_batch_matches_individual_runs(linear_processor, taskset, monkeypatch):
     """One lock-step advance over heterogeneous units == each unit run alone."""
     other = TaskSet([
         Task("a", period=8, wcec=1200, acec=700, bcec=200),
@@ -131,28 +150,36 @@ def test_mixed_batch_matches_individual_runs(linear_processor, taskset):
         (constant, "proportional", FixedWorkload(mode="acec"), 3),
         (wcs, "greedy", NormalWorkload(), 9),
     ]
-    units = [
-        BatchUnit(schedule=schedule, processor=linear_processor, policy=policy,
-                  config=SimulationConfig(n_hyperperiods=n_hp),
-                  workload=workload, rng=np.random.default_rng(1000 + index))
+    alone = [
+        run_compiled(schedule, linear_processor, get_policy(policy),
+                     SimulationConfig(n_hyperperiods=n_hp),
+                     workload, np.random.default_rng(1000 + index))
         for index, (schedule, policy, workload, n_hp) in enumerate(specs)
     ]
-    assert all(batch_fallback_reason(unit) is None for unit in units)
-    results = simulate_batch(units)
-    for index, (schedule, policy, workload, n_hp) in enumerate(specs):
-        alone = run_compiled(schedule, linear_processor, get_policy(policy),
-                             SimulationConfig(n_hyperperiods=n_hp),
-                             workload, np.random.default_rng(1000 + index))
-        assert_identical(results[index], alone)
+    # The lookahead unit misses deadlines in several hyperperiods, so the
+    # order of deadline_misses across block boundaries is really checked.
+    assert len({miss.hyperperiod_index for miss in alone[2].deadline_misses}) > 1
+    for blocks, budget in lane_budgets(len(specs)).items():
+        units = [
+            BatchUnit(schedule=schedule, processor=linear_processor, policy=policy,
+                      config=SimulationConfig(n_hyperperiods=n_hp),
+                      workload=workload, rng=np.random.default_rng(1000 + index))
+            for index, (schedule, policy, workload, n_hp) in enumerate(specs)
+        ]
+        assert all(batch_fallback_reason(unit) is None for unit in units)
+        monkeypatch.setattr(batched_engine, "LANE_BUDGET", budget)
+        for result, reference in zip(simulate_batch(units), alone, strict=True):
+            assert_identical(result, reference, blocks)
 
 
-def test_mixed_batch_with_arrivals_and_compaction(linear_processor, taskset):
+def test_mixed_batch_with_arrivals_and_compaction(linear_processor, taskset, monkeypatch):
     """Jittered and periodic lanes advance together through row compaction.
 
-    Nine units with staggered horizons force the engine's mid-run row
-    compaction (which triggers only at >= 8 rows); half the units carry a
-    sporadic arrival model, so the compaction must also slice the per-lane
-    jitter table and the packed job state without disturbing either.
+    Nine units with staggered horizons make blocks wide enough for the
+    engine to compact finished lanes inside them (compaction triggers only
+    at >= 8 lanes); half the units carry a sporadic arrival model, so block
+    starts derive per-lane ranks from the jitter table and compaction must
+    slice those ranks and the packed job state without disturbing either.
     """
     from repro.workloads.arrivals import SporadicArrivals
 
@@ -173,19 +200,24 @@ def test_mixed_batch_with_arrivals_and_compaction(linear_processor, taskset):
             policies[index % 4],
             SimulationConfig(n_hyperperiods=2 + index, arrivals=arrivals),
         ))
-    units = [
-        BatchUnit(schedule=schedule, processor=linear_processor, policy=policy,
-                  config=config, workload=NormalWorkload(),
-                  rng=np.random.default_rng(500 + index))
+    alone = [
+        run_compiled(schedule, linear_processor, get_policy(policy),
+                     config, NormalWorkload(), np.random.default_rng(500 + index))
         for index, (schedule, policy, config) in enumerate(specs)
     ]
-    assert all(batch_fallback_reason(unit) is None for unit in units)
-    results = simulate_batch(units)
-    for index, (schedule, policy, config) in enumerate(specs):
-        alone = run_compiled(schedule, linear_processor, get_policy(policy),
-                             config, NormalWorkload(),
-                             np.random.default_rng(500 + index))
-        assert_identical(results[index], alone)
+    # The jittered proportional unit misses deadlines in several hyperperiods.
+    assert len({miss.hyperperiod_index for miss in alone[7].deadline_misses}) > 1
+    for blocks, budget in lane_budgets(len(specs)).items():
+        units = [
+            BatchUnit(schedule=schedule, processor=linear_processor, policy=policy,
+                      config=config, workload=NormalWorkload(),
+                      rng=np.random.default_rng(500 + index))
+            for index, (schedule, policy, config) in enumerate(specs)
+        ]
+        assert all(batch_fallback_reason(unit) is None for unit in units)
+        monkeypatch.setattr(batched_engine, "LANE_BUDGET", budget)
+        for result, reference in zip(simulate_batch(units), alone, strict=True):
+            assert_identical(result, reference, blocks)
 
 
 class _RecordingPolicy(GreedySlackPolicy):

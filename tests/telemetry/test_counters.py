@@ -3,11 +3,20 @@
 A cold scenario run computes every unit (store misses == computed units);
 the warm rerun replays everything (store hits == units, ``computed=0``);
 a ``--force``-style rerun recomputes the units but answers every NLP solve
-from the warm solve-memo (memo hits, zero memo computes).
+from the warm solve-memo (memo hits, zero memo computes).  A batch of known
+block structure checks the batched engine's own counters.
 """
 
+import numpy as np
 import pytest
 
+from repro.analysis.preemption import expand_fully_preemptive
+from repro.core.task import Task
+from repro.core.taskset import TaskSet
+from repro.offline.baselines import ConstantSpeedScheduler
+from repro.power.presets import ideal_processor
+from repro.runtime import batched
+from repro.runtime.simulator import SimulationConfig
 from repro.scenarios import ResultStore, ScenarioEngine, ScenarioSpec
 from repro.telemetry import Telemetry, using
 
@@ -143,3 +152,28 @@ class TestPooledRun:
             solves.append(sum(count for name, count in telemetry.counters.items()
                               if name.startswith("solve.status.")))
         assert solves[0] == solves[1] > 0
+
+
+class TestBatchedSimulation:
+    """The batched engine's counters describe its blocks of lanes."""
+
+    def test_blocks_lanes_and_units(self, monkeypatch):
+        processor = ideal_processor(fmax=1000.0)
+        schedule = ConstantSpeedScheduler(processor).schedule_expansion(expand_fully_preemptive(
+            TaskSet([Task("a", period=8, wcec=1200, acec=700, bcec=200),
+                     Task("b", period=16, wcec=3000, acec=1500, bcec=500)])))
+        units = [
+            batched.BatchUnit(schedule=schedule, processor=processor, policy="greedy",
+                              config=SimulationConfig(n_hyperperiods=n_hp),
+                              rng=np.random.default_rng(n_hp))
+            for n_hp in (3, 5, 8)
+        ]
+        # Budget 6: blocks of 2 hyperperiods for 3 live units, 3 for 2 and
+        # 6 for 1, each capped at the unit's hyperperiods left:
+        # (2, 2, 2), (1, 2, 2), (1, 3) and (1,) lanes.
+        monkeypatch.setattr(batched, "LANE_BUDGET", 6)
+        with using(Telemetry()) as telemetry:
+            batched.simulate_batch(units)
+        assert telemetry.counters["sim.batched_units"] == 3
+        assert telemetry.counters["sim.lane_blocks"] == 4
+        assert telemetry.observations["sim.soa_width"] == [6.0, 5.0, 4.0, 1.0]
