@@ -17,18 +17,18 @@ process pool.  Every job carries its own explicitly derived RNG seeds (see
 :mod:`repro.experiments.seeding`), so the results are bitwise-identical
 regardless of worker count or completion order.  Both entry points share one
 executor, which plans a chunk of comparisons through the solve memo (each
-distinct problem once) and then simulates it.
+distinct problem once) and then simulates all of its units in one
+:func:`~repro.runtime.batched.simulate_batch` call.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +42,10 @@ from ..offline.batched_solver import SolveMemo, default_solve_memo, plan_expansi
 from ..offline.schedule import StaticSchedule
 from ..offline.wcs import WCSScheduler
 from ..power.processor import ProcessorModel
-from ..runtime.batched import BatchUnit, batch_fallback_reason, simulate_batch
+from ..runtime.batched import BatchUnit, simulate_batch
 from ..runtime.policies import DVSPolicy, GreedySlackPolicy
 from ..runtime.results import SimulationResult, improvement_percent
-from ..runtime.simulator import DVSSimulator, SimulationConfig
+from ..runtime.simulator import SimulationConfig
 from ..workloads.arrivals import ArrivalModel
 from ..workloads.distributions import NormalWorkload, WorkloadModel
 from ..telemetry.core import current as _telemetry
@@ -54,18 +54,17 @@ from ..workloads.random_tasksets import RandomTaskSetConfig, generate_random_tas
 from .seeding import SIMULATION_STREAM, TASKSET_STREAM, derive_rng, derive_seed
 
 __all__ = [
+    "CHUNK_SLICE_THRESHOLD",
     "ComparisonConfig",
     "MethodOutcome",
     "ComparisonResult",
     "ComparisonJob",
-    "aggregate_fallback_reasons",
     "compare_schedulers",
     "iter_comparisons",
     "random_comparison_job",
     "default_schedulers",
     "make_schedulers",
     "scheduler_names",
-    "warn_if_excessive_fallback",
 ]
 
 
@@ -87,22 +86,15 @@ class ComparisonConfig:
     workload: WorkloadModel = field(default_factory=NormalWorkload)
     policy: DVSPolicy = field(default_factory=GreedySlackPolicy)
     simulation: SimulationConfig = None
-    #: Run the simulator's compiled event loop (identical results either way;
-    #: ``False`` pins the reference loop, e.g. for equivalence sweeps).  Only
+    #: Run the fast simulation paths (identical results either way; ``False``
+    #: pins the reference loop, e.g. for equivalence sweeps).  Only
     #: consulted when ``simulation`` is unset — an explicit
     #: :class:`SimulationConfig` carries its own ``fast_path`` and wins.
     fast_path: bool = True
-    #: Simulate through the structure-of-arrays engine of
-    #: :mod:`repro.runtime.batched` instead of one ``DVSSimulator.run`` per
-    #: method: one comparison advances all its method simulations in
-    #: lock-step, and :func:`iter_comparisons` runs a sweep whose jobs are
-    #: all batched as one lock-step chunk (one per worker).  Bitwise-identical
-    #: results either way.  The scenario ``[simulation] engine`` key sets it.
-    batched: bool = False
     #: Record the typed event stream on every method's
     #: :class:`~repro.runtime.results.SimulationResult` (see
-    #: :mod:`repro.runtime.trace`).  Batched units fall back per unit to the
-    #: compiled loop.  Only consulted when ``simulation`` is unset.
+    #: :mod:`repro.runtime.trace`).  Traced units take the compiled loop.
+    #: Only consulted when ``simulation`` is unset.
     trace: bool = False
     #: Optional arrival model perturbing the job releases (``None`` is the
     #: paper's strictly periodic model).  Only consulted when ``simulation``
@@ -146,17 +138,11 @@ class MethodOutcome:
 
 @dataclass
 class ComparisonResult:
-    """Outcome of :func:`compare_schedulers` on one task set.
-
-    ``fallback_reasons`` tallies, per reason, how many simulation units of a
-    batched comparison fell back from the SoA engine to the compiled loop,
-    under ``"batch:<reason>"`` keys.  Empty when nothing fell back.
-    """
+    """Outcome of :func:`compare_schedulers` on one task set."""
 
     taskset_name: str
     outcomes: Dict[str, MethodOutcome]
     baseline: str
-    fallback_reasons: Dict[str, int] = field(default_factory=dict)
 
     def energy(self, method: str) -> float:
         return self.outcomes[method].mean_energy
@@ -180,41 +166,6 @@ class ComparisonResult:
                 outcome.simulation.miss_count,
             ])
         return result
-
-
-def aggregate_fallback_reasons(tallies: Iterable[Optional[Mapping[str, int]]]) -> Dict[str, int]:
-    """Merge per-unit/per-result ``{reason: count}`` tallies into one."""
-    merged: Dict[str, int] = {}
-    for tally in tallies:
-        if not tally:
-            continue
-        for reason, count in tally.items():
-            merged[reason] = merged.get(reason, 0) + count
-    return merged
-
-
-def warn_if_excessive_fallback(fallback_reasons: Mapping[str, int], total_units: int,
-                               *, context: str) -> None:
-    """One-line warning when >50% of a sweep's simulation units fell back.
-
-    A mostly-fallback batched sweep silently runs at compiled-loop speed;
-    surfacing it once per sweep (never per unit) tells the user to either
-    set ``[simulation] engine = "compiled"`` or remove whatever gates the
-    vectorized core.
-    """
-    fell = sum(count for reason, count in fallback_reasons.items() if reason.startswith("batch:"))
-    if total_units > 0 and fell * 2 > total_units:
-        reasons = ", ".join(
-            f"{reason[len('batch:'):]} x{count}"
-            for reason, count in sorted(fallback_reasons.items())
-            if reason.startswith("batch:")
-        )
-        warnings.warn(
-            f"{context}: batched engine fell back for {fell}/{total_units} "
-            f"simulation units ({reasons})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -300,10 +251,11 @@ def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[Com
     own deep-copied policy (a stateful policy must not leak one method's
     runtime history into the next method's simulation) and its own generator
     seeded with the entry's ``cfg.seed`` (paired comparison: every method
-    sees the same workload realisations).  When every entry is batched the
-    units advance together through one :func:`simulate_batch` call;
-    otherwise each runs through ``DVSSimulator.run``.  Results are
-    bitwise-identical either way, and for any chunking of the same entries.
+    sees the same workload realisations).  The units advance together
+    through one :func:`simulate_batch` call, which runs each unit the
+    vectorized core cannot reproduce on its own scalar loop.  Results are
+    bitwise-identical to one ``DVSSimulator.run`` per unit, and for any
+    chunking of the same entries.
     """
     for _, _, methods, cfg in entries:
         if cfg.baseline not in methods:
@@ -327,42 +279,26 @@ def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[Com
         memo=solve_memo,
     )
 
-    batched = all(cfg.batched for _, _, _, cfg in entries)
     units: List[BatchUnit] = []
-    tallies: List[Dict[str, int]] = []
-    schedule_reasons: Dict[int, Optional[str]] = {}
     for (_, processor, _, cfg), group in zip(entries, group_of):
-        tally: Dict[str, int] = {}
         sim_config = cfg.simulation_config()
-        for schedule in planned[group].values():
-            unit = BatchUnit(schedule=schedule, processor=processor,
-                             policy=copy.deepcopy(cfg.policy), config=sim_config,
-                             workload=cfg.workload, rng=np.random.default_rng(cfg.seed))
-            reason = batch_fallback_reason(unit, schedule_reasons) if batched else None
-            if reason is not None:
-                tally["batch:" + reason] = tally.get("batch:" + reason, 0) + 1
-            units.append(unit)
-        tallies.append(tally)
+        units.extend(
+            BatchUnit(schedule=schedule, processor=processor,
+                      policy=copy.deepcopy(cfg.policy), config=sim_config,
+                      workload=cfg.workload, rng=np.random.default_rng(cfg.seed))
+            for schedule in planned[group].values())
     with _telemetry().span("sim.comparison"):
-        if batched:
-            simulations = simulate_batch(units)
-        else:
-            simulations = [
-                DVSSimulator(unit.processor, policy=unit.policy, config=unit.config)
-                .run(unit.schedule, unit.workload, unit.rng)
-                for unit in units
-            ]
+        simulations = simulate_batch(units)
 
     results: List[ComparisonResult] = []
     cursor = iter(simulations)
-    for (taskset, _, _, cfg), group, tally in zip(entries, group_of, tallies):
-        schedules = planned[group]
+    for (taskset, _, _, cfg), group in zip(entries, group_of):
         outcomes = {
             name: MethodOutcome(method=name, schedule=schedule, simulation=next(cursor))
-            for name, schedule in schedules.items()
+            for name, schedule in planned[group].items()
         }
         results.append(ComparisonResult(taskset_name=taskset.name, outcomes=outcomes,
-                                        baseline=cfg.baseline, fallback_reasons=tally))
+                                        baseline=cfg.baseline))
     return results
 
 
@@ -449,6 +385,16 @@ def _run_chunk(jobs: Sequence[ComparisonJob],
     return _compare_chunk(entries, _resolve_solve_memo(solve_memo_root))
 
 
+#: Chunking rule of :func:`iter_comparisons`, in simulation units (jobs x
+#: scheduler methods).  A sweep of at least this many units runs as one
+#: contiguous slice of jobs per worker (one chunk in-process), so each
+#: ``simulate_batch`` call is wide; a smaller sweep runs one job per chunk,
+#: so a cold run spreads its solves over the workers and stores each result
+#: as soon as its job finishes.  Both sides win on a measured shape (see
+#: docs/architecture.md).
+CHUNK_SLICE_THRESHOLD = 200
+
+
 def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
                      solve_memo_root: Optional[str] = None) -> Iterator[ComparisonResult]:
     """Execute comparison jobs, yielding each result as soon as it is known.
@@ -463,17 +409,17 @@ def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
     finished unit immediately, so a run killed mid-sweep loses at most the
     units still in flight.
 
-    Jobs run in chunks.  When every job opts into the batched engine
-    (``ComparisonConfig(batched=True)``), a chunk is all jobs in-process, or
-    one contiguous slice per worker on the pool, so each chunk's simulations
-    advance in lock-step; the trade-off is coarser streaming (a chunk's
-    results all arrive when the chunk completes).  Otherwise every job is
-    its own chunk.
+    Jobs run in chunks, each simulated by one ``simulate_batch`` call.  At
+    :data:`CHUNK_SLICE_THRESHOLD` simulation units or more, a chunk is all
+    jobs in-process, or one contiguous slice per worker on the pool; the
+    trade-off is coarser streaming (a chunk's results all arrive when the
+    chunk completes).  Below it every job is its own chunk.  Only the jobs
+    passed in count, so a resumed sweep is chunked by its pending units.
     """
     if n_jobs < 1:
         raise ExperimentError("n_jobs must be at least 1")
     jobs = list(jobs)
-    if jobs and all(job.config.batched for job in jobs):
+    if sum(len(job.schedulers) for job in jobs) >= CHUNK_SLICE_THRESHOLD:
         workers = min(n_jobs, len(jobs))
         # Slices, not strides: jobs[w::workers] would reorder the results.
         bounds = [index * len(jobs) // workers for index in range(workers + 1)]

@@ -207,13 +207,9 @@ def comparison_result_to_dict(result: "ComparisonResult") -> Dict:
 
     Methods simulated with ``trace=True`` additionally carry their event
     stream under ``methods.<name>.events`` (absent otherwise — trace-off
-    payloads, and therefore their store hashes, are unchanged).  The same
-    non-default-only rule covers ``fallback_reasons``: the key appears
-    only when a batched stage actually fell back, so the payload bytes of
-    every pre-existing (and every fully-vectorized) comparison are
-    untouched.
+    payloads, and therefore their store hashes, are unchanged).
     """
-    data = {
+    return {
         "taskset": result.taskset_name,
         "baseline": result.baseline,
         "methods": {
@@ -221,9 +217,6 @@ def comparison_result_to_dict(result: "ComparisonResult") -> Dict:
             for method in result.outcomes
         },
     }
-    if result.fallback_reasons:
-        data["fallback_reasons"] = dict(result.fallback_reasons)
-    return data
 
 
 def partition_to_dict(partition: "Partition") -> Dict:
@@ -285,16 +278,13 @@ def scenario_result_to_dict(result: "ScenarioResult") -> Dict:
     aggregates are computed from the store's payload form and are therefore
     bitwise-stable across reruns, worker counts and warm/cold stores.
     """
-    data = {
+    return {
         "scenario": result.spec.to_dict(),
         "points": [dict(point) for point in result.points],
         "computed": result.computed,
         "skipped": result.skipped,
         "elapsed_seconds": result.elapsed_seconds,
     }
-    if result.fallback_reasons:
-        data["fallback_reasons"] = dict(result.fallback_reasons)
-    return data
 
 
 def save_json(data: Dict, path: Union[str, Path]) -> Path:

@@ -74,7 +74,10 @@ the exact scalar call sequence), CMOS-law processors, discrete voltage
 levels, recorded timelines, event tracing (``SimulationConfig(trace=True)``),
 ``on_deadline_miss="raise"`` — falls back
 *per unit* to :func:`repro.runtime.compiled.run_compiled`, so a mixed batch
-still returns the right result for every unit.  Policy lifecycle hooks are
+still returns the right result for every unit.  A unit that asks for the
+reference loop (``SimulationConfig(fast_path=False)``) runs through
+``DVSSimulator.run`` instead.  Each fallback counts one
+``sim.batch_fallback.<reason>`` telemetry counter.  Policy lifecycle hooks are
 not invoked from the vectorized core (the built-in policies define them as
 no-ops, which is part of the gate); ``on_simulation_start`` is still called
 per unit for symmetry with the scalar paths.
@@ -84,7 +87,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,9 +106,7 @@ from .policies import (
     get_policy,
 )
 from .results import DeadlineMiss, SimulationResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .simulator import SimulationConfig
+from .simulator import DVSSimulator, SimulationConfig
 
 __all__ = ["BatchUnit", "LANE_BUDGET", "simulate_batch", "batch_fallback_reason"]
 
@@ -144,7 +145,7 @@ class BatchUnit:
     schedule: StaticSchedule
     processor: ProcessorModel
     policy: Union[DVSPolicy, str]
-    config: "SimulationConfig"
+    config: SimulationConfig
     workload: Optional[WorkloadModel] = None
     rng: Optional[np.random.Generator] = None
 
@@ -156,15 +157,14 @@ class BatchUnit:
                          config=self.config, workload=workload, rng=rng)
 
 
-def batch_fallback_reason(unit: BatchUnit,
-                          schedule_reasons: Optional[Dict[int, Optional[str]]] = None,
-                          ) -> Optional[str]:
-    """Why ``unit`` must take the compiled fallback (``None`` = vectorizable).
+def batch_fallback_reason(unit: BatchUnit) -> Optional[str]:
+    """Why ``unit`` must take a scalar fallback (``None`` = vectorizable)."""
+    return _unit_fallback_reason(unit) or _schedule_fallback_reason(unit.schedule)
 
-    ``schedule_reasons`` memoizes the per-schedule part of the check by
-    schedule identity, so a batch whose units share schedules checks each
-    schedule once; pass one dict per batch, while its schedules are alive.
-    """
+
+def _unit_fallback_reason(unit: BatchUnit) -> Optional[str]:
+    if not unit.config.fast_path:
+        return "fast_path=False"
     policy = unit.policy
     if isinstance(policy, str):
         policy = get_policy(policy)
@@ -183,12 +183,7 @@ def batch_fallback_reason(unit: BatchUnit,
         return f"transition model type {type(config.transition_model).__name__}"
     if unit.processor.law != "linear":
         return f"processor law {unit.processor.law!r}"
-    if schedule_reasons is None:
-        return _schedule_fallback_reason(unit.schedule)
-    key = id(unit.schedule)
-    if key not in schedule_reasons:
-        schedule_reasons[key] = _schedule_fallback_reason(unit.schedule)
-    return schedule_reasons[key]
+    return None
 
 
 def _schedule_fallback_reason(schedule: StaticSchedule) -> Optional[str]:
@@ -201,21 +196,32 @@ def _schedule_fallback_reason(schedule: StaticSchedule) -> Optional[str]:
 
 
 def simulate_batch(units: Sequence[BatchUnit]) -> List[SimulationResult]:
-    """Simulate every unit; bitwise-identical to running each through the compiled path."""
+    """Simulate every unit; bitwise-identical to one ``DVSSimulator.run`` per unit."""
     telemetry = _telemetry()
     resolved = [unit.resolved() for unit in units]
     results: List[Optional[SimulationResult]] = [None] * len(resolved)
     vectorized: List[int] = []
+    # The per-schedule part of the gate, once per schedule (units mostly
+    # share a few), keyed by identity while ``resolved`` keeps them alive.
     schedule_reasons: Dict[int, Optional[str]] = {}
     for index, unit in enumerate(resolved):
-        reason = batch_fallback_reason(unit, schedule_reasons)
+        reason = _unit_fallback_reason(unit)
+        if reason is None:
+            key = id(unit.schedule)
+            if key not in schedule_reasons:
+                schedule_reasons[key] = _schedule_fallback_reason(unit.schedule)
+            reason = schedule_reasons[key]
         if reason is None:
             vectorized.append(index)
-        else:
-            telemetry.count("sim.batch_fallback." + reason)
-            with telemetry.span("sim.fallback_unit"):
+            continue
+        telemetry.count("sim.batch_fallback." + reason)
+        with telemetry.span("sim.fallback_unit"):
+            if unit.config.fast_path:
                 results[index] = run_compiled(unit.schedule, unit.processor, unit.policy,
                                               unit.config, unit.workload, unit.rng)
+            else:
+                simulator = DVSSimulator(unit.processor, policy=unit.policy, config=unit.config)
+                results[index] = simulator.run(unit.schedule, unit.workload, unit.rng)
     if vectorized:
         telemetry.count("sim.batched_units", len(vectorized))
         with telemetry.span("sim.batch"):

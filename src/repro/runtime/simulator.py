@@ -90,7 +90,8 @@ class SimulationConfig:
         (default).  The reference loop is retained behind ``False`` for
         debugging and for the bitwise-equivalence suite; both paths produce
         identical results for identical seeds.  Many runs at once go through
-        :func:`repro.runtime.batched.simulate_batch` instead.
+        :func:`repro.runtime.batched.simulate_batch`, which sends a
+        ``fast_path=False`` unit through the reference loop too.
     """
 
     n_hyperperiods: int = 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,10 +34,8 @@ from ..core.taskset import TaskSet
 from ..experiments.harness import (
     ComparisonConfig,
     ComparisonJob,
-    aggregate_fallback_reasons,
     iter_comparisons,
     random_comparison_job,
-    warn_if_excessive_fallback,
 )
 from ..experiments.motivation import MotivationConfig, run_motivation
 from ..experiments.seeding import SIMULATION_STREAM
@@ -55,20 +53,11 @@ from .spec import ScenarioError, ScenarioSpec, TasksetSpec, _set_dotted
 from .store import STORE_FORMAT, MemoryStore, ResultStore, processor_signature, signature_key, solver_build
 
 __all__ = [
-    "AUTO_BATCH_THRESHOLD",
     "ScenarioEngine",
     "ScenarioResult",
     "CompiledPoint",
     "CompiledScenario",
 ]
-
-#: ``simulation.engine = "auto"`` crossover: sweeps with at least this many
-#: simulation work units (jobs x scheduler methods) run on the batched SoA
-#: engine, smaller ones on the compiled scalar loop.  Measured on the
-#: Figure-6a shape when the batched engine advanced one hyperperiod per unit
-#: at a time; since it lock-steps (unit, hyperperiod) lanes its crossover
-#: depends on units x hyperperiods and lies lower (docs/scenarios.md).
-AUTO_BATCH_THRESHOLD = 200
 
 
 # --------------------------------------------------------------------- #
@@ -288,7 +277,6 @@ class ScenarioEngine:
     def _compile_comparison(self, spec: ScenarioSpec) -> CompiledScenario:
         points: List[CompiledPoint] = []
         units: Dict[str, _Unit] = {}
-        auto_keys: List[str] = []
         for coords_idx, coords, point_spec in self._expand_matrix(spec):
             processor = point_spec.power.build()
             simulation = point_spec.simulation
@@ -299,10 +287,6 @@ class ScenarioEngine:
                 workload=point_spec.workload.build(),
                 policy=get_policy(point_spec.online.policy),
                 fast_path=simulation.fast_path,
-                # Engine choice is deliberately absent from the unit
-                # signature: batched and compiled runs are bitwise-identical,
-                # so either may serve the other's store hits.
-                batched=simulation.engine == "batched",
                 trace=simulation.trace,
                 # None (not PeriodicArrivals) for the default keeps the
                 # simulator's zero-overhead path and the store signature of
@@ -343,21 +327,7 @@ class ScenarioEngine:
                 key = signature_key(_comparison_signature(job))
                 units[key] = job
                 point.unit_keys.append(key)
-                if simulation.engine == "auto":
-                    auto_keys.append(key)
             points.append(point)
-        # engine = "auto": pick the runtime per sweep size.  Each job
-        # simulates one unit per scheduler method; past the measured
-        # crossover the SoA engine's lock-step amortisation wins, below it
-        # the compiled scalar loop does.  Flipping ``batched`` after keying
-        # is deliberate — the engine choice is not part of the signature.
-        if auto_keys:
-            total_units = sum(len(job.schedulers) for job in units.values())
-            if total_units >= AUTO_BATCH_THRESHOLD:
-                for key in set(auto_keys):
-                    job = units[key]
-                    units[key] = replace(
-                        job, config=replace(job.config, batched=True))
         return CompiledScenario(spec=spec, points=points, units=units)
 
     def _compile_multicore(self, spec: ScenarioSpec) -> CompiledScenario:
@@ -439,33 +409,13 @@ class ScenarioEngine:
                 payloads.update(self._execute_pending(compiled, pending, spec, labels, n_jobs))
             with telemetry.span("scenario.aggregate"):
                 points = self.aggregate(compiled, payloads)
-            fallback_reasons = self._fallback_reasons(spec, payloads)
         return ScenarioResult(
             spec=spec,
             points=points,
             computed=len(pending),
             skipped=len(compiled.units) - len(pending),
             elapsed_seconds=timer.elapsed_seconds,
-            fallback_reasons=fallback_reasons,
         )
-
-    def _fallback_reasons(
-        self, spec: ScenarioSpec, payloads: Dict[str, Dict[str, Any]]
-    ) -> Dict[str, int]:
-        """Aggregate per-unit fallback tallies (and warn when they dominate).
-
-        Payloads written before the tallies existed simply lack the key and
-        contribute nothing, so warm replays of old stores stay valid.
-        """
-        if spec.kind != "comparison":
-            return {}
-        fallback_reasons = aggregate_fallback_reasons(
-            payload.get("fallback_reasons") for payload in payloads.values()
-        )
-        total_units = sum(len(payload.get("methods", {})) for payload in payloads.values())
-        warn_if_excessive_fallback(fallback_reasons, total_units,
-                                   context=f"scenario {spec.name!r}")
-        return fallback_reasons
 
     def _execute_pending(
         self,
@@ -590,10 +540,6 @@ class ScenarioResult:
     computed: int
     skipped: int
     elapsed_seconds: float = 0.0
-    #: Merged per-unit tallies of a comparison sweep's simulation units that
-    #: fell back from the batched engine (``"batch:<reason>"`` keys; empty when
-    #: nothing fell back — see :class:`~repro.experiments.harness.ComparisonResult`).
-    fallback_reasons: Dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:
         return f"units: computed={self.computed} skipped={self.skipped}"

@@ -37,7 +37,6 @@ __all__ = [
     "SCENARIO_KINDS",
     "TASKSET_SOURCES",
     "POWER_MODELS",
-    "SIMULATION_ENGINES",
 ]
 
 
@@ -182,8 +181,8 @@ class ArrivalsSpec:
     The default (``"periodic"``) is the paper's strictly periodic model; it
     is also what an absent ``[arrivals]`` section means, so existing
     scenarios are unaffected.  A non-default model is only meaningful for
-    ``kind = "comparison"`` scenarios and forces batched work units onto the
-    compiled fallback.
+    ``kind = "comparison"`` scenarios; its units run in the vectorized
+    simulation core like periodic ones.
     """
 
     model: str = "periodic"
@@ -230,34 +229,22 @@ class PowerSpec:
             raise ScenarioError(f"power: {error}") from None
 
 
-#: Simulation engines selectable from a scenario file.
-SIMULATION_ENGINES = ("auto", "compiled", "batched")
-
-
 @dataclass(frozen=True)
 class SimulationSpec:
     """How long, how often and how reproducibly each point is simulated.
 
-    ``engine`` selects the runtime event loop: ``"compiled"`` (the scalar
-    fast path), ``"batched"`` (the structure-of-arrays engine of
-    :mod:`repro.runtime.batched`, which advances (unit, hyperperiod) lanes
-    of all of a sweep's work units in lock-step), or ``"auto"`` (the
-    default: the scenario engine counts the sweep's work units after
-    expansion and picks batched at ``AUTO_BATCH_THRESHOLD`` = 200 units or
-    more).  All choices are bitwise-identical for the same
-    spec, so the engine deliberately does **not** enter the result-store
-    signature — a batched run store-hits records computed by a compiled
-    run and vice versa.
+    ``fast_path = false`` runs every simulation on the reference event loop
+    instead of the fast paths (bitwise-identical results; it keys units
+    apart in the result store).
     """
 
     hyperperiods: int = 20
     seed: int = 2005
     repetitions: int = 1
     fast_path: bool = True
-    engine: str = "auto"
     #: Record the typed event stream of every simulation on the stored
     #: payloads (see :mod:`repro.runtime.trace`).  Only valid for
-    #: ``kind = "comparison"``; batched units fall back to the compiled loop.
+    #: ``kind = "comparison"``; traced units run on the compiled loop.
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -265,10 +252,6 @@ class SimulationSpec:
         _require(self.hyperperiods > 0, f"simulation.hyperperiods must be positive, got {self.hyperperiods}")
         _require(self.repetitions > 0, f"simulation.repetitions must be positive, got {self.repetitions}")
         _check_type(self.seed, (int,), "simulation.seed")
-        _require(
-            self.engine in SIMULATION_ENGINES,
-            f"simulation.engine must be one of {SIMULATION_ENGINES}, got {self.engine!r}",
-        )
 
 
 @dataclass(frozen=True)
@@ -356,12 +339,6 @@ class ScenarioSpec:
                 f"a non-periodic [arrivals] model is only supported for "
                 f"kind = 'comparison' scenarios, not {self.kind!r}",
             )
-            _require(
-                self.simulation.engine in ("auto", "compiled"),
-                f"simulation.engine = 'batched' is only supported for kind = 'comparison' "
-                f"scenarios (the batched engine sits beneath the comparison harness), "
-                f"not {self.kind!r}",
-            )
         normalized = []
         for axis in self.matrix:
             _require(len(axis) == 2, f"matrix axes are (key, values) pairs, got {axis!r}")
@@ -408,7 +385,6 @@ class ScenarioSpec:
                 "seed": self.simulation.seed,
                 "repetitions": self.simulation.repetitions,
                 "fast_path": self.simulation.fast_path,
-                "engine": self.simulation.engine,
                 "trace": self.simulation.trace,
             },
             "matrix": {key: list(values) for key, values in self.matrix},
@@ -483,6 +459,15 @@ class ScenarioSpec:
             "motivation",
         )
         sections = {key: _section(data, key) for key in section_names}
+        # ``simulation.engine`` selects nothing: ``simulate_batch`` picks each
+        # unit's route.  ``"auto"`` still loads because committed documents
+        # set it (perfbench/specs/policy-sweep.toml); any other value fails.
+        engine = sections["simulation"].pop("engine", "auto")
+        _require(
+            engine == "auto",
+            f"simulation.engine = {engine!r} is no longer supported: the simulation route is "
+            f"chosen per unit; remove the key",
+        )
         matrix_table = _section(data, "matrix")
         for key, values in matrix_table.items():
             _check_type(values, (list, tuple), f"matrix.{key}")

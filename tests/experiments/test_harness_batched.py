@@ -1,21 +1,26 @@
-"""Batched-harness equivalence: per-unit seeds reproduce the serial harness bitwise.
+"""Harness equivalence: every chunking reproduces one simulation per unit bitwise.
 
-``ComparisonConfig(batched=True)`` routes every simulation of a sweep through
-the structure-of-arrays engine — all ``(job, method)`` units advance in
-lock-step, and with ``n_jobs > 1`` the lock-step batches are split across a
-process pool.  Because every unit derives its generator from the same
-SeedSequence coordinates the serial harness uses (one fresh
-``default_rng(config.seed)`` per method), the results must be *bitwise*
-identical to the plain one-at-a-time harness for any seed, sweep size and
-worker count.  The property test drives that with hypothesis-chosen seeds
-and shapes; the schedulers are the NLP-free baselines so examples stay fast.
+The harness simulates each chunk of comparisons with one ``simulate_batch``
+call, and :func:`iter_comparisons` cuts a sweep into one job per chunk, or,
+at :data:`~repro.experiments.harness.CHUNK_SLICE_THRESHOLD` simulation units
+and more, into one contiguous slice per worker.  Because every unit gets a
+fresh ``default_rng(config.seed)`` (one per method, the paired comparison),
+the results must be *bitwise* identical to the oracle — one
+``DVSSimulator.run`` per ``(job, method)`` — for any seed, sweep size,
+chunking and worker count.  The property test drives that with
+hypothesis-chosen seeds and shapes; the schedulers are the NLP-free
+baselines so examples stay fast.
 """
 
-from dataclasses import replace
+import copy
+from unittest import mock
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.preemption import expand_fully_preemptive
+from repro.experiments import harness
 from repro.experiments.harness import (
     ComparisonConfig,
     compare_schedulers,
@@ -24,32 +29,49 @@ from repro.experiments.harness import (
     random_comparison_job,
 )
 from repro.power.presets import ideal_processor
+from repro.runtime.simulator import DVSSimulator
 from repro.workloads.random_tasksets import RandomTaskSetConfig
 
 PROCESSOR = ideal_processor(fmax=1000.0)
-#: NLP-free offline methods: the property test exercises seed derivation and
-#: the batched engine, not the optimiser.
+#: NLP-free offline methods: the tests exercise seed derivation, chunking and
+#: the simulation route, not the optimiser.
 SCHEDULERS = ("max_speed",)
 
 
+def simulation_fingerprint(simulation):
+    """Every float-bearing field of one simulation result, exactly."""
+    return (
+        simulation.total_energy,
+        tuple(simulation.energy_per_hyperperiod),
+        simulation.transition_energy,
+        tuple(simulation.energy_by_task.items()),
+        tuple(simulation.deadline_misses),
+        simulation.jobs_completed,
+    )
+
+
 def result_fingerprint(result):
-    """Every float-bearing field of every method outcome, exactly."""
-    return {
-        method: (
-            outcome.simulation.total_energy,
-            tuple(outcome.simulation.energy_per_hyperperiod),
-            outcome.simulation.transition_energy,
-            tuple(outcome.simulation.energy_by_task.items()),
-            tuple(outcome.simulation.deadline_misses),
-            outcome.simulation.jobs_completed,
-        )
-        for method, outcome in result.outcomes.items()
-    }
+    return {method: simulation_fingerprint(outcome.simulation)
+            for method, outcome in result.outcomes.items()}
 
 
-def build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods, batched):
+def oracle_fingerprint(job):
+    """One ``DVSSimulator.run`` per method of ``job``, each on a fresh generator."""
+    expansion = expand_fully_preemptive(job.resolve_taskset())
+    config = job.config
+    fingerprint = {}
+    for name, scheduler in make_schedulers(job.schedulers, job.processor).items():
+        simulator = DVSSimulator(job.processor, policy=copy.deepcopy(config.policy),
+                                 config=config.simulation_config())
+        simulation = simulator.run(scheduler.schedule_expansion(expansion), config.workload,
+                                   np.random.default_rng(config.seed))
+        fingerprint[name] = simulation_fingerprint(simulation)
+    return fingerprint
+
+
+def build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods):
     config = ComparisonConfig(n_hyperperiods=n_hyperperiods, seed=seed,
-                              baseline="max_speed", batched=batched)
+                              baseline="max_speed")
     taskset_config = RandomTaskSetConfig(n_tasks=n_tasks,
                                          periods=(10.0, 20.0, 40.0))
     return [
@@ -57,6 +79,10 @@ def build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods, batched):
                               taskset_index=index, schedulers=SCHEDULERS)
         for index in range(n_tasksets)
     ]
+
+
+def sweep_fingerprints(jobs, n_jobs=1):
+    return [result_fingerprint(result) for result in iter_comparisons(jobs, n_jobs=n_jobs)]
 
 
 @settings(max_examples=20, deadline=None,
@@ -69,30 +95,30 @@ def build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods, batched):
 )
 def test_batched_sweep_reproduces_serial_harness_bitwise(
         seed, n_tasksets, n_tasks, n_hyperperiods):
-    serial = list(iter_comparisons(
-        build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods, batched=False)))
-    batched = list(iter_comparisons(
-        build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods, batched=True)))
-    assert [result_fingerprint(r) for r in serial] == \
-        [result_fingerprint(r) for r in batched]
+    jobs = build_jobs(seed, n_tasksets, n_tasks, n_hyperperiods)
+    oracle = [oracle_fingerprint(job) for job in jobs]
+    # Below the threshold every job is its own chunk; at a threshold of one
+    # unit the whole sweep is one chunk.
+    assert sweep_fingerprints(jobs) == oracle
+    with mock.patch.object(harness, "CHUNK_SLICE_THRESHOLD", 1):
+        assert sweep_fingerprints(jobs) == oracle
 
 
-def test_batched_sweep_is_pool_invariant():
-    """The lock-step chunks a pool executes agree with the in-process batch."""
-    serial = list(iter_comparisons(build_jobs(2005, 5, 3, 3, batched=False), n_jobs=1))
-    pooled = list(iter_comparisons(build_jobs(2005, 5, 3, 3, batched=True), n_jobs=2))
-    assert [result_fingerprint(r) for r in serial] == \
-        [result_fingerprint(r) for r in pooled]
+def test_batched_sweep_is_pool_invariant(monkeypatch):
+    """Per-job chunks and per-worker slices, in-process and on a pool, all equal the oracle."""
+    jobs = build_jobs(2005, 5, 3, 3)
+    oracle = [oracle_fingerprint(job) for job in jobs]
+    units = len(jobs) * len(SCHEDULERS)
+    # One unit short of the threshold: one job per chunk; at it: slices.
+    for threshold in (units + 1, units):
+        monkeypatch.setattr(harness, "CHUNK_SLICE_THRESHOLD", threshold)
+        for n_jobs in (1, 2):
+            assert sweep_fingerprints(jobs, n_jobs=n_jobs) == oracle, (threshold, n_jobs)
 
 
-def test_single_comparison_batched_flag():
-    """compare_schedulers honours ComparisonConfig.batched directly."""
-    config = ComparisonConfig(n_hyperperiods=4, seed=11, baseline="max_speed")
-    job = random_comparison_job(PROCESSOR, RandomTaskSetConfig(n_tasks=3),
-                                config, 0, schedulers=SCHEDULERS)
-    taskset = job.resolve_taskset()
+def test_single_comparison_matches_the_oracle():
+    """compare_schedulers takes the same route as a sweep."""
+    (job,) = build_jobs(11, 1, 3, 4)
     methods = make_schedulers(SCHEDULERS, PROCESSOR)
-    plain = compare_schedulers(taskset, PROCESSOR, methods, job.config)
-    batched = compare_schedulers(taskset, PROCESSOR, methods,
-                                 replace(job.config, batched=True))
-    assert result_fingerprint(plain) == result_fingerprint(batched)
+    result = compare_schedulers(job.resolve_taskset(), PROCESSOR, methods, job.config)
+    assert result_fingerprint(result) == oracle_fingerprint(job)

@@ -123,11 +123,11 @@ def sharing_entries(processor, taskset, other_taskset):
     entries = [
         (taskset, processor, make_schedulers(("wcs", "acs"), processor),
          ComparisonConfig(n_hyperperiods=2, seed=seed, policy=get_policy(policy),
-                          workload=workload, batched=True))
+                          workload=workload))
         for seed, policy, workload in settings
     ]
     entries.insert(2, (other_taskset, processor, make_schedulers(("wcs", "acs"), processor),
-                       ComparisonConfig(n_hyperperiods=2, seed=15, batched=True)))
+                       ComparisonConfig(n_hyperperiods=2, seed=15)))
     return entries
 
 

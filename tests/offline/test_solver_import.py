@@ -19,12 +19,12 @@ from repro.scenarios import ResultStore, ScenarioEngine, ScenarioSpec
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: A real NLP-backed sweep: a fixed task set, two repetitions, batched.
+#: A real NLP-backed sweep: a fixed task set, two repetitions.
 SPEC = {
     "kind": "comparison",
     "name": "lazy-solver",
     "taskset": {"source": "cnc", "ratio": 0.5},
-    "simulation": {"hyperperiods": 2, "seed": 3, "repetitions": 2, "engine": "batched"},
+    "simulation": {"hyperperiods": 2, "seed": 3, "repetitions": 2},
 }
 
 

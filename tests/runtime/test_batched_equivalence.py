@@ -15,7 +15,8 @@ tests hold it to that promise with no tolerances anywhere, across
   is not a multiple of the block length) and the default lane budget, and
 * every fallback configuration (CMOS law, discrete voltages, timelines,
   subclassed policies), which must route per-unit to the compiled loop and
-  still return the right result.
+  still return the right result, and
+* ``fast_path=False`` units, which must route per-unit to the reference loop.
 """
 
 import numpy as np
@@ -218,6 +219,37 @@ def test_mixed_batch_with_arrivals_and_compaction(linear_processor, taskset, mon
         monkeypatch.setattr(batched_engine, "LANE_BUDGET", budget)
         for result, reference in zip(simulate_batch(units), alone, strict=True):
             assert_identical(result, reference, blocks)
+
+
+def test_reference_loop_unit_in_a_mixed_batch(linear_processor, wcs_schedule, monkeypatch):
+    """A ``fast_path=False`` unit runs the reference loop; its neighbours stay vectorized."""
+    configs = [SimulationConfig(n_hyperperiods=6),
+               SimulationConfig(n_hyperperiods=6, fast_path=False),
+               SimulationConfig(n_hyperperiods=4)]
+    alone = [
+        DVSSimulator(linear_processor, policy="greedy", config=config).run(
+            wcs_schedule, NormalWorkload(), np.random.default_rng(70 + index))
+        for index, config in enumerate(configs)
+    ]
+    reference_runs = []
+    reference_loop = DVSSimulator._run_reference
+
+    def spy(simulator, *args):
+        reference_runs.append(simulator.config)
+        return reference_loop(simulator, *args)
+
+    monkeypatch.setattr(DVSSimulator, "_run_reference", spy)
+    units = [
+        BatchUnit(schedule=wcs_schedule, processor=linear_processor, policy="greedy",
+                  config=config, workload=NormalWorkload(),
+                  rng=np.random.default_rng(70 + index))
+        for index, config in enumerate(configs)
+    ]
+    assert [batch_fallback_reason(unit) for unit in units] == [None, "fast_path=False", None]
+    results = simulate_batch(units)
+    assert len(reference_runs) == 1 and reference_runs[0] is configs[1]
+    for result, reference in zip(results, alone, strict=True):
+        assert_identical(result, reference)
 
 
 class _RecordingPolicy(GreedySlackPolicy):

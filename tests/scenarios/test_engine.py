@@ -145,80 +145,75 @@ class TestMotivationEquivalence:
         assert point["improvement_average_case_percent"] == reference.improvement_average_case_percent
 
 
-class TestEngineChoiceEquivalence:
-    """simulation.engine is a wall-clock knob: results and store keys agree."""
+class TestChunkRule:
+    """A sweep is chunked by the simulation units it computes (jobs x methods):
+    one job per chunk below ``CHUNK_SLICE_THRESHOLD``, one chunk in-process
+    at or above it.  Chunking never touches a unit's key or its result."""
 
-    DOCUMENT = {
-        "kind": "comparison",
-        "name": "engine-choice",
-        "taskset": {"source": "random", "n_tasks": 3, "periods": [10.0, 20.0, 40.0]},
-        "simulation": {"hyperperiods": 3, "seed": 7, "repetitions": 3},
-        "matrix": {"taskset.ratio": [0.1, 0.9]},
-    }
-
-    def spec(self, engine):
-        simulation = {**self.DOCUMENT["simulation"], "engine": engine}
-        return ScenarioSpec.from_dict({**self.DOCUMENT, "simulation": simulation})
-
-    def test_batched_run_matches_compiled_run_bitwise(self):
-        compiled = ScenarioEngine().run(self.spec("compiled"))
-        batched = ScenarioEngine().run(self.spec("batched"))
-        assert batched.points == compiled.points
-
-    def test_batched_run_store_hits_a_compiled_store(self, tmp_path):
-        from repro.scenarios import ResultStore
-
-        store = ResultStore(tmp_path / "store")
-        cold = ScenarioEngine(store).run(self.spec("compiled"))
-        assert cold.computed > 0 and cold.skipped == 0
-        warm = ScenarioEngine(store).run(self.spec("batched"))
-        # The engine deliberately stays out of the signature; a batched run
-        # replays every compiled record instead of recomputing.
-        assert warm.computed == 0
-        assert warm.skipped == cold.computed
-        assert warm.points == cold.points
-
-
-class TestAutoEngineSelection:
-    """engine = "auto" (the default) picks the runtime from the sweep size."""
-
-    def compiled_scenario(self, repetitions, engine=None):
-        simulation = {"hyperperiods": 2, "seed": 7, "repetitions": repetitions}
-        if engine is not None:
-            simulation["engine"] = engine
-        spec = ScenarioSpec.from_dict({
+    def spec(self, repetitions):
+        # 2 matrix points x repetitions x 2 methods = 4 * repetitions units.
+        return ScenarioSpec.from_dict({
             "kind": "comparison",
-            "name": "auto-choice",
-            "taskset": {"source": "random", "n_tasks": 3, "periods": [10.0, 20.0, 40.0]},
-            "simulation": simulation,
+            "name": "chunk-rule",
+            "taskset": {"source": "random", "n_tasks": 2, "periods": [10.0, 20.0]},
+            "offline": {"methods": ["max_speed", "wcs"], "baseline": "max_speed"},
+            "simulation": {"hyperperiods": 2, "seed": 7, "repetitions": repetitions},
             "matrix": {"taskset.ratio": [0.1, 0.9]},
         })
-        return ScenarioEngine().compile(spec)
 
-    def test_small_sweep_stays_on_the_compiled_loop(self):
-        # 2 matrix points x 2 repetitions x 2 methods = 8 units < threshold.
-        compiled = self.compiled_scenario(repetitions=2)
-        assert all(not job.config.batched for job in compiled.units.values())
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        """Entry counts of every ``_compare_chunk`` call, in call order."""
+        from repro.experiments import harness
 
-    def test_large_sweep_flips_to_the_batched_engine(self):
-        from repro.scenarios.engine import AUTO_BATCH_THRESHOLD
+        sizes = []
+        compare_chunk = harness._compare_chunk
 
-        # 2 matrix points x 50 repetitions x 2 methods = 200 units.
-        compiled = self.compiled_scenario(repetitions=50)
-        total = sum(len(job.schedulers) for job in compiled.units.values())
-        assert total >= AUTO_BATCH_THRESHOLD
-        assert all(job.config.batched for job in compiled.units.values())
+        def counting(entries, solve_memo):
+            sizes.append(len(entries))
+            return compare_chunk(entries, solve_memo)
 
-    def test_explicit_engine_choice_overrides_auto(self):
-        compiled = self.compiled_scenario(repetitions=50, engine="compiled")
-        assert all(not job.config.batched for job in compiled.units.values())
-        batched = self.compiled_scenario(repetitions=2, engine="batched")
-        assert all(job.config.batched for job in batched.units.values())
+        monkeypatch.setattr(harness, "_compare_chunk", counting)
+        return sizes
 
-    def test_auto_flip_does_not_change_unit_keys(self):
-        auto = self.compiled_scenario(repetitions=50)
-        explicit = self.compiled_scenario(repetitions=50, engine="compiled")
-        assert set(auto.units) == set(explicit.units)
+    def run(self, monkeypatch, threshold, spec, engine=None):
+        from repro.experiments import harness
+
+        monkeypatch.setattr(harness, "CHUNK_SLICE_THRESHOLD", threshold)
+        return (engine or ScenarioEngine()).run(spec)
+
+    def test_small_sweep_runs_one_job_per_chunk(self, monkeypatch, chunks):
+        result = self.run(monkeypatch, 9, self.spec(repetitions=2))
+        assert chunks == [1, 1, 1, 1]
+        assert result.computed == 4
+
+    def test_sweep_at_the_threshold_runs_as_one_chunk(self, monkeypatch, chunks):
+        sliced = self.run(monkeypatch, 8, self.spec(repetitions=2))
+        assert chunks == [4]
+        per_job = self.run(monkeypatch, 9, self.spec(repetitions=2))
+        assert per_job.points == sliced.points
+
+    def test_resumed_run_counts_only_its_pending_units(self, monkeypatch, chunks, tmp_path):
+        from repro.scenarios import ResultStore
+
+        engine = ScenarioEngine(ResultStore(tmp_path / "store"))
+        self.run(monkeypatch, 8, self.spec(repetitions=2), engine)
+        assert chunks == [4]
+        # The third repetition adds 2 jobs (4 units, below the threshold);
+        # the 4 stored jobs replay without counting.
+        chunks.clear()
+        resumed = self.run(monkeypatch, 8, self.spec(repetitions=3), engine)
+        assert chunks == [1, 1]
+        assert (resumed.computed, resumed.skipped) == (2, 4)
+
+    def test_compiled_units_keep_their_keys(self):
+        from repro.scenarios.engine import _comparison_signature
+        from repro.scenarios.store import signature_key
+
+        compiled = ScenarioEngine().compile(self.spec(repetitions=2))
+        assert [key for point in compiled.points for key in point.unit_keys] == list(compiled.units)
+        for key, job in compiled.units.items():
+            assert signature_key(_comparison_signature(job)) == key
 
 
 class TestParallelDeterminism:

@@ -60,22 +60,31 @@ class TestValidation:
             ScenarioSpec.from_dict(document)
 
     def test_simulation_engine_defaults_and_round_trips(self):
-        assert ScenarioSpec.from_dict(MINIMAL).simulation.engine == "auto"
-        spec = ScenarioSpec.from_dict(
-            {**MINIMAL, "simulation": {"engine": "batched"}})
-        assert spec.simulation.engine == "batched"
+        """A spelled-out ``engine = "auto"`` is the default spec, and is not written back."""
+        spec = ScenarioSpec.from_dict({**MINIMAL, "simulation": {"engine": "auto"}})
+        assert spec == ScenarioSpec.from_dict(MINIMAL)
+        assert "engine" not in spec.to_dict()["simulation"]
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_auto_engine_allowed_for_every_kind(self):
-        document = {"kind": "motivation", "name": "m",
-                    "simulation": {"engine": "auto"}}
-        assert ScenarioSpec.from_dict(document).simulation.engine == "auto"
+        documents = [
+            MINIMAL,
+            {"kind": "multicore", "name": "mc", "taskset": {"source": "cnc"},
+             "offline": {"methods": ["acs"], "baseline": "acs"}},
+            {"kind": "motivation", "name": "m"},
+        ]
+        for document in documents:
+            spec = ScenarioSpec.from_dict({**document, "simulation": {"engine": "auto"}})
+            assert spec == ScenarioSpec.from_dict(document)
 
-    def test_batched_engine_rejected_outside_comparison_kind(self):
-        document = {"kind": "motivation", "name": "m",
-                    "simulation": {"engine": "batched"}}
-        with pytest.raises(ScenarioError, match="only supported for kind"):
-            ScenarioSpec.from_dict(document)
+    @pytest.mark.parametrize("engine", ["compiled", "batched"])
+    def test_retired_engine_values_fail_naming_the_key(self, engine):
+        for kind in ("comparison", "motivation"):
+            document = {"kind": kind, "name": "m", "simulation": {"engine": engine}}
+            with pytest.raises(ScenarioError, match=r"simulation\.engine = .* chosen per unit"):
+                ScenarioSpec.from_dict(document)
+        with pytest.raises(ScenarioError, match=r"simulation\.engine"):
+            ScenarioSpec.from_dict({**MINIMAL, "matrix": {"simulation.engine": [engine]}})
 
     def test_trace_defaults_off_and_round_trips(self):
         assert ScenarioSpec.from_dict(MINIMAL).simulation.trace is False

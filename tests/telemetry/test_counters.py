@@ -3,8 +3,10 @@
 A cold scenario run computes every unit (store misses == computed units);
 the warm rerun replays everything (store hits == units, ``computed=0``);
 a ``--force``-style rerun recomputes the units but answers every NLP solve
-from the warm solve-memo (memo hits, zero memo computes).  A batch of known
-block structure checks the batched engine's own counters.
+from the warm solve-memo (memo hits, zero memo computes).  Sweeps count
+the units the vectorized simulation core ran and, per reason, the units
+that fell back from it; a batch of known block structure checks the
+batched engine's own block counters.
 """
 
 import numpy as np
@@ -115,11 +117,10 @@ class TestPooledRun:
 
     @staticmethod
     def cold_counters(store_root, n_jobs):
-        # The compiled engine makes every job its own pool task.
-        document = {**SPEC, "simulation": {**SPEC["simulation"], "engine": "compiled"}}
+        # A sweep this small runs every job as its own pool task.
         with using(Telemetry()) as telemetry:
             ScenarioEngine(ResultStore(store_root)).run(
-                ScenarioSpec.from_dict(document), n_jobs=n_jobs)
+                ScenarioSpec.from_dict(SPEC), n_jobs=n_jobs)
         return telemetry.counters
 
     def test_pool_workers_report_their_solver_counters(self, tmp_path):
@@ -152,6 +153,26 @@ class TestPooledRun:
             solves.append(sum(count for name, count in telemetry.counters.items()
                               if name.startswith("solve.status.")))
         assert solves[0] == solves[1] > 0
+
+
+class TestSimulationRoute:
+    """Every comparison unit goes through ``simulate_batch``: its counters say
+    which units the vectorized core ran and why the others fell back."""
+
+    def test_untraced_sweep_runs_every_unit_vectorized(self, runs):
+        result, counters = runs["cold"]
+        units = result.computed * len(ScenarioSpec.from_dict(SPEC).offline.methods)
+        assert counters["sim.batched_units"] == units
+        assert not any(name.startswith("sim.batch_fallback.") for name in counters)
+
+    def test_traced_sweep_falls_back_once_per_unit(self):
+        spec = ScenarioSpec.from_dict({**SPEC, "simulation": {**SPEC["simulation"], "trace": True}})
+        with using(Telemetry()) as telemetry:
+            result = ScenarioEngine().run(spec)
+        units = result.computed * len(spec.offline.methods)
+        assert units > 0
+        assert telemetry.counters["sim.batch_fallback.trace"] == units
+        assert telemetry.counters.get("sim.batched_units", 0) == 0
 
 
 class TestBatchedSimulation:

@@ -3,7 +3,7 @@
 Mirrors ``tests/runtime/test_trace_overhead.py``: every span class the
 collector can construct is replaced with a raising constructor, and a
 telemetry-off run of the full sweep pipeline (plan → simulate → aggregate,
-plus the same jobs as one batched chunk) must still complete with
+plus the same jobs as one chunk) must still complete with
 bitwise-identical results — while a telemetry-on run must trip the guard.
 
 ``Stopwatch`` is deliberately *excluded* from the tripwire list: the
@@ -13,11 +13,9 @@ working.  That is one small allocation per pipeline run, not a hot-loop
 cost.
 """
 
-from dataclasses import replace
-
 import pytest
 
-from repro.experiments.harness import iter_comparisons
+from repro.experiments import harness
 from repro.reporting.serialization import comparison_result_to_dict, scenario_result_to_dict
 from repro.scenarios import ScenarioEngine, ScenarioSpec
 from repro.telemetry import Telemetry, using
@@ -51,16 +49,15 @@ def _arm_tripwires(monkeypatch):
 
 
 def _run_pipeline():
-    """The tiny sweep on the engine, then its jobs again as one batched chunk; normalised."""
+    """The tiny sweep on the engine, then its jobs again as one chunk; normalised."""
     spec = ScenarioSpec.from_dict(TINY_SWEEP)
     engine = ScenarioEngine()
     data = scenario_result_to_dict(engine.run(spec))
     data.pop("elapsed_seconds", None)
     units = engine.compile(spec).units
     data["results"] = [engine.store.get(key) for key in units]
-    jobs = [replace(job, config=replace(job.config, batched=True)) for job in units.values()]
-    data["batched"] = [comparison_result_to_dict(result)
-                       for result in iter_comparisons(jobs)]
+    data["one_chunk"] = [comparison_result_to_dict(result)
+                         for result in harness._run_chunk(list(units.values()))]
     return data
 
 
@@ -70,7 +67,7 @@ def test_telemetry_off_allocates_no_span_objects(monkeypatch):
     guarded = _run_pipeline()
     # Bitwise-identical: the disabled path may not perturb a single value.
     assert guarded == baseline
-    assert guarded["batched"] == guarded["results"]
+    assert guarded["one_chunk"] == guarded["results"]
 
 
 def test_tripwires_actually_cover_the_enabled_path(monkeypatch):
