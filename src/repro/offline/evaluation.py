@@ -26,7 +26,7 @@ cross-check against the discrete-event simulator (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,21 +146,24 @@ def evaluate_vectors(expansion: FullyPreemptiveSchedule, end_times: Sequence[flo
 
 
 class CompiledEvaluation:
-    """Pre-indexed, vectorizable form of the analytic greedy propagation.
+    """Pre-indexed form of the analytic greedy propagation.
 
-    The reduced NLP evaluates :func:`evaluate_vectors` (energy only) hundreds
-    of thousands of times per solve — once per finite-difference perturbation
-    of every variable.  This class compiles the parts of the evaluation that
-    do not depend on the decision variables (slot starts, per-sub-instance
-    task constants, the per-job sequential-fill grouping, the processor's
+    The reduced NLP evaluates the energy of :func:`evaluate_vectors` once
+    per line-search point and, for its forward-difference gradient, once
+    per variable at every iterate.  This class compiles the parts of the
+    evaluation that do not depend on the decision variables (slot starts,
+    per-sub-instance task constants, the per-job grouping, the processor's
     linear-law constants) and offers
 
-    * :meth:`energy` — a drop-in scalar evaluation, and
-    * :meth:`energies` — a *batched* evaluation of many end-time/budget
-      columns at once, used to compute a whole finite-difference gradient in
-      one pass over the total order.
+    * :meth:`energy` / :meth:`energy_from_lists` — a drop-in scalar
+      evaluation;
+    * :meth:`changed_energies` — the energies of many one-entry changes of
+      one pair of vectors, each re-walking only the sub-instances its change
+      reaches (the gradient's columns);
+    * :meth:`energies` — a batched evaluation of many end-time/budget
+      columns at once.
 
-    Both are **bitwise-identical** to ``evaluate_vectors(...).energy``: every
+    All are **bitwise-identical** to ``evaluate_vectors(...).energy``: every
     arithmetic operation is performed in the same order with the same
     associativity as the reference loop (the tests in
     ``tests/offline/test_evaluation.py`` assert exact equality).  Only
@@ -199,10 +202,16 @@ class CompiledEvaluation:
         # jobs can be filled together once positions 0..p-1 are done.
         position_of_sub = [0] * len(subs)
         seen: Dict[int, int] = {}
+        # The next sub-instance of the same job (``n_subs`` after its last).
+        self._next_sibling = [len(subs)] * len(subs)
+        latest: Dict[int, int] = {}
         for order, sub in enumerate(subs):
             inst = self._instance_of_sub[order]
             position_of_sub[order] = seen.get(inst, 0)
             seen[inst] = position_of_sub[order] + 1
+            if inst in latest:
+                self._next_sibling[latest[inst]] = order
+            latest[inst] = order
         max_position = max(position_of_sub, default=-1) + 1
         self._positions: List[tuple] = []
         for position in range(max_position):
@@ -297,8 +306,175 @@ class CompiledEvaluation:
         return energy
 
     # ------------------------------------------------------------------ #
+    # Single-entry changes (forward differences)
+    # ------------------------------------------------------------------ #
+    def changed_energies(self, ends: List[float], budgets: List[float],
+                         changes: Sequence[Tuple[int, bool, float]]) -> List[float]:
+        """Energies of ``(ends, budgets)`` with one entry replaced, one per change.
+
+        A change ``(sub_index, is_budget, value)`` sets the end-time of
+        sub-instance ``sub_index`` — or its budget, when ``is_budget`` — to
+        ``value``.  Each result is bitwise-equal to :meth:`energy_from_lists`
+        of the changed lists, but a change re-walks only from its own
+        sub-instance, starting from the state :meth:`_trace` recorded there,
+        until the previous finish is back to the recorded one — and, for a
+        budget, so are its job's remaining cycles, or the job has no
+        sub-instance left.  The recorded segments that follow are then added
+        one by one, in order, as the full walk adds them: a suffix sum would
+        round differently.
+        """
+        finish_before, energy_before, remaining_before, segments = self._trace(ends, budgets)
+        n_subs = self.n_subs
+        slot_starts = self._slot_starts
+        ceffs = self._ceffs
+        next_sibling = self._next_sibling
+        fmax = self._fmax
+        fmin = self._fmin
+        vmin = self._vmin
+        vmax = self._vmax
+        k = self._k
+
+        results = []
+        for index, is_budget, value in changes:
+            previous_finish = finish_before[index]
+            energy = energy_before[index]
+            # ``own``: remaining cycles of the changed job, walked at each of
+            # its sub-instances (``sibling``); the others keep the recorded ones.
+            own = remaining_before[index]
+            sibling = index if is_budget else n_subs
+            budget = value if is_budget else budgets[index]
+            end = ends[index] if is_budget else value
+            position = index
+            # The arithmetic of energy_from_lists, inlined for the same reason.
+            while True:
+                if budget < 0.0:
+                    budget = 0.0
+                rem = own if position == sibling else remaining_before[position]
+                positive_rem = rem if rem >= 0.0 else 0.0
+                executed = budget if budget <= positive_rem else positive_rem
+                slot = slot_starts[position]
+                start = slot if slot >= previous_finish else previous_finish
+                if executed > _EPS:
+                    available = end - start
+                    if available <= _EPS:
+                        frequency = fmax
+                    else:
+                        frequency = budget / available
+                        if frequency < fmin:
+                            frequency = fmin
+                        elif frequency > fmax:
+                            frequency = fmax
+                    if frequency <= 0:
+                        voltage = vmin
+                    elif frequency >= fmax:
+                        voltage = vmax
+                    elif frequency <= fmin:
+                        voltage = vmin
+                    else:
+                        voltage = frequency * k
+                        if voltage < vmin:
+                            voltage = vmin
+                        elif voltage > vmax:
+                            voltage = vmax
+                    frequency = voltage / k
+                    energy += executed * ((ceffs[position] * voltage) * voltage)
+                    finish = start + executed / frequency
+                    if position == sibling:
+                        own = rem - executed
+                    if finish > previous_finish:
+                        previous_finish = finish
+                elif start > previous_finish:
+                    previous_finish = start
+                if position == sibling:
+                    sibling = next_sibling[position]
+                position += 1
+                if position == n_subs:
+                    break
+                if previous_finish == finish_before[position] and (
+                        sibling == n_subs or own == remaining_before[sibling]):
+                    for segment in segments[position:]:
+                        energy += segment
+                    break
+                budget = budgets[position]
+                end = ends[position]
+            results.append(energy)
+        return results
+
+    def _trace(self, ends: List[float], budgets: List[float]) -> Tuple[List[float], ...]:
+        """:meth:`energy_from_lists`, recording the state before every sub-instance.
+
+        Returns the previous finish, the energy so far and the remaining
+        cycles of its job before each sub-instance, and each sub-instance's
+        segment energy (0.0 when it executes nothing).  A walk of its own:
+        the recording makes it about 45% slower than :meth:`energy_from_lists`,
+        which every line-search point calls.
+        """
+        n_subs = self.n_subs
+        finish_before = [0.0] * n_subs
+        energy_before = [0.0] * n_subs
+        remaining_before = [0.0] * n_subs
+        segments = [0.0] * n_subs
+        remaining = list(self._initial_remaining)
+        slot_starts = self._slot_starts
+        ceffs = self._ceffs
+        instance_of_sub = self._instance_of_sub
+        fmax = self._fmax
+        fmin = self._fmin
+        vmin = self._vmin
+        vmax = self._vmax
+        k = self._k
+
+        energy = 0.0
+        previous_finish = 0.0
+        for index in range(n_subs):
+            finish_before[index] = previous_finish
+            energy_before[index] = energy
+            budget = budgets[index]
+            if budget < 0.0:
+                budget = 0.0
+            instance = instance_of_sub[index]
+            rem = remaining_before[index] = remaining[instance]
+            positive_rem = rem if rem >= 0.0 else 0.0
+            executed = budget if budget <= positive_rem else positive_rem
+            slot = slot_starts[index]
+            start = slot if slot >= previous_finish else previous_finish
+            if executed > _EPS:
+                available = ends[index] - start
+                if available <= _EPS:
+                    frequency = fmax
+                else:
+                    frequency = budget / available
+                    if frequency < fmin:
+                        frequency = fmin
+                    elif frequency > fmax:
+                        frequency = fmax
+                if frequency <= 0:
+                    voltage = vmin
+                elif frequency >= fmax:
+                    voltage = vmax
+                elif frequency <= fmin:
+                    voltage = vmin
+                else:
+                    voltage = frequency * k
+                    if voltage < vmin:
+                        voltage = vmin
+                    elif voltage > vmax:
+                        voltage = vmax
+                frequency = voltage / k
+                segment = segments[index] = executed * ((ceffs[index] * voltage) * voltage)
+                energy += segment
+                finish = start + executed / frequency
+                remaining[instance] = rem - executed
+                if finish > previous_finish:
+                    previous_finish = finish
+            elif start > previous_finish:
+                previous_finish = start
+        return finish_before, energy_before, remaining_before, segments
+
+    # ------------------------------------------------------------------ #
     # Batched path
     # ------------------------------------------------------------------ #
+    # Unused by the planner: kept only while the benchmark's layer tracer wraps it by name.
     def energies(self, end_times: np.ndarray, wc_budgets: np.ndarray) -> np.ndarray:
         """Energies of many candidate schedules at once.
 

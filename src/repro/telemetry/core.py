@@ -265,7 +265,8 @@ class Telemetry:
 #: through :func:`current` at call time.  A collector does not cross a
 #: process boundary: the comparison and multicore pools run each task
 #: through :func:`map_counted`, which records it under a fresh collector
-#: in the worker and counts the returned counters into the parent's.
+#: in the worker and adds the returned counters and observations to the
+#: parent's.
 NULL_TELEMETRY = NullTelemetry()
 
 _ACTIVE: Union[Telemetry, NullTelemetry] = NULL_TELEMETRY
@@ -300,30 +301,37 @@ def using(telemetry: Telemetry) -> Iterator[Telemetry]:
         _ACTIVE = previous
 
 
-def _call_counted(function: Callable[..., _T], *args: Any) -> Tuple[_T, Dict[str, int]]:
-    """``function(*args)`` under a fresh collector: the result and its counters.
+def _call_counted(
+    function: Callable[..., _T], *args: Any
+) -> Tuple[_T, Dict[str, int], Dict[str, List[float]]]:
+    """``function(*args)`` under a fresh collector: the result, its counters
+    and its observations.
 
     Module-level so a process pool can pickle it.  The collector's spans
     are dropped: spans describe the parent process only.
     """
     with using(Telemetry()) as telemetry:
         result = function(*args)
-    return result, telemetry.counters
+    return result, telemetry.counters, telemetry.observations
 
 
 def map_counted(pool: Executor, function: Callable[..., _T], items: Iterable[Any]) -> Iterator[_T]:
-    """``pool.map(function, items)`` that keeps the workers' counters.
+    """``pool.map(function, items)`` that keeps the workers' counters and observations.
 
     With a recording collector active, every task runs through
-    :func:`_call_counted` and its counters are counted into that collector
-    as its result arrives, so a ``--jobs N`` run counts what a serial run
-    counts.  With telemetry off this is plain ``pool.map``.
+    :func:`_call_counted`; as its result arrives, its counters are counted
+    into that collector and its observations appended to it, in result
+    order, so a ``--jobs N`` run records what a serial run records.  With
+    telemetry off this is plain ``pool.map``.
     """
     telemetry = current()
     if not telemetry.enabled:
         yield from pool.map(function, items)
         return
-    for result, counters in pool.map(functools.partial(_call_counted, function), items):
+    for result, counters, observations in pool.map(functools.partial(_call_counted, function), items):
         for name, value in counters.items():
             telemetry.count(name, value)
+        for name, values in observations.items():
+            for value in values:
+                telemetry.observe(name, value)
         yield result

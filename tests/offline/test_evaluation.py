@@ -166,3 +166,70 @@ class TestCompiledEvaluation:
         compiled = CompiledEvaluation(expansion, processor)
         with pytest.raises(SchedulingError):
             compiled.energies(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+class TestChangedEnergies:
+    """One-entry changes re-walk only what they reach, yet equal the full walk bitwise."""
+
+    @staticmethod
+    def _bases(expansion, processor):
+        """Realistic, random and degenerate ``(ends, budgets)`` lists."""
+        from repro.offline.initialization import (
+            proportional_budget_vectors,
+            worst_case_simulation_vectors,
+        )
+        subs = expansion.sub_instances
+        rng = np.random.default_rng(45)
+        slot_starts = [sub.slot_start for sub in subs]
+        proportional = proportional_budget_vectors(expansion, processor)
+        random_ends = [sub.slot_start + rng.uniform(0.0, sub.slot_length) for sub in subs]
+        random_budgets = [rng.uniform(0.0, 0.6 * sub.instance.wcec) for sub in subs]
+        return [
+            [list(map(float, vector)) for vector in proportional],
+            [list(map(float, vector))
+             for vector in worst_case_simulation_vectors(expansion, processor)],
+            [random_ends, random_budgets],
+            [slot_starts, list(map(float, proportional[1]))],   # no time available anywhere
+            [list(map(float, proportional[0])), [0.0] * len(subs)],   # nothing executes
+        ]
+
+    @staticmethod
+    def _changes(expansion, processor, ends, budgets):
+        """Every sub-instance's end-time and budget, nudged and pushed across branches."""
+        changes = []
+        for index, sub in enumerate(expansion.sub_instances):
+            end, budget = ends[index], budgets[index]
+            for value in (
+                end + 1e-6, end - 1e-6,
+                sub.slot_start,                            # no time available: fmax
+                sub.slot_start + 1e-9,                     # frequency clipped at fmax
+                sub.slot_start + 1e9,                      # frequency clipped at fmin
+            ):
+                changes.append((index, False, value))
+            for value in (
+                budget + 1e-6, budget - 1e-6,
+                2.0 * sub.instance.wcec,                   # above the job's remaining cycles
+                0.0, -5.0,                                 # executes nothing
+                1e-13,                                     # below the execution threshold
+                processor.fmin * 1e-3,                     # slow enough to clip at fmin
+            ):
+                changes.append((index, True, value))
+        return changes
+
+    @pytest.mark.parametrize("actual", ["acec", "wcec"])
+    def test_every_change_equals_the_full_walk(self, three_task_set, processor, actual):
+        expansion = expand_fully_preemptive(three_task_set)
+        lo_subs = [sub for sub in expansion.sub_instances if sub.task.name == "lo"]
+        assert len(lo_subs) >= 3   # a budget change reaches later siblings
+        cycles = None if actual == "acec" else {
+            inst.key: inst.wcec for inst in expansion.instances}
+        compiled = CompiledEvaluation(expansion, processor, cycles)
+        for ends, budgets in self._bases(expansion, processor):
+            changes = self._changes(expansion, processor, ends, budgets)
+            results = compiled.changed_energies(ends, budgets, changes)
+            assert len(results) == len(changes)
+            for (index, is_budget, value), result in zip(changes, results):
+                changed_ends, changed_budgets = list(ends), list(budgets)
+                (changed_budgets if is_budget else changed_ends)[index] = value
+                assert result == compiled.energy_from_lists(changed_ends, changed_budgets), (
+                    index, is_budget, value)

@@ -194,6 +194,28 @@ class TestVectorizedJacobian:
             )
             assert np.array_equal(nlp.jacobian(x), expected)
 
+    def test_scenario_weighted_jacobian_matches_scipy_bitwise(self, three_task_set, processor):
+        from scipy.optimize._numdiff import approx_derivative
+
+        from repro.offline.stochastic import sample_scenarios
+        from repro.workloads.distributions import NormalWorkload
+
+        expansion = expand_fully_preemptive(three_task_set)
+        scenarios = sample_scenarios(expansion, NormalWorkload(), 6, seed=7)
+        nlp = ReducedNLP(expansion, processor, scenarios=scenarios)
+        lower, upper = self._bounds_arrays(nlp)
+        rng = np.random.default_rng(8)
+        points = [lower + rng.uniform(0.0, 1.0, len(lower)) * (upper - lower)
+                  for _ in range(6)]
+        points += [lower.copy(), upper.copy()]
+        for x in points:
+            expected = approx_derivative(
+                nlp.objective_reference, x, method="2-point",
+                abs_step=nlp.options.finite_difference_step,
+                bounds=(lower, upper),
+            )
+            assert np.array_equal(nlp.jacobian(x), expected)
+
     def test_solve_identical_with_and_without_jacobian(self, three_task_set, processor):
         expansion = expand_fully_preemptive(three_task_set)
         fast = ReducedNLP(expansion, processor,

@@ -112,20 +112,25 @@ class TestForcedRun:
 
 
 class TestPooledRun:
-    """``--jobs 2`` workers count under their own collector and hand the
-    counters back, so a pooled cold run counts what a serial one counts."""
+    """``--jobs 2`` workers record under their own collector and hand the
+    counters and observations back, so a pooled cold run records what a
+    serial one records."""
 
     @staticmethod
-    def cold_counters(store_root, n_jobs):
+    def cold_run(store_root, n_jobs):
         # A sweep this small runs every job as its own pool task.
         with using(Telemetry()) as telemetry:
             ScenarioEngine(ResultStore(store_root)).run(
                 ScenarioSpec.from_dict(SPEC), n_jobs=n_jobs)
-        return telemetry.counters
+        return telemetry
 
-    def test_pool_workers_report_their_solver_counters(self, tmp_path):
-        serial = self.cold_counters(tmp_path / "serial", n_jobs=1)
-        pooled = self.cold_counters(tmp_path / "pooled", n_jobs=2)
+    @pytest.fixture(scope="class")
+    def serial_and_pooled(self, tmp_path_factory):
+        return (self.cold_run(tmp_path_factory.mktemp("serial"), n_jobs=1),
+                self.cold_run(tmp_path_factory.mktemp("pooled"), n_jobs=2))
+
+    def test_pool_workers_report_their_solver_counters(self, serial_and_pooled):
+        serial, pooled = (telemetry.counters for telemetry in serial_and_pooled)
         for counters in (serial, pooled):
             statuses = [count for name, count in counters.items()
                         if name.startswith("solve.status.")]
@@ -136,6 +141,13 @@ class TestPooledRun:
         lookups = [counters.get("solve_memo.hit", 0) + counters["solve_memo.miss"]
                    for counters in (serial, pooled)]
         assert lookups[0] == lookups[1]
+
+    def test_pool_workers_report_their_observations(self, serial_and_pooled):
+        # One job per task, so each worker's batched blocks are the serial
+        # run's, and they arrive in result order.
+        serial, pooled = (telemetry.observations for telemetry in serial_and_pooled)
+        assert serial["sim.soa_width"]
+        assert pooled.get("sim.soa_width") == serial["sim.soa_width"]
 
     def test_multicore_pool_workers_report_their_solves(self):
         spec = ScenarioSpec.from_dict({

@@ -53,3 +53,7 @@ def test_tracer_installs_and_sees_the_planning_layers():
     assert snapshot["counts"]["memo.hits"] == 1
     assert snapshot["seconds"]["offline.plan"] > 0
     assert snapshot["counts"]["analysis.sub_instances"] > 0
+    # SLSQP differences through ReducedNLP.jacobian: the layer the tracer
+    # reports as offline.jacobian would read 0 if another gradient were used.
+    assert snapshot["counts"]["offline.jacobian_calls"] > 0
+    assert snapshot["seconds"]["offline.jacobian"] > 0
