@@ -12,12 +12,14 @@ The end-to-end regeneration above is dominated by the NLP solves, so engine
 speedups barely move it.  The ``*_sim_*`` benchmarks therefore time the
 *simulation stage in isolation* — the schedules are solved once, untimed, and
 the timed region replays a widened sweep's simulations (50 task sets per
-point, 25 hyperperiods each -> 900 units) through either the
-compiled event loop or the batched structure-of-arrays engine (which must
-agree bitwise).  Width matters: per step the batched engine pays a fixed
-toll of NumPy calls spread over however many (unit, hyperperiod) lanes are
-live.  With 900 units each of its blocks is one hyperperiod of every unit
-(900 lanes); narrower sweeps get several hyperperiods per unit in a block.
+point, 25 hyperperiods each -> 900 units) through ``simulate_batch``:
+untraced on the lane engine, which must agree bitwise with the reference
+event loop, and traced (a fixed tenth of the units), which runs every unit
+on the reference loop.  Width
+matters: per step the lane engine pays a fixed toll of NumPy calls spread
+over however many (unit, hyperperiod) lanes are live.  With 900 units each
+of its blocks is one hyperperiod of every unit (900 lanes); narrower sweeps
+get several hyperperiods per unit in a block.
 
 The ``*_plan_*`` benchmarks isolate the other stage: the offline NLP solves.
 ``plan_sequential`` times the per-scheduler loop with no memo (every round
@@ -39,7 +41,7 @@ from repro.analysis.preemption import expand_fully_preemptive
 from repro.experiments.harness import make_schedulers
 from repro.offline.batched_solver import SolveMemo, plan_expansions
 from repro.runtime.batched import BatchUnit, simulate_batch
-from repro.runtime.compiled import run_compiled
+from repro.runtime.simulator import DVSSimulator
 from repro.scenarios import ScenarioEngine, ScenarioSpec
 
 TASK_COUNTS = (2, 4, 6)
@@ -58,6 +60,10 @@ BENCH_DOCUMENT = {
 #: amortise the batched engine's fixed per-step cost.
 SIM_TASKSETS_PER_POINT = 50
 SIM_HYPERPERIODS = 25
+#: Traced units run on the reference loop, several times slower than the
+#: lane engine, so the traced replay takes every tenth unit of the sweep (a
+#: fixed subset of 90 units that spans all nine points).
+TRACED_SUBSET = slice(None, None, 10)
 
 
 def _bench_jobs(**simulation):
@@ -90,10 +96,12 @@ def _reseeded(units):
             for unit in units]
 
 
-def _simulate_compiled(units):
+def _simulate_reference(units):
+    """One reference-loop run per unit: the lane engine's bitwise oracle."""
     return [
-        run_compiled(unit.schedule, unit.processor, unit.policy, unit.config,
-                     unit.workload, unit.rng)
+        DVSSimulator(unit.processor, policy=unit.policy,
+                     config=replace(unit.config, fast_path=False)).run(
+            unit.schedule, unit.workload, unit.rng)
         for unit in _reseeded(units)
     ]
 
@@ -126,20 +134,13 @@ def test_figure6a_random_tasksets(benchmark, run_once):
     assert improvement(TASK_COUNTS[-1], 0.1) >= improvement(TASK_COUNTS[0], 0.1) - 5.0
 
 
-def test_figure6a_sim_compiled(benchmark, sim_units):
-    """Simulation stage only, compiled event loop (the pre-batching baseline)."""
-    results = benchmark.pedantic(_simulate_compiled, args=(sim_units,),
+def test_figure6a_sim_batched(benchmark, sim_units):
+    """Simulation stage only, lane engine — must match the reference loop bitwise."""
+    results = benchmark.pedantic(_simulate_batched, args=(sim_units,),
                                  rounds=3, iterations=1)
     assert len(results) == len(sim_units)
     assert all(result.n_hyperperiods == SIM_HYPERPERIODS for result in results)
-
-
-def test_figure6a_sim_batched(benchmark, sim_units):
-    """Simulation stage only, batched SoA engine — must match compiled bitwise."""
-    results = benchmark.pedantic(_simulate_batched, args=(sim_units,),
-                                 rounds=3, iterations=1)
-    compiled = _simulate_compiled(sim_units)
-    for batched, reference in zip(results, compiled):
+    for batched, reference in zip(results, _simulate_reference(sim_units), strict=True):
         assert batched.total_energy == reference.total_energy
         assert batched.energy_per_hyperperiod == reference.energy_per_hyperperiod
         assert batched.transition_energy == reference.transition_energy
@@ -153,24 +154,22 @@ def _traced(units):
             for unit in units]
 
 
-def test_figure6a_sim_compiled_traced(benchmark, sim_units):
-    """The same compiled replay with the typed event stream on.
+def test_figure6a_sim_traced(benchmark, sim_units):
+    """The replay of a fixed subset with the typed event stream on.
 
-    Paired with ``test_figure6a_sim_compiled`` this is the tracing-overhead
-    guard: the trace-off number is the product path and must not regress when
-    event emission evolves, while the on/off gap quantifies what ``trace=True``
-    costs (event allocation is the dominant term).  The energies must be
-    bitwise-unchanged — tracing is a pure observer.
+    What ``trace=True`` costs a sweep: every traced unit runs on the
+    reference loop (the lane engine cannot trace) and allocates its events.
+    The energies must be bitwise those of the untraced lane engine — tracing
+    is a pure observer and the two engines agree.
     """
-    traced_units = _traced(sim_units)
-    results = benchmark.pedantic(_simulate_compiled, args=(traced_units,),
+    subset = sim_units[TRACED_SUBSET]
+    results = benchmark.pedantic(_simulate_batched, args=(_traced(subset),),
                                  rounds=3, iterations=1)
-    compiled = _simulate_compiled(sim_units)
-    for traced, reference in zip(results, compiled):
+    for traced, untraced in zip(results, _simulate_batched(subset), strict=True):
         assert traced.trace is not None and len(traced.trace) > 0
-        assert reference.trace is None
-        assert traced.total_energy == reference.total_energy
-        assert traced.energy_by_task == reference.energy_by_task
+        assert untraced.trace is None
+        assert traced.total_energy == untraced.total_energy
+        assert traced.energy_by_task == untraced.energy_by_task
 
 
 @pytest.fixture(scope="module")

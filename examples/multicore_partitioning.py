@@ -9,8 +9,8 @@ pipeline:
    packing extreme);
 2. **plan** — `plan_multicore` runs the paper's ACS offline NLP independently
    on every core's task subset;
-3. **simulate** — `MulticoreRunner` drives one compiled single-core runner
-   per core and aggregates energy, utilisation and deadline misses.
+3. **simulate** — `MulticoreRunner` simulates every core's schedule in one
+   batch and aggregates energy, utilisation and deadline misses.
 
 The point the table makes: with a quadratic energy law, *balancing* slack
 across cores (wfd/energy) beats *packing* tasks onto few cores (ffd) by a

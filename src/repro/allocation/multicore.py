@@ -13,7 +13,8 @@ Because the per-core problems are independent once the partition is fixed,
 planning parallelises trivially: ``jobs=N`` fans the per-core NLP solves out
 over a process pool, exactly like the experiment harness's sweep execution,
 and the result is identical for any worker count (each solve is a pure
-function of its core's task set).
+function of its core's task set).  The workers' telemetry counters come back
+with their plans, so a pooled run counts what a serial one counts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..core.errors import AllocationError
 from ..core.taskset import TaskSet
 from ..offline.schedule import StaticSchedule
 from ..power.processor import ProcessorModel
-from ..telemetry.core import current as _telemetry
+from ..telemetry.core import current as _telemetry, map_counted
 from .partitioners import Partition, get_partitioner
 
 __all__ = ["MulticoreProblem", "MulticorePlan", "plan_multicore"]
@@ -170,7 +171,7 @@ def plan_multicore(problem: MulticoreProblem, *, jobs: int = 1,
             solved = [_schedule_core(unit) for unit in work]
         else:
             with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-                solved = list(pool.map(_schedule_core, work))
+                solved = list(map_counted(pool, _schedule_core, work))
     schedules: List[Optional[StaticSchedule]] = [None] * resolved.n_cores
     for core, schedule in zip(populated, solved):
         schedules[core] = schedule

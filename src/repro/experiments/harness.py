@@ -86,14 +86,15 @@ class ComparisonConfig:
     workload: WorkloadModel = field(default_factory=NormalWorkload)
     policy: DVSPolicy = field(default_factory=GreedySlackPolicy)
     simulation: SimulationConfig = None
-    #: Run the fast simulation paths (identical results either way; ``False``
-    #: pins the reference loop, e.g. for equivalence sweeps).  Only
+    #: Run on the lane engine where it covers the configuration (identical
+    #: results either way; ``False`` pins the reference loop, e.g. for
+    #: equivalence sweeps).  Only
     #: consulted when ``simulation`` is unset — an explicit
     #: :class:`SimulationConfig` carries its own ``fast_path`` and wins.
     fast_path: bool = True
     #: Record the typed event stream on every method's
     #: :class:`~repro.runtime.results.SimulationResult` (see
-    #: :mod:`repro.runtime.trace`).  Traced units take the compiled loop.
+    #: :mod:`repro.runtime.trace`).  Traced units take the reference loop.
     #: Only consulted when ``simulation`` is unset.
     trace: bool = False
     #: Optional arrival model perturbing the job releases (``None`` is the
@@ -253,7 +254,7 @@ def _compare_chunk(entries: Sequence[_Entry], solve_memo: SolveMemo) -> List[Com
     seeded with the entry's ``cfg.seed`` (paired comparison: every method
     sees the same workload realisations).  The units advance together
     through one :func:`simulate_batch` call, which runs each unit the
-    vectorized core cannot reproduce on its own scalar loop.  Results are
+    vectorized core cannot reproduce on the reference loop.  Results are
     bitwise-identical to one ``DVSSimulator.run`` per unit, and for any
     chunking of the same entries.
     """

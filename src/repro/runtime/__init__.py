@@ -1,6 +1,5 @@
 """Online DVS runtime: discrete-event simulator, pluggable policies, result records."""
 
-from .compiled import CompiledRunner, CompiledSchedule, planned_frequency_array
 from .policies import (
     DVSPolicy,
     GreedySlackPolicy,
@@ -15,13 +14,11 @@ from .policies import (
     get_slack_policy,
 )
 from .results import DeadlineMiss, SimulationResult, improvement_percent
-from .simulator import DVSSimulator, SimulationConfig
+from .simulator import DVSSimulator, SimulationConfig, planned_frequency_array
 from .multicore import MulticoreResult, MulticoreRunner
 from .trace import EVENT_TYPES, EventTrace, TraceEvent
 
 __all__ = [
-    "CompiledRunner",
-    "CompiledSchedule",
     "planned_frequency_array",
     "DVSSimulator",
     "SimulationConfig",

@@ -1,10 +1,13 @@
-"""Batched structure-of-arrays simulation engine.
+"""Lane engine: the vectorized simulator behind ``simulate_batch``.
 
-The compiled event loop of :mod:`repro.runtime.compiled` advances one
-``(schedule, policy, generator)`` work unit at a time; a Figure-6 sweep at
-paper scale runs hundreds of such units over hundreds of hyperperiods each,
-back to back, as scalar Python loops.  This module advances **many
-(unit, hyperperiod) lanes per process in lock-step**.
+The reference event loop of :mod:`repro.runtime.simulator` advances one
+``(schedule, policy, generator)`` work unit at a time, one dispatch per
+Python loop iteration; a Figure-6 sweep at paper scale runs hundreds of such
+units over hundreds of hyperperiods each.  This module advances **many
+(unit, hyperperiod) lanes per process in lock-step**.  Every simulation that
+asks for the fast path (``SimulationConfig(fast_path=True)``, the default)
+comes through here: comparisons and multicore cores call
+:func:`simulate_batch` directly, ``DVSSimulator.run`` with a one-unit batch.
 
 **Lanes and blocks.**  The runtime resets all job state at every hyperperiod
 boundary, so a unit's hyperperiods are independent of each other except for
@@ -35,26 +38,26 @@ from 6.4 to 10-14 MB.  It is a module constant, not an option.
 
 **Determinism contract.**  For every unit the engine produces a
 :class:`~repro.runtime.results.SimulationResult` that is *bitwise identical*
-to the compiled path (and therefore to the reference loop) run on that unit
-alone:
+to the reference loop run on that unit alone:
 
 * workload draws go through the unit's own generator with one
   :meth:`~repro.workloads.distributions.WorkloadModel.sample_batch` call per
-  unit — exactly the call the compiled path makes — so the RNG stream
-  contract is preserved per unit and the harness's SeedSequence-derived
-  per-unit seeds reproduce the serial results bit for bit;
+  unit, which consumes the stream exactly as the reference loop's per-job
+  scalar draws do (the RNG stream contract of ``sample_batch``), and the
+  harness's SeedSequence-derived per-unit seeds reproduce the serial
+  results bit for bit;
 * mask-based job selection picks the minimum dispatch rank over the eligible
-  set, which is provably the job the compiled ready-heap pops (eligibility is
-  monotone within a hyperperiod and ranks are a strict total order);
+  set, which is the job the reference loop's ``min()`` over ``sort_key``
+  selects (the ranks are a strict total order on that same key);
 * every floating-point quantity of one hyperperiod is produced by the same
-  IEEE-754 operations in the same order as the scalar loop produces it for
-  that hyperperiod (NumPy element-wise float64 arithmetic is
+  IEEE-754 operations in the same order as the reference loop produces it
+  for that hyperperiod (NumPy element-wise float64 arithmetic is
   bitwise-identical to Python float arithmetic);
 * at each block end the lanes are *folded* into their units in hyperperiod
   order: ``energy_per_hyperperiod`` and the deadline misses are appended lane
   by lane, the transition energy is added hyperperiod by hyperperiod, and
   ``energy_by_task`` is a sequential fold over every lane's logged dispatch
-  segments.  The compiled loop adds each segment to one run-wide dict, so
+  segments.  The reference loop adds each segment to one run-wide dict, so
   summing per-hyperperiod partial sums instead would re-associate the sum and
   change its bits.  The fold also keeps the first-touch key order of
   ``energy_by_task``.
@@ -66,21 +69,20 @@ linear delay law, the stock :class:`~repro.power.transition.TransitionModel`
 and the default ``record``/no-timeline/continuous-voltage configuration.
 Arrival models (release jitter) are vectorized too: every unit's offsets are
 drawn in one :meth:`~repro.workloads.arrivals.ArrivalModel.sample_offsets`
-call before its workload draw — the scalar engines' exact stream order — and
-jittered lanes derive their dispatch ranks with one row ``lexsort`` (the same
-strict total order the compiled loop sorts by).
+call before its workload draw — the reference loop's exact stream order —
+and jittered lanes derive their dispatch ranks with one row ``lexsort`` (the
+same strict total order the reference loop sorts by).
 Anything else — subclassed policies (whose hooks and overrides must observe
 the exact scalar call sequence), CMOS-law processors, discrete voltage
 levels, recorded timelines, event tracing (``SimulationConfig(trace=True)``),
-``on_deadline_miss="raise"`` — falls back
-*per unit* to :func:`repro.runtime.compiled.run_compiled`, so a mixed batch
-still returns the right result for every unit.  A unit that asks for the
-reference loop (``SimulationConfig(fast_path=False)``) runs through
-``DVSSimulator.run`` instead.  Each fallback counts one
-``sim.batch_fallback.<reason>`` telemetry counter.  Policy lifecycle hooks are
-not invoked from the vectorized core (the built-in policies define them as
-no-ops, which is part of the gate); ``on_simulation_start`` is still called
-per unit for symmetry with the scalar paths.
+``on_deadline_miss="raise"``, and units that ask for the reference loop
+(``SimulationConfig(fast_path=False)``) — runs *per unit* on the reference
+loop (:func:`run_compiled`), so a mixed batch still returns the right result
+for every unit.  Each fallback counts one ``sim.batch_fallback.<reason>``
+telemetry counter.  Policy lifecycle hooks are not invoked from the
+vectorized core (the built-in policies define them as no-ops, which is part
+of the gate); ``on_simulation_start`` is still called per unit for symmetry
+with the reference loop.
 """
 
 from __future__ import annotations
@@ -96,7 +98,6 @@ from ..power.processor import ProcessorModel
 from ..telemetry.core import current as _telemetry
 from ..power.transition import TransitionModel
 from ..workloads.distributions import NormalWorkload, WorkloadModel
-from .compiled import CompiledSchedule, run_compiled
 from .policies import (
     DVSPolicy,
     GreedySlackPolicy,
@@ -106,7 +107,7 @@ from .policies import (
     get_policy,
 )
 from .results import DeadlineMiss, SimulationResult
-from .simulator import DVSSimulator, SimulationConfig
+from .simulator import DVSSimulator, SimulationConfig, planned_frequency_array
 
 __all__ = ["BatchUnit", "LANE_BUDGET", "simulate_batch", "batch_fallback_reason"]
 
@@ -123,7 +124,7 @@ _NO_RANK = np.int64(2**31)
 
 #: Policy types the vectorized core reproduces exactly (checked by *exact*
 #: type: a subclass may override hooks or arithmetic and must take the
-#: compiled path, which honours the full scalar call sequence).
+#: reference loop, which honours the full scalar call sequence).
 _POLICY_IDS = {
     StaticReplayPolicy: 0,
     GreedySlackPolicy: 1,
@@ -136,7 +137,7 @@ _POLICY_IDS = {
 class BatchUnit:
     """One simulation work unit of a batch.
 
-    ``rng`` must be positioned exactly where the scalar path's generator
+    ``rng`` must be positioned exactly where the reference loop's generator
     would be (the harness passes ``np.random.default_rng(seed)`` with the
     unit's own derived seed); ``workload`` defaults to the paper's
     :class:`~repro.workloads.distributions.NormalWorkload`.
@@ -158,7 +159,7 @@ class BatchUnit:
 
 
 def batch_fallback_reason(unit: BatchUnit) -> Optional[str]:
-    """Why ``unit`` must take a scalar fallback (``None`` = vectorizable)."""
+    """Why ``unit`` must run on the reference loop (``None`` = vectorizable)."""
     return _unit_fallback_reason(unit) or _schedule_fallback_reason(unit.schedule)
 
 
@@ -195,8 +196,22 @@ def _schedule_fallback_reason(schedule: StaticSchedule) -> Optional[str]:
     return None
 
 
+def run_compiled(unit: BatchUnit) -> SimulationResult:
+    """Run one resolved unit that the lane engine does not cover on the reference loop.
+
+    The name is historical: this route once ran a per-unit compiled event
+    loop.  It stays because the benchmark's layer tracer
+    (``perfbench/tracer.py``) counts ``runtime.batch_fallbacks`` by wrapping
+    this module attribute by name; it goes once the tracer counts the
+    ``sim.batch_fallback.*`` counters instead.  It calls ``_run_reference``,
+    not ``DVSSimulator.run``, which would come back here.
+    """
+    simulator = DVSSimulator(unit.processor, policy=unit.policy, config=unit.config)
+    return simulator._run_reference(unit.schedule, unit.workload, unit.rng)
+
+
 def simulate_batch(units: Sequence[BatchUnit]) -> List[SimulationResult]:
-    """Simulate every unit; bitwise-identical to one ``DVSSimulator.run`` per unit."""
+    """Simulate every unit; bitwise-identical to one reference-loop run per unit."""
     telemetry = _telemetry()
     resolved = [unit.resolved() for unit in units]
     results: List[Optional[SimulationResult]] = [None] * len(resolved)
@@ -216,12 +231,7 @@ def simulate_batch(units: Sequence[BatchUnit]) -> List[SimulationResult]:
             continue
         telemetry.count("sim.batch_fallback." + reason)
         with telemetry.span("sim.fallback_unit"):
-            if unit.config.fast_path:
-                results[index] = run_compiled(unit.schedule, unit.processor, unit.policy,
-                                              unit.config, unit.workload, unit.rng)
-            else:
-                simulator = DVSSimulator(unit.processor, policy=unit.policy, config=unit.config)
-                results[index] = simulator.run(unit.schedule, unit.workload, unit.rng)
+            results[index] = run_compiled(unit)
     if vectorized:
         telemetry.count("sim.batched_units", len(vectorized))
         with telemetry.span("sim.batch"):
@@ -229,6 +239,42 @@ def simulate_batch(units: Sequence[BatchUnit]) -> List[SimulationResult]:
             for index, result in zip(vectorized, engine.run()):
                 results[index] = result
     return results  # type: ignore[return-value]
+
+
+class _CompiledSchedule:
+    """Per-job tables of one schedule: the rows ``_SoAEngine`` pads and stacks.
+
+    Built once per distinct ``(schedule, processor)`` of a batch.  Entries
+    are grouped per job, in ``expansion.instances`` order, as plain lists.
+    """
+
+    def __init__(self, schedule: StaticSchedule, processor: ProcessorModel) -> None:
+        expansion = schedule.expansion
+        self.hyperperiod = expansion.horizon
+        self.instances = list(expansion.instances)
+        self.tasks = [instance.task for instance in self.instances]
+        self.n_jobs = len(self.instances)
+        planned = planned_frequency_array(schedule, processor)
+        entries = [schedule.entries_for_instance(instance) for instance in self.instances]
+        self.entry_budgets = [[entry.wc_budget for entry in job] for job in entries]
+        self.entry_end_times = [[entry.end_time for entry in job] for job in entries]
+        self.entry_slot_starts = [[entry.sub.slot_start for entry in job] for job in entries]
+        self.entry_planned = [[float(planned[entry.order]) for entry in job] for job in entries]
+        self.releases = [instance.release for instance in self.instances]
+        self.deadlines = [instance.deadline for instance in self.instances]
+        self.priorities = [instance.priority for instance in self.instances]
+        self.wcecs = [instance.wcec for instance in self.instances]
+        self.task_names = [task.name for task in self.tasks]
+        self.job_indices = [instance.job_index for instance in self.instances]
+        self.ceffs = [task.ceff for task in self.tasks]
+        # Dispatch rank of every job: its place in the reference loop's
+        # ``sort_key`` order (priority, release, task name, job index), a
+        # strict total order because task name and job index are unique.
+        self.job_of_rank = sorted(range(self.n_jobs), key=lambda j: (
+            self.priorities[j], self.releases[j], self.task_names[j], self.job_indices[j]))
+        self.rank_of_job = [0] * self.n_jobs
+        for rank, job in enumerate(self.job_of_rank):
+            self.rank_of_job[job] = rank
 
 
 class _SoAEngine:
@@ -262,16 +308,16 @@ class _SoAEngine:
     def __init__(self, units: List[BatchUnit]) -> None:
         self.units = units
         U = len(units)
-        # One CompiledSchedule and one set of padded static rows per distinct
+        # One set of per-job tables and padded static rows per distinct
         # (schedule, processor): the units of a sweep mostly share schedules.
-        compiled: List[CompiledSchedule] = []
+        compiled: List[_CompiledSchedule] = []
         index_of_pair: Dict[Tuple[int, ProcessorModel], int] = {}
         unit_sched: List[int] = []
         for unit in units:
             pair = (id(unit.schedule), unit.processor)
             if pair not in index_of_pair:
                 index_of_pair[pair] = len(compiled)
-                compiled.append(CompiledSchedule(unit.schedule, unit.processor))
+                compiled.append(_CompiledSchedule(unit.schedule, unit.processor))
             unit_sched.append(index_of_pair[pair])
         self.unit_sched = np.array(unit_sched, dtype=np.intp)
         S = len(compiled)
@@ -298,7 +344,7 @@ class _SoAEngine:
         # Dispatch-rank sort keys, needed only by jittered lanes: priority
         # (+inf padding keeps padding jobs behind every real job) and the
         # rank of the unique (task name, job index) pair — an
-        # order-isomorphic integer stand-in for the compiled loop's string
+        # order-isomorphic integer stand-in for the reference loop's string
         # tiebreak, so one row lexsort reproduces its sort exactly.
         self.prio = np.full((S, J), np.inf, dtype=float)
         self.tiebreak = np.zeros((S, J), dtype=np.int64)
@@ -313,7 +359,7 @@ class _SoAEngine:
         for s, c in enumerate(compiled):
             n = c.n_jobs
             self.valid[s, :n] = True
-            self.rel[s, :n] = c.release_list
+            self.rel[s, :n] = c.releases
             self.wcec[s, :n] = c.wcecs
             self.sched_rank[s, :n] = c.rank_of_job
             self.sched_job_of_rank[s, :n] = c.job_of_rank
@@ -321,15 +367,18 @@ class _SoAEngine:
             order = sorted(range(n), key=lambda j: (c.task_names[j], c.job_indices[j]))
             for tb, j in enumerate(order):
                 self.tiebreak[s, j] = tb
-            template["budget"][s, :n] = c.first_budget_list
-            template["wc_rem"][s, :n] = c.wc_total_list
-            template["dl_abs"][s, :n] = c.deadline_list
-            template["fin_abs"][s, :n] = c.final_end_list
+            template["dl_abs"][s, :n] = c.deadlines
             template["ceff"][s, :n] = c.ceffs
             names: List[str] = []
             index_of: Dict[str, int] = {}
             for j in range(n):
                 budgets = c.entry_budgets[j]
+                # A job's first budget, its whole worst-case budget (summed
+                # as the reference loop's ``_JobState`` sums it) and its last
+                # planned end-time, the look-ahead horizon.
+                template["budget"][s, j] = budgets[0]
+                template["wc_rem"][s, j] = sum(budgets)
+                template["fin_abs"][s, j] = c.entry_end_times[j][-1]
                 template["last_entry"][s, j] = len(budgets) - 1
                 self.entry_budget[s, j, :len(budgets)] = budgets
                 self.entry_end[s, j, :len(budgets)] = c.entry_end_times[j]
@@ -371,11 +420,11 @@ class _SoAEngine:
                 [_POLICY_IDS[type(u.policy)] for u in units], dtype=np.int64),
         }
 
-        # Whole-run workload draws, one sample_batch call per unit exactly as
-        # the compiled path makes it (the bitwise RNG-stream contract), rows
+        # Whole-run workload draws, one sample_batch call per unit (the
+        # bitwise RNG-stream contract with the reference loop's draws), rows
         # padded to (widest horizon, J) so a block start is one gather.
-        # Arrival jitter is drawn first, per unit, mirroring run_compiled's
-        # stream order (jitter draw, then workload draw); units without an
+        # Arrival jitter is drawn first, per unit, mirroring the reference
+        # loop's stream order (jitter draw, then workload draw); units without an
         # arrival model make no draw, and with none in the batch there is no
         # jitter table at all.
         self.has_jitter = np.array(
@@ -439,8 +488,8 @@ class _SoAEngine:
     def _start_block(self, live: np.ndarray, counts: np.ndarray) -> None:
         """Reset one lane per (live unit, hyperperiod) of the block.
 
-        Mirrors ``CompiledRunner.reset_hyperperiod`` plus the per-hyperperiod
-        set-up of ``run_hyperperiod``, for every lane at once.  Lanes are laid
+        Mirrors the reference loop's per-hyperperiod ``_build_jobs`` and
+        set-up of ``_simulate_hyperperiod``, for every lane at once.  Lanes are laid
         out unit by unit, hyperperiods ascending, and ``lane_id`` keeps that
         position through compaction: it is the fold order.
         """
@@ -487,13 +536,13 @@ class _SoAEngine:
         if self.jitter_arr is not None:
             jm = self.has_jitter[lane_unit]
             if jm.any():
-                # Release jitter, added after the offset — the compiled loop's
+                # Release jitter, added after the offset — the reference loop's
                 # exact association (release + offset, then += jitter).
                 # All-zero jitter rows (PeriodicArrivals) are bitwise no-ops.
                 jittered = np.nonzero(jm)[0]
                 rel_abs[jittered] += self.jitter_arr[lane_unit[jittered], lane_hp[jittered], :J]
                 # Jittered releases reshuffle the dispatch order: derive the
-                # rank permutation exactly as CompiledRunner sorts its jobs —
+                # rank permutation exactly as the reference loop ranks jobs —
                 # by (priority, absolute release, task name, job index), the
                 # last two standing in as the precomputed integer
                 # ``tiebreak``.  np.lexsort's primary key is the *last* one.
@@ -550,7 +599,7 @@ class _SoAEngine:
     def _fold_block(self, live: np.ndarray, counts: np.ndarray) -> None:
         """Fold the block's lanes into their units, in hyperperiod order.
 
-        Every run-wide sum is extended exactly as the compiled loop extends
+        Every run-wide sum is extended exactly as the reference loop extends
         it: hyperperiod by hyperperiod for the energies and the transition
         energy, and segment by segment for ``energy_by_task``.
         """
@@ -563,7 +612,7 @@ class _SoAEngine:
             has = counts > b
             self.trans_total[live[has]] += self.block_trans[starts[has] + b]
         # Lane ids ascend in (unit, hyperperiod) order, so a stable sort by
-        # lane id puts every unit's events in the compiled loop's order.
+        # lane id puts every unit's events in the reference loop's order.
         unit_of_lane = np.repeat(live, counts)
         for lane, miss in sorted(self.block_misses, key=itemgetter(0)):
             self.misses[unit_of_lane[lane]].append(miss)
@@ -584,7 +633,7 @@ class _SoAEngine:
                     self.task_touched[u, t] = True
                     self.task_order[u].append(t)
             # ufunc.at applies the additions one by one, in index order: a
-            # sequential fold per (unit, task), as the compiled dict update.
+            # sequential fold per (unit, task), as the reference dict update.
             np.add.at(self.task_energy.reshape(-1),
                       units * self.task_energy.shape[1] + tasks, energy[order])
         self.hp_done[live] += counts
@@ -691,8 +740,8 @@ class _SoAEngine:
         throttled = rows[any_live]
         if throttled.size:
             # Earliest wake-up among live jobs — max(release, slot_start) —
-            # capped by the next release: exactly the compiled loop's
-            # throttled-heap jump.  (Masked min reduction; min is
+            # capped by the next release: exactly the reference loop's
+            # wake-up jump.  (Masked min reduction; min is
             # order-exact, so bitwise-equal to the where/inf formulation.)
             eligible_at = np.maximum(self.rel_abs[throttled],
                                      self.cur_slot_abs[throttled])
@@ -750,7 +799,7 @@ class _SoAEngine:
             # After the position advance above, a zero-cycle dispatch of a
             # live job (actual > eps) implies budget <= eps at the last
             # entry: the numerical fringe, which finishes at fmax/vmax.  The
-            # scalar loops' requeue branch is unreachable under the same
+            # reference loop's requeue branch is unreachable under the same
             # invariants; guard it rather than silently stalling the lane.
             fringe = zero & (b_sel <= _EPS) & (position >= last_entry)
             if not bool(np.all(fringe[zero])):
@@ -761,8 +810,8 @@ class _SoAEngine:
             budget_cycles = np.where(fringe, a_sel, budget_cycles)
 
         # Transition accounting, after the zero-budget handling (the voltage
-        # the dispatch actually executes at) — same order as the fixed
-        # scalar paths.  Skipped wholesale when every model is free (the
+        # the dispatch actually executes at) — same order as the reference
+        # loop.  Skipped wholesale when every model is free (the
         # voltage history then feeds nothing).
         if self.track_voltage:
             charge = self.has_voltage[lanes] & ~self.trans_free[lanes]
@@ -818,7 +867,7 @@ class _SoAEngine:
 
     def _policy_frequency(self, lanes, now, end_abs, b_sel, planned, wc_sel,
                           dl_abs, fin_abs, fmin, fmax) -> np.ndarray:
-        """Vectorized ``frequency_from`` of the built-in policies."""
+        """Vectorized ``DVSPolicy.frequency`` of the built-in policies."""
         if len(self.pid_list) == 1:
             # Homogeneous lanes (the common sweep shape): no mask gathers.
             return self._policy_kernel(self.pid_list[0], now, end_abs, b_sel,
@@ -844,8 +893,8 @@ class _SoAEngine:
             available = end_abs - now
             work = b_sel
         elif pid == 2:  # lookahead: job work over its final end-time
-            # job_final_end_time is always finite here (the compiled
-            # schedule fills it from the last entry or the deadline), so
+            # job_final_end_time is always finite here (every job has
+            # entries, so it is the last entry's end-time), so
             # the policy's isfinite fallback never triggers.
             available = fin_abs - now
             work = wc_sel

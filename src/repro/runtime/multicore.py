@@ -1,14 +1,14 @@
-"""Multicore runtime: simulate a partitioned plan, one compiled runner per core.
+"""Multicore runtime: simulate a partitioned plan, one batch unit per core.
 
 Partitioned scheduling keeps cores independent at runtime — no migration, no
 shared ready queue — so the multicore simulation is ``m`` single-core
 simulations over a common wall-clock horizon plus aggregation.
-:class:`MulticoreRunner` drives one :class:`~repro.runtime.compiled.CompiledRunner`
-per populated core (through :class:`~repro.runtime.simulator.DVSSimulator`'s
-fast path; ``SimulationConfig(fast_path=False)`` pins every core to the
-reference loop) and collects the per-core
-:class:`~repro.runtime.results.SimulationResult` records into a
-:class:`MulticoreResult`.
+:class:`MulticoreRunner` simulates every populated core in one
+:func:`~repro.runtime.batched.simulate_batch` call, one unit per core (the
+lane engine runs them side by side; ``SimulationConfig(fast_path=False)`` and
+the configurations it does not cover put every core on the reference loop),
+and collects the per-core :class:`~repro.runtime.results.SimulationResult`
+records into a :class:`MulticoreResult`.
 
 Two aggregation subtleties:
 
@@ -22,7 +22,7 @@ Two aggregation subtleties:
   derived from ``(seed, core_index, SIMULATION_STREAM)`` with the experiment
   harness's explicit seed derivation — results are independent of the order
   cores are simulated in, and a one-core run consumes exactly the stream a
-  single-core :class:`DVSSimulator` run with ``derive_rng(seed, 0,
+  single-core :class:`~repro.runtime.simulator.DVSSimulator` run with ``derive_rng(seed, 0,
   SIMULATION_STREAM)`` would, which is what makes the ``m=1`` equivalence
   test bitwise (see ``tests/runtime/test_multicore_runner.py``).
 """
@@ -38,9 +38,10 @@ import numpy as np
 from ..core.errors import SimulationError
 from ..power.processor import ProcessorModel
 from ..workloads.distributions import NormalWorkload, WorkloadModel
+from .batched import BatchUnit, simulate_batch
 from .policies import DVSPolicy, get_policy
 from .results import DeadlineMiss, SimulationResult
-from .simulator import DVSSimulator, SimulationConfig
+from .simulator import SimulationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..allocation.multicore import MulticorePlan
@@ -161,25 +162,26 @@ class MulticoreRunner:
 
         workload_model = workload if workload is not None else NormalWorkload()
         root_seed = seed if seed is not None else self.config.seed
-        core_results: List[Optional[SimulationResult]] = [None] * plan.n_cores
-        for core in plan.partition.used_cores():
-            schedule = plan.schedules[core]
-            repeats = plan.hyperperiods_per_frame(core)
-            core_config = replace(
-                self.config,
-                n_hyperperiods=self.config.n_hyperperiods * repeats,
-                seed=None,
-            )
-            simulator = DVSSimulator(
-                self.processor,
+        cores = plan.partition.used_cores()
+        units = [
+            BatchUnit(
+                schedule=plan.schedules[core],
+                processor=self.processor,
                 policy=self._core_policy(),
-                config=core_config,
+                config=replace(
+                    self.config,
+                    n_hyperperiods=self.config.n_hyperperiods * plan.hyperperiods_per_frame(core),
+                    seed=None,
+                ),
+                workload=workload_model,
+                rng=(np.random.default_rng() if root_seed is None
+                     else derive_rng(root_seed, core, SIMULATION_STREAM)),
             )
-            if root_seed is None:
-                rng = np.random.default_rng()
-            else:
-                rng = derive_rng(root_seed, core, SIMULATION_STREAM)
-            core_results[core] = simulator.run(schedule, workload_model, rng)
+            for core in cores
+        ]
+        core_results: List[Optional[SimulationResult]] = [None] * plan.n_cores
+        for core, result in zip(cores, simulate_batch(units)):
+            core_results[core] = result
         return MulticoreResult(
             method=plan.method,
             policy=self._policy_name(),

@@ -131,32 +131,6 @@ class DVSPolicy(ABC):
     def frequency(self, processor: ProcessorModel, request: SpeedRequest) -> float:
         """Return the clock frequency to use, already clipped to the processor range."""
 
-    def frequency_from(self, processor: ProcessorModel, time_now: float, end_time: float,
-                       wc_remaining: float, planned_frequency: float,
-                       job_wc_remaining: float, job_deadline: float,
-                       job_final_end_time: float = math.inf) -> float:
-        """Speed query on the compiled fast path (no :class:`SpeedRequest` allocation).
-
-        The compiled event loop dispatches thousands of speed queries per
-        simulation, so the built-in policies override this with the direct
-        arithmetic of their :meth:`frequency` implementation.  The default
-        packs the arguments into a :class:`SpeedRequest` and delegates, which
-        keeps third-party subclasses that only implement :meth:`frequency`
-        working unchanged on the fast path.  Overrides must return bitwise
-        the same value as :meth:`frequency` on the equivalent request — the
-        equivalence suite in ``tests/runtime/test_compiled_equivalence.py``
-        holds both paths to that contract.
-        """
-        return self.frequency(processor, SpeedRequest(
-            time_now=time_now,
-            end_time=end_time,
-            wc_remaining=wc_remaining,
-            planned_frequency=planned_frequency,
-            job_wc_remaining=job_wc_remaining,
-            job_deadline=job_deadline,
-            job_final_end_time=job_final_end_time,
-        ))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -172,12 +146,6 @@ class StaticReplayPolicy(DVSPolicy):
 
     def frequency(self, processor: ProcessorModel, request: SpeedRequest) -> float:
         return processor.clip_frequency(request.planned_frequency)
-
-    def frequency_from(self, processor: ProcessorModel, time_now: float, end_time: float,
-                       wc_remaining: float, planned_frequency: float,
-                       job_wc_remaining: float, job_deadline: float,
-                       job_final_end_time: float = math.inf) -> float:
-        return processor.clip_frequency(planned_frequency)
 
 
 #: Backwards-compatible alias (the seed's name for static replay).
@@ -196,17 +164,6 @@ class GreedySlackPolicy(DVSPolicy):
         if available <= 0:
             return processor.fmax
         return processor.clip_frequency(request.wc_remaining / available)
-
-    def frequency_from(self, processor: ProcessorModel, time_now: float, end_time: float,
-                       wc_remaining: float, planned_frequency: float,
-                       job_wc_remaining: float, job_deadline: float,
-                       job_final_end_time: float = math.inf) -> float:
-        if wc_remaining <= 0:
-            return processor.fmin
-        available = end_time - time_now
-        if available <= 0:
-            return processor.fmax
-        return processor.clip_frequency(wc_remaining / available)
 
 
 class LookaheadSlackPolicy(DVSPolicy):
@@ -234,20 +191,6 @@ class LookaheadSlackPolicy(DVSPolicy):
             return processor.fmax
         return processor.clip_frequency(request.job_wc_remaining / available)
 
-    def frequency_from(self, processor: ProcessorModel, time_now: float, end_time: float,
-                       wc_remaining: float, planned_frequency: float,
-                       job_wc_remaining: float, job_deadline: float,
-                       job_final_end_time: float = math.inf) -> float:
-        if job_wc_remaining <= 0:
-            return processor.fmin
-        horizon = job_final_end_time
-        if not math.isfinite(horizon):
-            horizon = job_deadline
-        available = horizon - time_now
-        if available <= 0:
-            return processor.fmax
-        return processor.clip_frequency(job_wc_remaining / available)
-
 
 class ProportionalSlackPolicy(DVSPolicy):
     """Stretch the job's remaining worst-case work until the job deadline.
@@ -267,17 +210,6 @@ class ProportionalSlackPolicy(DVSPolicy):
         if available <= 0:
             return processor.fmax
         return processor.clip_frequency(request.job_wc_remaining / available)
-
-    def frequency_from(self, processor: ProcessorModel, time_now: float, end_time: float,
-                       wc_remaining: float, planned_frequency: float,
-                       job_wc_remaining: float, job_deadline: float,
-                       job_final_end_time: float = math.inf) -> float:
-        if job_wc_remaining <= 0:
-            return processor.fmin
-        available = job_deadline - time_now
-        if available <= 0:
-            return processor.fmax
-        return processor.clip_frequency(job_wc_remaining / available)
 
 
 _POLICIES: Dict[str, Type[DVSPolicy]] = {

@@ -12,6 +12,10 @@ interface (one speed query per dispatch plus the lifecycle hooks).
 
 The reported "runtime energy consumption" (total and per hyperperiod) is the
 quantity the paper's Figure 6 compares between ACS and WCS schedules.
+
+This module holds the scalar reference event loop.  ``DVSSimulator.run``
+hands the default configuration to the lane engine of
+:mod:`repro.runtime.batched`, which produces bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from ..power.transition import TransitionModel
 from ..power.voltage import VoltageLevels
 from ..workloads.arrivals import ArrivalModel
 from ..workloads.distributions import WorkloadModel, NormalWorkload
-from .compiled import planned_frequency_array, run_compiled
 from .policies import DVSPolicy, GreedySlackPolicy, SpeedRequest, get_policy
 from .results import DeadlineMiss, SimulationResult
 from .trace import (
@@ -44,9 +47,26 @@ from .trace import (
     SegmentStart,
 )
 
-__all__ = ["SimulationConfig", "DVSSimulator"]
+__all__ = ["SimulationConfig", "DVSSimulator", "planned_frequency_array"]
 
 _EPS = 1e-9
+
+
+def planned_frequency_array(schedule: StaticSchedule, processor: ProcessorModel) -> np.ndarray:
+    """Static worst-case frequency of every entry, indexed by total order.
+
+    This is the single source of the "planned frequency" the static-replay
+    policy runs at: the reference loop's string-keyed dictionary and the lane
+    engine's per-job tables are both views of this array, so the two engines
+    can never disagree.
+    """
+    frequencies = np.empty(len(schedule.entries), dtype=float)
+    previous_end = 0.0
+    for index, entry in enumerate(schedule.entries):
+        planned_start = max(previous_end, entry.sub.slot_start)
+        frequencies[index] = entry.planned_wc_speed(planned_start, processor)
+        previous_end = max(previous_end, entry.end_time)
+    return frequencies
 
 
 @dataclass(frozen=True)
@@ -66,15 +86,16 @@ class SimulationConfig:
         result (``SimulationResult.trace``; memory-heavy, off by default).
         Tracing never changes the simulated behaviour: energies, timelines
         and RNG consumption are bitwise-identical with tracing on or off,
-        and when it is off the fast path allocates no event objects at all.
-        The batched engine does not trace — it falls back to the compiled
-        loop per unit (see :func:`repro.runtime.batched.batch_fallback_reason`).
+        and when it is off no event object is allocated at all.  Only the
+        reference loop traces: the lane engine cannot, so a traced unit runs
+        on the reference loop (see
+        :func:`repro.runtime.batched.batch_fallback_reason`).
     arrivals:
         Optional :class:`~repro.workloads.arrivals.ArrivalModel` perturbing
         job releases (e.g. sporadic bounded jitter).  ``None`` (default) is
         the paper's strictly periodic model and consumes no randomness; a
         model draws all of a run's offsets in one vectorized call *before*
-        the workload draws, keeping both scalar engines bitwise-identical.
+        the workload draws, keeping both engines bitwise-identical.
     on_deadline_miss:
         ``"record"`` (default) or ``"raise"``.
     transition_model:
@@ -86,12 +107,13 @@ class SimulationConfig:
     quantization:
         Quantisation policy (``"ceiling"`` keeps worst-case guarantees).
     fast_path:
-        Run the compiled event loop of :mod:`repro.runtime.compiled`
-        (default).  The reference loop is retained behind ``False`` for
-        debugging and for the bitwise-equivalence suite; both paths produce
-        identical results for identical seeds.  Many runs at once go through
-        :func:`repro.runtime.batched.simulate_batch`, which sends a
-        ``fast_path=False`` unit through the reference loop too.
+        Run on the lane engine of :mod:`repro.runtime.batched` (default)
+        wherever it covers the configuration, and on the reference loop
+        everywhere else (see
+        :func:`repro.runtime.batched.batch_fallback_reason`).  ``False``
+        pins the run to the reference loop, the oracle of the
+        bitwise-equivalence suite; both produce identical results for
+        identical seeds.
     """
 
     n_hyperperiods: int = 1
@@ -194,27 +216,27 @@ class DVSSimulator:
             rng: Optional[np.random.Generator] = None) -> SimulationResult:
         """Simulate ``schedule`` under ``workload`` for the configured number of hyperperiods.
 
-        By default this executes the compiled fast path of
-        :mod:`repro.runtime.compiled`; ``SimulationConfig(fast_path=False)``
-        selects the reference event loop.  Both produce bitwise-identical
-        results for the same generator state.
+        By default this is a one-unit :func:`repro.runtime.batched.simulate_batch`
+        call, which runs the unit on the lane engine or, for a configuration
+        the lane engine does not cover, on the reference event loop;
+        ``SimulationConfig(fast_path=False)`` always selects the reference
+        loop.  Both produce bitwise-identical results for the same generator
+        state.
         """
         workload_model = workload if workload is not None else NormalWorkload()
         generator = rng if rng is not None else np.random.default_rng(self.config.seed)
-        if self.config.fast_path:
-            return self._run_compiled(schedule, workload_model, generator)
-        return self._run_reference(schedule, workload_model, generator)
+        if not self.config.fast_path:
+            return self._run_reference(schedule, workload_model, generator)
+        # Imported here: the batched module builds on this one.
+        from .batched import BatchUnit, simulate_batch
+
+        return simulate_batch([BatchUnit(
+            schedule=schedule, processor=self.processor, policy=self.policy,
+            config=self.config, workload=workload_model, rng=generator)])[0]
 
     # ------------------------------------------------------------------ #
-    # Compiled fast path
-    # ------------------------------------------------------------------ #
-    def _run_compiled(self, schedule: StaticSchedule, workload_model: WorkloadModel,
-                      generator: np.random.Generator) -> SimulationResult:
-        return run_compiled(schedule, self.processor, self.policy, self.config,
-                            workload_model, generator)
-
-    # ------------------------------------------------------------------ #
-    # Reference event loop (fast_path=False; the bitwise-equivalence oracle)
+    # Reference event loop: the bitwise-equivalence oracle, and the engine
+    # of every unit the lane engine does not cover (tracing, timelines, ...)
     # ------------------------------------------------------------------ #
     def _run_reference(self, schedule: StaticSchedule, workload_model: WorkloadModel,
                        generator: np.random.Generator) -> SimulationResult:
@@ -232,7 +254,7 @@ class DVSSimulator:
         jobs_completed = 0
 
         # Arrival jitter is drawn for the whole run in one vectorized call,
-        # *before* any workload draw — the compiled path makes the identical
+        # *before* any workload draw — the lane engine makes the identical
         # call, keeping the generator streams aligned.
         offsets = None
         if self.config.arrivals is not None:

@@ -7,15 +7,15 @@ This module makes the simulator's behaviour itself a first-class artifact: an
 ordered sequence of small frozen dataclasses describing every release,
 dispatch, speed change, preemption and deadline miss.
 
-Tracing is opt-in (``SimulationConfig(trace=True)``) and both scalar engines
-— the reference event loop of :mod:`repro.runtime.simulator` and the compiled
-fast path of :mod:`repro.runtime.compiled` — emit **identical** event
-sequences for identical inputs; the conformance suite in
-``tests/runtime/test_trace_conformance.py`` holds them to it with exact
-(dataclass) equality.  When tracing is off the fast path allocates no event
-objects at all, and the batched structure-of-arrays engine falls back to the
-compiled runner per unit when tracing is requested (see
-:func:`repro.runtime.batched.batch_fallback_reason`).
+Tracing is opt-in (``SimulationConfig(trace=True)``), and only the reference
+event loop of :mod:`repro.runtime.simulator` emits events: the lane engine of
+:mod:`repro.runtime.batched` cannot, so it runs a traced unit on the
+reference loop (see :func:`repro.runtime.batched.batch_fallback_reason`).
+When tracing is off no event object is allocated at all.  The golden traces
+(``tests/integration/test_golden_traces.py``) freeze known-good streams,
+``tests/runtime/test_trace_invariants.py`` checks the stream's structural
+laws, and ``tests/runtime/test_trace_conformance.py`` holds the traced
+reference loop to the lane engine's aggregates.
 
 Event vocabulary (one hyperperiod's life cycle):
 

@@ -234,7 +234,7 @@ class SimulationSpec:
     """How long, how often and how reproducibly each point is simulated.
 
     ``fast_path = false`` runs every simulation on the reference event loop
-    instead of the fast paths (bitwise-identical results; it keys units
+    instead of the lane engine (bitwise-identical results; it keys units
     apart in the result store).
     """
 
@@ -244,7 +244,7 @@ class SimulationSpec:
     fast_path: bool = True
     #: Record the typed event stream of every simulation on the stored
     #: payloads (see :mod:`repro.runtime.trace`).  Only valid for
-    #: ``kind = "comparison"``; traced units run on the compiled loop.
+    #: ``kind = "comparison"``; traced units run on the reference loop.
     trace: bool = False
 
     def __post_init__(self) -> None:

@@ -21,9 +21,9 @@ authority):
 
 **Determinism contract:** :meth:`ArrivalModel.sample_offsets` draws *all* of
 a run's jitter in one vectorized call, consumed from the generator *before*
-any workload-cycle draws.  Both scalar engines (reference and compiled) make
-the identical single call, so their RNG streams — and hence their traces and
-results — stay bitwise-identical (the same scheme the workload models use,
+any workload-cycle draws.  The reference loop and the lane engine make the
+identical single call, so their RNG streams — and hence their results —
+stay bitwise-identical (the same scheme the workload models use,
 see :meth:`repro.workloads.distributions.WorkloadModel.sample_batch`).
 """
 

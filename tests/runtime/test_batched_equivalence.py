@@ -1,23 +1,27 @@
-"""Bitwise equivalence of the batched SoA engine and the compiled event loop.
+"""Bitwise equivalence of the lane engine and the reference event loop.
 
-The batched engine (:func:`simulate_batch`) promises *bitwise-identical*
-:class:`SimulationResult` aggregates to
-the compiled fast path — which the existing suite in
-``test_compiled_equivalence.py`` already holds bitwise-equal to the reference
-loop — for the same schedule, workload model and generator state.  These
-tests hold it to that promise with no tolerances anywhere, across
+The lane engine (:func:`simulate_batch`) promises *bitwise-identical*
+:class:`SimulationResult` aggregates to the reference loop
+(``SimulationConfig(fast_path=False)``) for the same schedule, workload
+model and generator state.  These tests hold it to that promise with no
+tolerances anywhere; every lane-vs-reference case first asserts that the
+lane engine really takes the unit (``batch_fallback_reason`` is ``None``),
+so no case can silently compare the reference loop with itself.  They cover
 
 * all four built-in DVS policies x all four workload models,
 * non-free voltage-transition models,
+* a constant-speed schedule, a schedule that misses deadlines, and the
+  generator state a run leaves behind,
 * heterogeneous multi-unit batches (different schedules, policies, horizon
   lengths in one lock-step advance),
 * block boundaries: one hyperperiod per block, ragged blocks (a horizon that
   is not a multiple of the block length) and the default lane budget, and
 * every fallback configuration (CMOS law, discrete voltages, timelines,
-  subclassed policies), which must route per-unit to the compiled loop and
-  still return the right result, and
-* ``fast_path=False`` units, which must route per-unit to the reference loop.
+  subclassed policies, ``fast_path=False``), which must route per unit to
+  the reference loop and still return the right result.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,14 +30,14 @@ from repro.analysis.preemption import expand_fully_preemptive
 from repro.core.task import Task
 from repro.core.taskset import TaskSet
 from repro.offline.baselines import ConstantSpeedScheduler
+from repro.offline.schedule import StaticSchedule
 from repro.offline.wcs import WCSScheduler
 from repro.power.presets import cmos_processor, ideal_processor
 from repro.power.transition import TransitionModel
 from repro.power.voltage import VoltageLevels
 from repro.runtime import batched as batched_engine
 from repro.runtime.batched import BatchUnit, batch_fallback_reason, simulate_batch
-from repro.runtime.compiled import run_compiled
-from repro.runtime.policies import GreedySlackPolicy, available_policies, get_policy
+from repro.runtime.policies import GreedySlackPolicy, available_policies
 from repro.runtime.simulator import DVSSimulator, SimulationConfig
 from repro.workloads.distributions import (
     BimodalWorkload,
@@ -83,55 +87,99 @@ def wcs_schedule(linear_processor, taskset):
         expand_fully_preemptive(taskset))
 
 
+def run_reference(schedule, processor, policy, config, workload, rng):
+    """The oracle of every case here: the reference event loop."""
+    simulator = DVSSimulator(processor, policy=policy, config=replace(config, fast_path=False))
+    return simulator.run(schedule, workload, rng)
+
+
 def run_both(processor, schedule, workload, policy, seed=20250729, **config_kwargs):
-    """Run the batched engine and the compiled path from identical generator states."""
+    """Run the lane engine and the reference loop from identical generator states."""
     config = SimulationConfig(n_hyperperiods=11, seed=seed, **config_kwargs)
-    (batched,) = simulate_batch([BatchUnit(
-        schedule=schedule, processor=processor, policy=policy, config=config,
-        workload=workload, rng=np.random.default_rng(seed))])
-    compiled = DVSSimulator(processor, policy=policy, config=config).run(
-        schedule, workload, np.random.default_rng(seed))
-    return batched, compiled
+    unit = BatchUnit(schedule=schedule, processor=processor, policy=policy, config=config,
+                     workload=workload, rng=np.random.default_rng(seed))
+    assert batch_fallback_reason(unit) is None
+    (batched,) = simulate_batch([unit])
+    reference = run_reference(schedule, processor, policy, config, workload,
+                              np.random.default_rng(seed))
+    return batched, reference
 
 
-def assert_identical(batched, compiled, where=""):
+def assert_identical(batched, reference, where=""):
     """Exact (bitwise) equality of every reported aggregate."""
-    assert batched.method == compiled.method, where
-    assert batched.policy == compiled.policy, where
-    assert batched.n_hyperperiods == compiled.n_hyperperiods, where
-    assert batched.total_energy == compiled.total_energy, where
-    assert batched.energy_per_hyperperiod == compiled.energy_per_hyperperiod, where
-    assert batched.transition_energy == compiled.transition_energy, where
-    assert batched.energy_by_task == compiled.energy_by_task, where
-    assert list(batched.energy_by_task) == list(compiled.energy_by_task), where
-    assert batched.deadline_misses == compiled.deadline_misses, where
-    assert batched.jobs_completed == compiled.jobs_completed, where
+    assert batched.method == reference.method, where
+    assert batched.policy == reference.policy, where
+    assert batched.n_hyperperiods == reference.n_hyperperiods, where
+    assert batched.total_energy == reference.total_energy, where
+    assert batched.energy_per_hyperperiod == reference.energy_per_hyperperiod, where
+    assert batched.transition_energy == reference.transition_energy, where
+    assert batched.energy_by_task == reference.energy_by_task, where
+    assert list(batched.energy_by_task) == list(reference.energy_by_task), where
+    assert batched.deadline_misses == reference.deadline_misses, where
+    assert batched.jobs_completed == reference.jobs_completed, where
 
 
 @pytest.mark.parametrize("policy", available_policies())
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
 def test_policies_and_workloads(linear_processor, wcs_schedule, policy, workload):
-    batched, compiled = run_both(linear_processor, wcs_schedule, workload, policy)
-    assert_identical(batched, compiled)
+    batched, reference = run_both(linear_processor, wcs_schedule, workload, policy)
+    assert_identical(batched, reference)
 
 
 @pytest.mark.parametrize("policy", available_policies())
 def test_transition_overhead(linear_processor, wcs_schedule, policy, monkeypatch):
     for blocks, budget in lane_budgets(1).items():
         monkeypatch.setattr(batched_engine, "LANE_BUDGET", budget)
-        batched, compiled = run_both(
-            linear_processor, wcs_schedule, NormalWorkload(), policy,
-            transition_model=TransitionModel(cdd=0.2, efficiency_loss=0.8),
-        )
-        assert compiled.transition_energy > 0.0
-        assert_identical(batched, compiled, blocks)
+        for workload in WORKLOADS:
+            batched, reference = run_both(
+                linear_processor, wcs_schedule, workload, policy,
+                transition_model=TransitionModel(cdd=0.2, efficiency_loss=0.8),
+            )
+            assert reference.transition_energy > 0.0
+            assert_identical(batched, reference, f"{blocks}, {workload.name}")
 
 
 def test_first_touch_task_order_is_preserved(linear_processor, wcs_schedule):
-    """energy_by_task iterates in first-execution order, like the scalar loops."""
-    batched, compiled = run_both(
+    """energy_by_task iterates in first-execution order, like the reference loop."""
+    batched, reference = run_both(
         linear_processor, wcs_schedule, NormalWorkload(), "greedy")
-    assert list(batched.energy_by_task) == list(compiled.energy_by_task)
+    assert list(batched.energy_by_task) == list(reference.energy_by_task)
+
+
+def test_constant_speed_schedule(linear_processor, taskset):
+    schedule = ConstantSpeedScheduler(linear_processor).schedule_expansion(
+        expand_fully_preemptive(taskset))
+    batched, reference = run_both(linear_processor, schedule, UniformWorkload(), "static")
+    assert_identical(batched, reference)
+
+
+def test_deadline_misses_identical(linear_processor, taskset):
+    """An aggressive policy on a tight manual schedule misses identically."""
+    expansion = expand_fully_preemptive(taskset)
+    # Push every end-time to its slot end: proportional reclamation then runs
+    # so slowly that low-priority jobs miss; both engines must agree on it.
+    schedule = StaticSchedule.from_vectors(
+        expansion,
+        [sub.slot_end for sub in expansion.sub_instances],
+        WCSScheduler(linear_processor).schedule_expansion(expansion).wc_budgets(),
+        method="stretched",
+    )
+    batched, reference = run_both(
+        linear_processor, schedule, FixedWorkload(mode="wcec"), "proportional")
+    assert reference.deadline_misses
+    assert_identical(batched, reference)
+
+
+def test_generator_state_identical_after_run(linear_processor, wcs_schedule):
+    """Both engines leave the shared generator in the same state (paired sweeps)."""
+    config = SimulationConfig(n_hyperperiods=7)
+    unit = BatchUnit(schedule=wcs_schedule, processor=linear_processor, policy="greedy",
+                     config=config, workload=NormalWorkload(), rng=np.random.default_rng(99))
+    assert batch_fallback_reason(unit) is None
+    simulate_batch([unit])
+    rng = np.random.default_rng(99)
+    run_reference(wcs_schedule, linear_processor, "greedy", config, NormalWorkload(), rng)
+    assert unit.rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_mixed_batch_matches_individual_runs(linear_processor, taskset, monkeypatch):
@@ -152,9 +200,9 @@ def test_mixed_batch_matches_individual_runs(linear_processor, taskset, monkeypa
         (wcs, "greedy", NormalWorkload(), 9),
     ]
     alone = [
-        run_compiled(schedule, linear_processor, get_policy(policy),
-                     SimulationConfig(n_hyperperiods=n_hp),
-                     workload, np.random.default_rng(1000 + index))
+        run_reference(schedule, linear_processor, policy,
+                      SimulationConfig(n_hyperperiods=n_hp),
+                      workload, np.random.default_rng(1000 + index))
         for index, (schedule, policy, workload, n_hp) in enumerate(specs)
     ]
     # The lookahead unit misses deadlines in several hyperperiods, so the
@@ -202,8 +250,8 @@ def test_mixed_batch_with_arrivals_and_compaction(linear_processor, taskset, mon
             SimulationConfig(n_hyperperiods=2 + index, arrivals=arrivals),
         ))
     alone = [
-        run_compiled(schedule, linear_processor, get_policy(policy),
-                     config, NormalWorkload(), np.random.default_rng(500 + index))
+        run_reference(schedule, linear_processor, policy,
+                      config, NormalWorkload(), np.random.default_rng(500 + index))
         for index, (schedule, policy, config) in enumerate(specs)
     ]
     # The jittered proportional unit misses deadlines in several hyperperiods.
@@ -227,8 +275,8 @@ def test_reference_loop_unit_in_a_mixed_batch(linear_processor, wcs_schedule, mo
                SimulationConfig(n_hyperperiods=6, fast_path=False),
                SimulationConfig(n_hyperperiods=4)]
     alone = [
-        DVSSimulator(linear_processor, policy="greedy", config=config).run(
-            wcs_schedule, NormalWorkload(), np.random.default_rng(70 + index))
+        run_reference(wcs_schedule, linear_processor, "greedy", config,
+                      NormalWorkload(), np.random.default_rng(70 + index))
         for index, config in enumerate(configs)
     ]
     reference_runs = []
@@ -253,7 +301,7 @@ def test_reference_loop_unit_in_a_mixed_batch(linear_processor, wcs_schedule, mo
 
 
 class _RecordingPolicy(GreedySlackPolicy):
-    """A subclass (hooks may matter) — must be gated to the compiled fallback."""
+    """A subclass (hooks may matter) — must be gated to the reference loop."""
 
     def __init__(self):
         self.calls = []
@@ -263,16 +311,14 @@ class _RecordingPolicy(GreedySlackPolicy):
 
 
 class TestFallback:
-    """Configurations the vectorized core does not cover route to run_compiled."""
+    """Configurations the vectorized core does not cover route to the reference loop."""
 
     def _check(self, unit, expected_fragment):
         reason = batch_fallback_reason(unit)
         assert reason is not None and expected_fragment in reason
         (batched,) = simulate_batch([unit])
-        alone = run_compiled(unit.schedule, unit.processor, get_policy(unit.policy)
-                             if isinstance(unit.policy, str) else unit.policy,
-                             unit.config, unit.workload,
-                             np.random.default_rng(99))
+        alone = run_reference(unit.schedule, unit.processor, unit.policy,
+                              unit.config, unit.workload, np.random.default_rng(99))
         assert_identical(batched, alone)
 
     def test_cmos_processor(self, taskset):
@@ -300,8 +346,8 @@ class TestFallback:
         reason = batch_fallback_reason(unit)
         assert reason == "record_timeline"
         (batched,) = simulate_batch([unit])
-        alone = run_compiled(wcs_schedule, linear_processor, get_policy("greedy"),
-                             config, NormalWorkload(), np.random.default_rng(99))
+        alone = run_reference(wcs_schedule, linear_processor, "greedy",
+                              config, NormalWorkload(), np.random.default_rng(99))
         assert_identical(batched, alone)
         assert batched.timeline.segments == alone.timeline.segments
 
@@ -316,9 +362,9 @@ class TestFallback:
         # The subclass's hooks observed the full scalar call sequence.
         assert unit.policy.calls
         reference = _RecordingPolicy()
-        alone = run_compiled(wcs_schedule, linear_processor, reference,
-                             SimulationConfig(n_hyperperiods=5),
-                             NormalWorkload(), np.random.default_rng(99))
+        alone = run_reference(wcs_schedule, linear_processor, reference,
+                              SimulationConfig(n_hyperperiods=5),
+                              NormalWorkload(), np.random.default_rng(99))
         assert_identical(batched, alone)
         assert unit.policy.calls == reference.calls
 

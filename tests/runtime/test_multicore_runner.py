@@ -1,8 +1,8 @@
 """Tests for the multicore runtime: aggregation and the m=1 bitwise equivalence.
 
 The headline contract: a one-core `MulticoreRunner` run is *bitwise identical*
-to driving the existing single-core compiled path directly with the same
-generator state — the multicore layer adds aggregation, never divergence.
+to driving the single-core simulator directly with the same generator
+state — the multicore layer adds aggregation, never divergence.
 """
 
 import pytest
@@ -38,7 +38,7 @@ def quad_core_plan(taskset):
 
 
 class TestSingleCoreEquivalence:
-    """m=1 must replay the single-core compiled path bit for bit."""
+    """m=1 must replay the single-core simulator bit for bit."""
 
     @pytest.mark.parametrize("policy", ["static", "greedy", "lookahead", "proportional"])
     def test_bitwise_identical_to_compiled_single_core(self, taskset, single_core_plan, policy):

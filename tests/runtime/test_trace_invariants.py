@@ -1,8 +1,9 @@
 """Property-based invariants of the typed event stream.
 
-Hypothesis drives the simulator across random seeds, policies, engines and
-arrival jitter; for every generated run the trace must satisfy the structural
-laws that hold for *any* valid schedule:
+Hypothesis drives the simulator across random seeds, policies and arrival
+jitter; for every generated run the trace (emitted by the reference loop,
+the only engine that traces) must satisfy the structural laws that hold for
+*any* valid schedule:
 
 * timestamps are non-decreasing along the stream;
 * every ``Preempt`` of a job is matched by a later ``Resume`` of that job
@@ -44,11 +45,11 @@ SCHEDULE = WCSScheduler(PROCESSOR).schedule_expansion(
     expand_fully_preemptive(TASKSET))
 
 
-def run_traced(seed, policy="greedy", fast_path=True, jitter=0.0,
+def run_traced(seed, policy="greedy", jitter=0.0,
                n_hyperperiods=3, schedule=SCHEDULE, workload=None):
     arrivals = SporadicArrivals(max_jitter=jitter) if jitter > 0.0 else None
     config = SimulationConfig(n_hyperperiods=n_hyperperiods, seed=seed,
-                              trace=True, fast_path=fast_path, arrivals=arrivals)
+                              trace=True, arrivals=arrivals)
     simulator = DVSSimulator(PROCESSOR, policy=policy, config=config)
     return simulator.run(schedule, workload or NormalWorkload(),
                          np.random.default_rng(seed))
@@ -58,7 +59,6 @@ traced_runs = st.builds(
     run_traced,
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     policy=st.sampled_from(available_policies()),
-    fast_path=st.booleans(),
     jitter=st.sampled_from([0.0, 0.5, 1.5]),
 )
 

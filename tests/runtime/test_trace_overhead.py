@@ -1,10 +1,12 @@
 """Tracing must cost nothing when it is off.
 
-The compiled fast path promises that ``trace=False`` (the default) allocates
-no event objects at all — the hot dispatch loop may not even *touch* the
-event constructors.  We enforce that directly: every event class referenced
-by the engine modules is replaced with a constructor that raises, and a
-trace-off run must still complete (while a trace-on run must trip it).
+The reference loop, the only engine that traces, promises that
+``trace=False`` (the default) allocates no event objects at all — the
+dispatch loop may not even *touch* the event constructors.  We enforce that
+directly: every event class the simulator module references is replaced
+with a constructor that raises, and a trace-off run must still complete
+(while a trace-on run must trip it).  The lane engine references no event
+class at all.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from repro.core.task import Task
 from repro.core.taskset import TaskSet
 from repro.offline.wcs import WCSScheduler
 from repro.power.presets import ideal_processor
+from repro.runtime import simulator as simulator_module
 from repro.runtime.simulator import DVSSimulator, SimulationConfig
 from repro.workloads.distributions import NormalWorkload
 
@@ -53,61 +56,49 @@ def schedule_and_processor():
 
 
 def _arm_tripwires(monkeypatch):
-    """Replace every event constructor the engines reference with a raiser."""
-    import repro.runtime.compiled as compiled
-    import repro.runtime.simulator as simulator
-
-    for module in (compiled, simulator):
-        for name in EVENT_NAMES:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, _Tripwire(f"{module.__name__}.{name}"))
+    """Replace every event constructor the reference loop references with a raiser."""
+    for name in EVENT_NAMES:
+        if hasattr(simulator_module, name):
+            monkeypatch.setattr(simulator_module, name,
+                                _Tripwire(f"{simulator_module.__name__}.{name}"))
 
 
-def _run(schedule, processor, *, trace, fast_path):
-    config = SimulationConfig(n_hyperperiods=3, seed=7, trace=trace,
-                              fast_path=fast_path)
+def _run(schedule, processor, *, trace):
+    config = SimulationConfig(n_hyperperiods=3, seed=7, trace=trace, fast_path=False)
     simulator = DVSSimulator(processor, policy="greedy", config=config)
     return simulator.run(schedule, NormalWorkload(), np.random.default_rng(7))
 
 
-@pytest.mark.parametrize("fast_path", [True, False], ids=["compiled", "reference"])
-def test_trace_off_allocates_no_event_objects(monkeypatch, schedule_and_processor,
-                                              fast_path):
+def test_trace_off_allocates_no_event_objects(monkeypatch, schedule_and_processor):
     schedule, processor = schedule_and_processor
-    baseline = _run(schedule, processor, trace=False, fast_path=fast_path)
+    baseline = _run(schedule, processor, trace=False)
     _arm_tripwires(monkeypatch)
-    guarded = _run(schedule, processor, trace=False, fast_path=fast_path)
+    guarded = _run(schedule, processor, trace=False)
     assert guarded.total_energy == baseline.total_energy
     assert guarded.trace is None and guarded.timeline is None
 
 
-@pytest.mark.parametrize("fast_path", [True, False], ids=["compiled", "reference"])
-def test_tripwires_actually_cover_the_traced_path(monkeypatch, schedule_and_processor,
-                                                  fast_path):
+def test_tripwires_actually_cover_the_traced_path(monkeypatch, schedule_and_processor):
     """Sanity check on the guard itself: with tracing ON the raisers fire."""
     schedule, processor = schedule_and_processor
     _arm_tripwires(monkeypatch)
     with pytest.raises(AssertionError, match="constructed although"):
-        _run(schedule, processor, trace=True, fast_path=fast_path)
+        _run(schedule, processor, trace=True)
 
 
 def test_tripwire_names_are_exhaustive():
-    """Every event class the engine modules import is on the tripwire list,
-    so a new event type cannot silently dodge the allocation guard."""
-    import repro.runtime.compiled as compiled
-    import repro.runtime.simulator as simulator
+    """Every event class the simulator module imports is on the tripwire
+    list, so a new event type cannot silently dodge the allocation guard."""
     from repro.runtime.trace import EVENT_TYPES, TraceEvent
 
-    for module in (compiled, simulator):
-        referenced = [
-            name for name in dir(module)
-            if isinstance(getattr(module, name), type)
-            and issubclass(getattr(module, name), TraceEvent)
-            and getattr(module, name) is not TraceEvent
-        ]
-        assert referenced, f"{module.__name__} no longer references event types"
-        missing = [name for name in referenced if name not in EVENT_NAMES]
-        assert not missing, f"{module.__name__} references untripped events: {missing}"
-        # All eight event kinds are emitted by each engine.
-        classes = {getattr(module, name) for name in referenced}
-        assert classes == set(EVENT_TYPES.values())
+    referenced = [
+        name for name in dir(simulator_module)
+        if isinstance(getattr(simulator_module, name), type)
+        and issubclass(getattr(simulator_module, name), TraceEvent)
+        and getattr(simulator_module, name) is not TraceEvent
+    ]
+    missing = [name for name in referenced if name not in EVENT_NAMES]
+    assert not missing, f"the simulator references untripped events: {missing}"
+    # All eight event kinds are emitted by the reference loop.
+    classes = {getattr(simulator_module, name) for name in referenced}
+    assert classes == set(EVENT_TYPES.values())

@@ -1,13 +1,13 @@
 """Transition-energy accounting on zero-budget dispatches (regression).
 
 A job whose worst-case budgets underestimate its drawn cycles ends up
-dispatched with no usable budget left: the event loops finish it at
+dispatched with no usable budget left: both engines finish it at
 ``fmax``/``vmax`` (the "numerical fringe").  The accounting bug fixed here
 charged the voltage transition *before* that override — at the voltage the
 policy proposed for a dispatch that never executes at it — and also charged
 transitions for zero-cycle requeue dispatches that switch nothing.  The fix
-moves transition accounting after the zero-budget handling in the compiled,
-reference and batched paths alike; this file constructs the
+moves transition accounting after the zero-budget handling in the reference
+loop and the lane engine alike; this file constructs the
 zero-budget-dispatch case explicitly and pins the corrected numbers.
 """
 
@@ -20,7 +20,7 @@ from repro.core.taskset import TaskSet
 from repro.offline.schedule import ScheduledSubInstance, StaticSchedule
 from repro.power.presets import ideal_processor
 from repro.power.transition import TransitionModel
-from repro.runtime.batched import BatchUnit, simulate_batch
+from repro.runtime.batched import BatchUnit, batch_fallback_reason, simulate_batch
 from repro.runtime.simulator import DVSSimulator, SimulationConfig
 from repro.workloads.distributions import FixedWorkload
 
@@ -39,7 +39,7 @@ def underbudgeted_schedule(processor):
 
     With a fixed WCEC workload the job exhausts the budget mid-flight and is
     re-dispatched with ``budget <= eps`` at its last entry — exactly the
-    fringe the event loops finish at fmax/vmax.
+    fringe both engines finish at fmax/vmax.
     """
     taskset = TaskSet([Task("solo", period=10, wcec=6000, acec=6000, bcec=6000)],
                       name="underbudgeted")
@@ -83,16 +83,16 @@ def test_fringe_dispatch_charges_transition_at_vmax(processor, underbudgeted_sch
     assert len(result.deadline_misses) == N_HYPERPERIODS
 
 
-def test_all_three_engines_agree_bitwise(processor, underbudgeted_schedule):
-    compiled = run_engine(processor, underbudgeted_schedule, fast_path=True)
+def test_lane_engine_and_reference_loop_agree_bitwise(processor, underbudgeted_schedule):
     reference = run_engine(processor, underbudgeted_schedule, fast_path=False)
-    (batched,) = simulate_batch([BatchUnit(
+    unit = BatchUnit(
         schedule=underbudgeted_schedule, processor=processor, policy="greedy",
         config=SimulationConfig(n_hyperperiods=N_HYPERPERIODS, transition_model=TRANSITION),
-        workload=FixedWorkload(mode="wcec"), rng=np.random.default_rng(7))])
-    for other in (reference, batched):
-        assert compiled.total_energy == other.total_energy
-        assert compiled.energy_per_hyperperiod == other.energy_per_hyperperiod
-        assert compiled.transition_energy == other.transition_energy
-        assert compiled.energy_by_task == other.energy_by_task
-        assert compiled.deadline_misses == other.deadline_misses
+        workload=FixedWorkload(mode="wcec"), rng=np.random.default_rng(7))
+    assert batch_fallback_reason(unit) is None
+    (batched,) = simulate_batch([unit])
+    assert batched.total_energy == reference.total_energy
+    assert batched.energy_per_hyperperiod == reference.energy_per_hyperperiod
+    assert batched.transition_energy == reference.transition_energy
+    assert batched.energy_by_task == reference.energy_by_task
+    assert batched.deadline_misses == reference.deadline_misses

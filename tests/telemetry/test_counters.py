@@ -12,6 +12,7 @@ batched engine's own block counters.
 import numpy as np
 import pytest
 
+from repro.allocation.multicore import MulticoreProblem, plan_multicore
 from repro.analysis.preemption import expand_fully_preemptive
 from repro.core.task import Task
 from repro.core.taskset import TaskSet
@@ -21,6 +22,7 @@ from repro.runtime import batched
 from repro.runtime.simulator import SimulationConfig
 from repro.scenarios import ResultStore, ScenarioEngine, ScenarioSpec
 from repro.telemetry import Telemetry, using
+from repro.workloads.cnc import cnc_taskset
 
 #: Two work units, seconds end to end (mirrors the CLI test sweep).
 SPEC = {
@@ -165,6 +167,22 @@ class TestPooledRun:
             solves.append(sum(count for name, count in telemetry.counters.items()
                               if name.startswith("solve.status.")))
         assert solves[0] == solves[1] > 0
+
+
+    def test_plan_multicore_pool_workers_report_their_solves(self):
+        """``plan_multicore(jobs=2)`` (``repro partition --jobs``) counts the
+        solver work its pool workers did, as a serial plan does."""
+        processor = ideal_processor(fmax=1000.0)
+        problem = MulticoreProblem(cnc_taskset(processor, bcec_wcec_ratio=0.5), processor,
+                                   2, partitioner="wfd")
+        solves = []
+        for jobs in (1, 2):
+            with using(Telemetry()) as telemetry:
+                plan_multicore(problem, jobs=jobs)
+            solves.append({name: count for name, count in telemetry.counters.items()
+                           if name.startswith("solve.")})
+        assert solves[0]["solve.iterations"] > 0
+        assert solves[1] == solves[0]
 
 
 class TestSimulationRoute:

@@ -38,7 +38,7 @@ def test_aggregates_only_the_watched_prefix(guard):
 
 
 def test_matches_absolute_paths(guard):
-    report = _report({"/ci/work/src/repro/runtime/compiled.py": (80, 20)})
+    report = _report({"/ci/work/src/repro/runtime/batched.py": (80, 20)})
     assert guard.runtime_coverage(report, "src/repro/runtime/") == pytest.approx(80.0)
 
 
