@@ -1,15 +1,19 @@
-"""Bitwise equivalence of the compiled fast path and the reference event loop.
+"""Bitwise equivalence of ``DVSSimulator.run``'s fast path and the reference loop.
 
-The compiled simulator (``SimulationConfig(fast_path=True)``, the default)
-promises *bitwise-identical* results to the seed implementation
-(``fast_path=False``) for the same schedule, workload model and generator
-state.  These tests hold it to that promise — no tolerances anywhere — across
+``SimulationConfig(fast_path=True)``, the default, makes ``DVSSimulator.run``
+a one-unit ``simulate_batch`` call, which runs a vectorizable unit on the
+lane engine; ``fast_path=False`` runs the reference event loop.  The module
+keeps its name from when the fast path was a compiled event loop.  The
+switch must not show in the results: for the same schedule, workload model
+and generator state, both runs agree bitwise, with no tolerances anywhere,
+across all four built-in DVS policies x all four workload models and under a
+non-free voltage-transition model.
 
-* all four built-in DVS policies,
-* all four workload models,
-* discrete-voltage quantisation and transition-overhead configurations,
-* linear-law and CMOS processors, and
-* recorded timelines.
+Each case first checks that the fast run really takes the lane engine (its
+unit has no fallback reason, and it never enters the reference loop), so
+no case can compare the reference loop with itself.  Direct
+``simulate_batch`` calls, mixed batches and the fallback routes are covered
+by ``test_batched_equivalence.py``.
 """
 
 import numpy as np
@@ -18,12 +22,10 @@ import pytest
 from repro.analysis.preemption import expand_fully_preemptive
 from repro.core.task import Task
 from repro.core.taskset import TaskSet
-from repro.offline.baselines import ConstantSpeedScheduler
-from repro.offline.schedule import StaticSchedule
 from repro.offline.wcs import WCSScheduler
-from repro.power.presets import cmos_processor, ideal_processor
+from repro.power.presets import ideal_processor
 from repro.power.transition import TransitionModel
-from repro.power.voltage import VoltageLevels
+from repro.runtime.batched import BatchUnit, batch_fallback_reason
 from repro.runtime.policies import available_policies
 from repro.runtime.simulator import DVSSimulator, SimulationConfig
 from repro.workloads.distributions import (
@@ -61,17 +63,31 @@ def wcs_schedule(linear_processor, taskset):
         expand_fully_preemptive(taskset))
 
 
-def run_both(processor, schedule, workload, policy, seed=20250729, **config_kwargs):
-    """Run the compiled and the reference path from identical generator states."""
+def run_both(processor, schedule, workload, policy, monkeypatch, seed=20250729,
+             **config_kwargs):
+    """Run ``fast_path=True`` and ``fast_path=False`` from identical generator states."""
+    reference_runs = []
+    reference_loop = DVSSimulator._run_reference
+
+    def spy(simulator, *args):
+        reference_runs.append(simulator.config.fast_path)
+        return reference_loop(simulator, *args)
+
+    monkeypatch.setattr(DVSSimulator, "_run_reference", spy)
     results = []
     for fast_path in (True, False):
         config = SimulationConfig(
-            n_hyperperiods=11, seed=seed, record_timeline=True,
-            fast_path=fast_path, **config_kwargs,
+            n_hyperperiods=11, seed=seed, fast_path=fast_path, **config_kwargs,
         )
         simulator = DVSSimulator(processor, policy=policy, config=config)
         rng = np.random.default_rng(seed)
+        if fast_path:
+            unit = BatchUnit(schedule=schedule, processor=simulator.processor,
+                             policy=simulator.policy, config=config,
+                             workload=workload, rng=rng)
+            assert batch_fallback_reason(unit) is None
         results.append(simulator.run(schedule, workload, rng))
+    assert reference_runs == [False]
     return results
 
 
@@ -84,113 +100,25 @@ def assert_identical(fast, reference):
     assert fast.energy_per_hyperperiod == reference.energy_per_hyperperiod
     assert fast.transition_energy == reference.transition_energy
     assert fast.energy_by_task == reference.energy_by_task
+    assert list(fast.energy_by_task) == list(reference.energy_by_task)
     assert fast.deadline_misses == reference.deadline_misses
     assert fast.jobs_completed == reference.jobs_completed
-    assert fast.timeline.segments == reference.timeline.segments
 
 
 @pytest.mark.parametrize("policy", available_policies())
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
-def test_policies_and_workloads(linear_processor, wcs_schedule, policy, workload):
-    fast, reference = run_both(linear_processor, wcs_schedule, workload, policy)
-    assert_identical(fast, reference)
-
-
-@pytest.mark.parametrize("policy", available_policies())
-def test_discrete_voltage_levels(linear_processor, wcs_schedule, policy):
-    levels = VoltageLevels([0.5, 1.0, 2.0, 3.0, 4.0, 5.0])
-    fast, reference = run_both(
-        linear_processor, wcs_schedule, NormalWorkload(), policy,
-        voltage_levels=levels,
-    )
+def test_policies_and_workloads(linear_processor, wcs_schedule, policy, workload,
+                                monkeypatch):
+    fast, reference = run_both(linear_processor, wcs_schedule, workload, policy,
+                               monkeypatch)
     assert_identical(fast, reference)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
-def test_transition_overhead(linear_processor, wcs_schedule, workload):
+def test_transition_overhead(linear_processor, wcs_schedule, workload, monkeypatch):
     fast, reference = run_both(
-        linear_processor, wcs_schedule, workload, "greedy",
+        linear_processor, wcs_schedule, workload, "greedy", monkeypatch,
         transition_model=TransitionModel(cdd=0.2, efficiency_loss=0.8),
     )
     assert fast.transition_energy > 0.0
     assert_identical(fast, reference)
-
-
-def test_discrete_voltage_and_transition_combined(linear_processor, wcs_schedule):
-    fast, reference = run_both(
-        linear_processor, wcs_schedule, BimodalWorkload(), "lookahead",
-        voltage_levels=VoltageLevels([1.0, 2.5, 5.0]),
-        transition_model=TransitionModel(cdd=0.1, efficiency_loss=0.9),
-    )
-    assert_identical(fast, reference)
-
-
-def test_cmos_processor(taskset):
-    processor = cmos_processor(fmax=1000.0)
-    schedule = WCSScheduler(processor).schedule_expansion(
-        expand_fully_preemptive(taskset))
-    for policy in available_policies():
-        fast, reference = run_both(processor, schedule, NormalWorkload(), policy)
-        assert_identical(fast, reference)
-
-
-def test_constant_speed_schedule(linear_processor, taskset):
-    schedule = ConstantSpeedScheduler(linear_processor).schedule_expansion(
-        expand_fully_preemptive(taskset))
-    fast, reference = run_both(linear_processor, schedule, UniformWorkload(), "static")
-    assert_identical(fast, reference)
-
-
-def test_deadline_misses_identical(linear_processor, taskset):
-    """An aggressive policy on a tight manual schedule misses identically."""
-    expansion = expand_fully_preemptive(taskset)
-    # Push every end-time to its slot end: proportional reclamation then runs
-    # so slowly that low-priority jobs can miss; both paths must agree on it.
-    schedule = StaticSchedule.from_vectors(
-        expansion,
-        [sub.slot_end for sub in expansion.sub_instances],
-        WCSScheduler(linear_processor).schedule_expansion(expansion).wc_budgets(),
-        method="stretched",
-    )
-    fast, reference = run_both(
-        linear_processor, schedule, FixedWorkload(mode="wcec"), "proportional")
-    assert_identical(fast, reference)
-
-
-def test_generator_state_identical_after_run(linear_processor, wcs_schedule):
-    """Both paths leave the shared generator in the same state (paired sweeps)."""
-    states = []
-    for fast_path in (True, False):
-        config = SimulationConfig(n_hyperperiods=7, fast_path=fast_path)
-        simulator = DVSSimulator(linear_processor, policy="greedy", config=config)
-        rng = np.random.default_rng(99)
-        simulator.run(wcs_schedule, NormalWorkload(), rng)
-        states.append(rng.bit_generator.state)
-    assert states[0] == states[1]
-
-
-def test_policy_hook_sequence_identical(linear_processor, wcs_schedule):
-    """Lifecycle hooks fire in the same order with the same arguments."""
-    from repro.runtime.policies import GreedySlackPolicy
-
-    class RecordingPolicy(GreedySlackPolicy):
-        def __init__(self):
-            self.events = []
-
-        def on_simulation_start(self, schedule, processor):
-            self.events.append(("start", schedule.method))
-
-        def on_hyperperiod_start(self, hp_index, offset):
-            self.events.append(("hyperperiod", hp_index, offset))
-
-        def on_job_finish(self, task_name, job_index, finish_time, deadline):
-            self.events.append(("finish", task_name, job_index, finish_time, deadline))
-
-    logs = []
-    for fast_path in (True, False):
-        policy = RecordingPolicy()
-        config = SimulationConfig(n_hyperperiods=5, fast_path=fast_path)
-        simulator = DVSSimulator(linear_processor, policy=policy, config=config)
-        simulator.run(wcs_schedule, NormalWorkload(), np.random.default_rng(7))
-        logs.append(policy.events)
-    assert logs[0] == logs[1]
