@@ -41,165 +41,54 @@ Quickstart::
     print(improvement_percent(wcs_energy, acs_energy))
 """
 
-from .allocation import (
-    MulticorePlan,
-    MulticoreProblem,
-    Partition,
-    Partitioner,
-    available_partitioners,
-    get_partitioner,
-    plan_multicore,
-)
-from .analysis import (
-    FullyPreemptiveSchedule,
-    breakdown_frequency,
-    check_feasibility,
-    expand_fully_preemptive,
-    is_schedulable,
-    response_times,
-)
-from .core import (
-    ExecutionSegment,
-    ReproError,
-    SubInstance,
-    Task,
-    TaskInstance,
-    TaskSet,
-    Timeline,
-    fill_average_workloads,
-)
-from .offline import (
-    ACSScheduler,
-    ConstantSpeedScheduler,
-    LiteralNLPScheduler,
-    MaxSpeedScheduler,
-    SolverOptions,
-    StaticSchedule,
-    WCSScheduler,
-    average_case_energy,
-    frame_based_taskset,
-    worst_case_energy,
-)
-from .power import (
-    ProcessorModel,
-    TransitionModel,
-    VoltageLevels,
-    cmos_processor,
-    ideal_processor,
-    normalized_processor,
-)
-from .runtime import (
-    DVSPolicy,
-    DVSSimulator,
-    GreedySlackPolicy,
-    LookaheadSlackPolicy,
-    MulticoreResult,
-    MulticoreRunner,
-    NoReclamationPolicy,
-    ProportionalSlackPolicy,
-    SimulationConfig,
-    SimulationResult,
-    StaticReplayPolicy,
-    available_policies,
-    get_policy,
-    improvement_percent,
-)
-from .scenarios import (
-    ResultStore,
-    ScenarioEngine,
-    ScenarioLoader,
-    ScenarioResult,
-    ScenarioSpec,
-    load_scenario,
-)
-from .workloads import (
-    BimodalWorkload,
-    FixedWorkload,
-    NormalWorkload,
-    RandomTaskSetConfig,
-    UniformWorkload,
-    cnc_taskset,
-    gap_taskset,
-    generate_random_taskset,
-    generate_random_tasksets,
-)
+import importlib
+from typing import Any, List
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Task",
-    "TaskInstance",
-    "SubInstance",
-    "TaskSet",
-    "Timeline",
-    "ExecutionSegment",
-    "ReproError",
-    "fill_average_workloads",
-    # analysis
-    "FullyPreemptiveSchedule",
-    "expand_fully_preemptive",
-    "check_feasibility",
-    "response_times",
-    "is_schedulable",
-    "breakdown_frequency",
-    # allocation
-    "Partition",
-    "Partitioner",
-    "available_partitioners",
-    "get_partitioner",
-    "MulticoreProblem",
-    "MulticorePlan",
-    "plan_multicore",
-    # power
-    "ProcessorModel",
-    "VoltageLevels",
-    "TransitionModel",
-    "ideal_processor",
-    "cmos_processor",
-    "normalized_processor",
-    # offline
-    "ACSScheduler",
-    "WCSScheduler",
-    "LiteralNLPScheduler",
-    "MaxSpeedScheduler",
-    "ConstantSpeedScheduler",
-    "StaticSchedule",
-    "SolverOptions",
-    "average_case_energy",
-    "worst_case_energy",
-    "frame_based_taskset",
-    # runtime
-    "DVSSimulator",
-    "SimulationConfig",
-    "SimulationResult",
-    "MulticoreRunner",
-    "MulticoreResult",
-    "DVSPolicy",
-    "StaticReplayPolicy",
-    "GreedySlackPolicy",
-    "LookaheadSlackPolicy",
-    "NoReclamationPolicy",
-    "ProportionalSlackPolicy",
-    "available_policies",
-    "get_policy",
-    "improvement_percent",
-    # scenarios
-    "ScenarioSpec",
-    "ScenarioLoader",
-    "ScenarioEngine",
-    "ScenarioResult",
-    "ResultStore",
-    "load_scenario",
-    # workloads
-    "NormalWorkload",
-    "UniformWorkload",
-    "FixedWorkload",
-    "BimodalWorkload",
-    "RandomTaskSetConfig",
-    "generate_random_taskset",
-    "generate_random_tasksets",
-    "cnc_taskset",
-    "gap_taskset",
-]
+#: Every public name, grouped by the subpackage that defines it.  A name is
+#: imported on first access (PEP 562), so ``import repro`` loads no
+#: subpackage and no numpy.  That lets the ``repro`` CLI choose OpenBLAS's
+#: thread count before numpy starts it (see ``repro.cli``), while library
+#: importers keep their own.
+_EXPORTS = {
+    name: subpackage
+    for subpackage, names in (
+        ("core", ("Task", "TaskInstance", "SubInstance", "TaskSet", "Timeline",
+                  "ExecutionSegment", "ReproError", "fill_average_workloads")),
+        ("analysis", ("FullyPreemptiveSchedule", "expand_fully_preemptive", "check_feasibility",
+                      "response_times", "is_schedulable", "breakdown_frequency")),
+        ("allocation", ("Partition", "Partitioner", "available_partitioners", "get_partitioner",
+                        "MulticoreProblem", "MulticorePlan", "plan_multicore")),
+        ("power", ("ProcessorModel", "VoltageLevels", "TransitionModel", "ideal_processor",
+                   "cmos_processor", "normalized_processor")),
+        ("offline", ("ACSScheduler", "WCSScheduler", "LiteralNLPScheduler", "MaxSpeedScheduler",
+                     "ConstantSpeedScheduler", "StaticSchedule", "SolverOptions",
+                     "average_case_energy", "worst_case_energy", "frame_based_taskset")),
+        ("runtime", ("DVSSimulator", "SimulationConfig", "SimulationResult", "MulticoreRunner",
+                     "MulticoreResult", "DVSPolicy", "StaticReplayPolicy", "GreedySlackPolicy",
+                     "LookaheadSlackPolicy", "NoReclamationPolicy", "ProportionalSlackPolicy",
+                     "available_policies", "get_policy", "improvement_percent")),
+        ("scenarios", ("ScenarioSpec", "ScenarioLoader", "ScenarioEngine", "ScenarioResult",
+                       "ResultStore", "load_scenario")),
+        ("workloads", ("NormalWorkload", "UniformWorkload", "FixedWorkload", "BimodalWorkload",
+                       "RandomTaskSetConfig", "generate_random_taskset",
+                       "generate_random_tasksets", "cnc_taskset", "gap_taskset")),
+    )
+    for name in names
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> Any:
+    subpackage = _EXPORTS.get(name)
+    if subpackage is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{subpackage}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_EXPORTS})

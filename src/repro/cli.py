@@ -46,6 +46,10 @@ smoke-test-sized run.
 
 from __future__ import annotations
 
+# First, before anything loads numpy: start OpenBLAS on one thread unless
+# the caller chose a count.
+from . import _blas_default
+
 import argparse
 import functools
 import hashlib
@@ -643,6 +647,7 @@ def _run_scenarios(args: argparse.Namespace) -> str:
                 elapsed_seconds=result.elapsed_seconds,
                 stage_timings=stage_timings,
                 counters=counters,
+                openblas_defaulted=_blas_default.DEFAULTED,
             )
             write_manifest(store_dir, manifest)
         if args.output:
@@ -664,7 +669,11 @@ def _run_scenarios(args: argparse.Namespace) -> str:
 
 
 def _blas_line(env: Dict[str, Any]) -> str:
-    """The manifest's BLAS builds and thread variables as one ``repro stats`` line."""
+    """The manifest's BLAS builds and thread variables as one ``repro stats`` line.
+
+    The variables are shown as the caller passed them (``-`` when unset),
+    followed by the CLI's default when it set ``OPENBLAS_NUM_THREADS``.
+    """
 
     def build(key: str) -> str:
         blas = env.get(key)
@@ -672,7 +681,9 @@ def _blas_line(env: Dict[str, Any]) -> str:
 
     threads = " ".join(f"{name}={'-' if value is None else value}"
                        for name, value in env.get("blas_threads", {}).items())
-    return f"blas: numpy {build('numpy_blas')} | scipy {build('scipy_blas')} | threads: {threads or '?'}"
+    default = " | CLI default: OPENBLAS_NUM_THREADS=1" if env.get("openblas_defaulted") else ""
+    return (f"blas: numpy {build('numpy_blas')} | scipy {build('scipy_blas')} | "
+            f"threads: {threads or '?'}{default}")
 
 
 def _counter_lines(counters: Dict[str, int]) -> List[str]:
@@ -722,7 +733,8 @@ def _run_stats(args: argparse.Namespace) -> str:
             "",
             f"created: {created.strftime('%Y-%m-%d %H:%M:%S')} UTC | "
             f"git: {manifest.get('git_rev', 'unknown')[:12]}{dirty} | "
-            f"config: {manifest.get('config_hash', '?')[:12]}",
+            f"config: {manifest.get('config_hash', '?')[:12]} | "
+            f"formulation: {manifest.get('formulation', '?')}",
             f"environment: python {env.get('python', '?')} | numpy {env.get('numpy', '?')} | "
             f"scipy {env.get('scipy', '?')} | {env.get('platform', '?')} | "
             f"cpus: {env.get('cpu_count', '?')}",

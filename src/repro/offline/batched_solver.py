@@ -12,19 +12,22 @@ runs.  This module makes every repeat cost one lookup:
   records the result.
 * **The solve memo** (:class:`SolveMemo`) is a content-addressed cache keyed —
   with the result store's hashing discipline (:func:`~repro.scenarios.store.signature_key`)
-  — by everything solve-relevant (:func:`solve_signature`): the task set,
-  the horizon, the processor, the workload mode, the solver options, the
-  scenario set, the warm-start vector and the solver build (numpy/scipy
-  versions and the BLAS thread mode).  Backed
+  — by what the NLP reads (:func:`solve_signature`): the formulation
+  version, the slots and jobs by position, the cycles the objective runs,
+  the horizon, the processor, the solver options, the warm-start vector and
+  the solver build (numpy/scipy versions and the BLAS thread mode).  Task
+  names, and ACEC and BCEC where the objective does not run them, stay out,
+  so problems that differ only in those share one solve.  Backed
   by a :class:`~repro.scenarios.store.ResultStore` the memo survives a
   killed sweep.
 * :func:`plan_key` keys a whole comparison's planning inputs, so the harness
   plans each distinct problem of a chunk once, and :func:`plan_expansions`
   is the harness's planning entry point.
 
-A memo hit rebuilds the schedule from its stored vectors, bitwise the
-schedule the solve returned, so memoized planning is bitwise-identical to
-unmemoized ``schedule_expansion`` calls (``tests/offline/test_batched_solver.py``).
+A memo hit rebuilds the schedule from its stored vectors against the asking
+NLP's expansion, bitwise the schedule its own solve would return, so
+memoized planning is bitwise-identical to unmemoized ``schedule_expansion``
+calls (``tests/offline/test_batched_solver.py``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from ..core.errors import ReproError
 from ..power.processor import ProcessorModel
 from ..telemetry.core import current as _telemetry
 from .evaluation import _EPS, CompiledEvaluation
-from .nlp import ReducedNLP
+from .nlp import FORMULATION_VERSION, ReducedNLP
 from .schedule import StaticSchedule
 
 __all__ = [
@@ -63,36 +66,68 @@ _MEMO_COMPUTED = "solve_memo.computed"
 # --------------------------------------------------------------------- #
 def solve_signature(nlp: ReducedNLP, x0: Optional[np.ndarray] = None, *,
                     blas_threads: Union[int, str] = 1) -> Dict[str, Any]:
-    """Everything that determines the outcome of ``nlp.solve(x0)``, as a canonical dictionary.
+    """What ``nlp.solve(x0)`` reads, as a canonical dictionary.
 
-    ``verbose`` is excluded (it only toggles solver chatter); every other
-    option, the task set, the horizon, the processor physics, the workload
-    mode, the scenario set and the warm start all shape the trajectory and
-    are therefore part of the key.  So does the solver build
-    (:func:`~repro.scenarios.store.solver_build`): SLSQP's trajectory
-    depends on the numpy and scipy versions and on the BLAS thread mode
-    ``blas_threads``, and a memo written under one build must never be
-    replayed as the answer under another.
+    The key holds exactly the numbers :class:`ReducedNLP` and the helpers it
+    calls read, by position, so two NLPs with equal signatures hand SLSQP the
+    same problem and one solve answers both:
+
+    * ``formulation``: :data:`~repro.offline.nlp.FORMULATION_VERSION`;
+    * ``subs``: per sub-instance, in total order, its order index, its slot
+      and the position of its job in ``expansion.instances``, whose order
+      fixes the equality rows;
+    * ``jobs``: per job, its release, deadline, priority, WCEC and its
+      task's ``ceff``, plus its rank in the ``(priority, release, task
+      name)`` order of the worst-case fallback
+      (:func:`~repro.offline.initialization.worst_case_simulation_vectors`).
+      Equal priorities are ordered by name there; the rank records that
+      order without the names;
+    * ``objective``: the workload mode and the cycles the objective runs:
+      every job's ACEC, nothing more for WCEC (already in ``jobs``), or
+      every scenario's weight and cycles by job position;
+    * the horizon, the processor physics, every solver option but
+      ``verbose`` (it only toggles solver chatter) and the warm start;
+    * the solver build (:func:`~repro.scenarios.store.solver_build`):
+      SLSQP's output bits depend on the numpy and scipy versions and on the
+      BLAS thread mode ``blas_threads``, and a memo written under one build
+      must never be replayed as the answer under another.
+
+    Names, ACEC and BCEC enter only where the objective reads them, so a
+    WCS solve answers every task set that differs from it only in those:
+    Figure 6(b) solves each WCS problem once across its BCEC/WCEC ratios.
     """
-    # Lazy imports: pulling the reporting/scenario packages in at module load
-    # would close an import cycle (scenarios.engine itself plans schedules).
-    from ..reporting.serialization import taskset_to_dict
+    # Lazy import: pulling the scenario package in at module load would
+    # close an import cycle (scenarios.engine itself plans schedules).
     from ..scenarios.store import STORE_FORMAT, processor_signature, solver_build
 
+    expansion = nlp.expansion
+    instances = expansion.instances
+    position = {instance.key: index for index, instance in enumerate(instances)}
+    ranked = sorted(instances, key=lambda i: (i.priority, i.release, i.task.name))
+    rank = {instance.key: index for index, instance in enumerate(ranked)}
+    if nlp.scenarios is not None:
+        cycles: Any = [[float(weight), [float(actual.get(instance.key, instance.acec))
+                                        for instance in instances]]
+                       for weight, actual in nlp.scenarios]
+    elif nlp.workload_mode == "acec":
+        cycles = [float(instance.acec) for instance in instances]
+    else:
+        cycles = None
     options = asdict(nlp.options)
     options.pop("verbose", None)
-    scenarios = None
-    if nlp.scenarios is not None:
-        scenarios = [[weight, dict(actual)] for weight, actual in nlp.scenarios]
     return {
         "store_format": STORE_FORMAT,
         "kind": "nlp-solve",
-        "taskset": taskset_to_dict(nlp.expansion.taskset),
-        "horizon": nlp.expansion.horizon,
+        "formulation": FORMULATION_VERSION,
+        "subs": [[sub.order, float(sub.slot_start), float(sub.slot_end), position[sub.instance.key]]
+                 for sub in expansion.sub_instances],
+        "jobs": [[float(instance.release), float(instance.deadline), instance.priority,
+                  float(instance.wcec), float(instance.task.ceff), rank[instance.key]]
+                 for instance in instances],
+        "objective": {"mode": nlp.workload_mode, "cycles": cycles},
+        "horizon": float(expansion.horizon),
         "processor": processor_signature(nlp.processor),
-        "workload_mode": nlp.workload_mode,
         "options": options,
-        "scenarios": scenarios,
         "x0": None if x0 is None else [float(v) for v in np.asarray(x0, dtype=float)],
         "build": solver_build(blas_threads),
     }

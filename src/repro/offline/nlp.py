@@ -53,7 +53,15 @@ from .evaluation import CompiledEvaluation, evaluate_vectors
 from .initialization import proportional_budget_vectors, worst_case_simulation_vectors
 from .schedule import StaticSchedule
 
-__all__ = ["ReducedNLP", "SolverOptions", "single_blas_thread"]
+__all__ = ["FORMULATION_VERSION", "ReducedNLP", "SolverOptions", "single_blas_thread"]
+
+#: Version of the NLP that :class:`ReducedNLP` builds: its variables, bounds,
+#: rows, starting point, repair, fallback and objective.  Every solve-memo key
+#: and every store unit signature carries it, so results solved under one
+#: formulation are never replayed as the answer under another.  Bump it
+#: whenever any of those changes; ``tests/offline/test_nlp.py`` pins it next
+#: to a hash of the functions that define the NLP.
+FORMULATION_VERSION = 1
 
 #: Telemetry counter: solver iterations summed over every computed solve.
 _SOLVE_ITERATIONS = "solve.iterations"
@@ -131,17 +139,6 @@ class SolverOptions:
     #: small amount; the margin keeps the *true* chain constraint satisfiable
     #: after the post-solve repair, at a negligible cost in optimality.
     chain_margin_fraction: float = 1e-5
-    #: Compute the solver's forward-difference gradient with
-    #: :meth:`ReducedNLP.jacobian`, which re-walks each perturbed column only
-    #: as far as its perturbation reaches, instead of scipy's per-variable
-    #: scalar loop.  It reproduces scipy's 2-point scheme (step construction,
-    #: bound adjustment, difference quotient) bitwise, so the solver
-    #: trajectory — and therefore the resulting schedule — is unchanged; it
-    #: is automatically disabled for processors the compiled evaluation does
-    #: not support (non-linear delay laws).
-    # The name predates the column walk; it stays because ``asdict(options)``
-    # is hashed into every solve-memo key, so renaming it would re-key them all.
-    vectorized_jacobian: bool = True
 
 
 @dataclass
@@ -518,18 +515,15 @@ class ReducedNLP:
         start = self.initial_guess() if x0 is None else np.asarray(x0, dtype=float)
         # The jacobian replays scipy's own finite-difference scheme bitwise
         # (see :meth:`jacobian`), so the solver trajectory is identical with
-        # or without it — only the wall-clock changes.
-        use_vectorized_jacobian = (
-            self._compiled is not None
-            and self.options.vectorized_jacobian
-            and self.options.method == "SLSQP"
-        )
+        # or without it — only the wall-clock changes.  It needs the compiled
+        # evaluation; other processors (non-linear delay laws) take scipy's.
+        use_jacobian = self._compiled is not None and self.options.method == "SLSQP"
         with single_blas_thread() as blas_threads:
             result = optimize.minimize(
                 self.objective,
                 start,
                 method=self.options.method,
-                jac=self.jacobian if use_vectorized_jacobian else None,
+                jac=self.jacobian if use_jacobian else None,
                 bounds=self.bounds(),
                 constraints=self.linear_constraints(),
                 options={

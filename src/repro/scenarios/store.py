@@ -61,7 +61,9 @@ __all__ = [
 #:    requeue/fmax-fringe fix in the runtime event loops), which changes
 #:    stored numbers for runs with a non-free transition model.
 #: 3: solves now run on one BLAS thread, so stored numbers change.
-STORE_FORMAT = 3
+#: 4: solve-memo keys hold only what the NLP reads, and every key carries
+#:    the NLP's formulation version.
+STORE_FORMAT = 4
 
 
 def signature_key(signature: Mapping[str, Any]) -> str:

@@ -2,10 +2,10 @@
 
 A manifest answers "what ran, from which config, at which revision, in
 which environment, and where did the time go" without replaying anything:
-config hash, git revision and dirty flag, the Python/numpy/scipy versions,
-their BLAS builds and thread settings, platform and core count, unit
-accounting, stage timings aggregated from the telemetry spans, and the full
-counter dump.  ``repro run`` writes one per scenario under
+config hash, git revision and dirty flag, the NLP formulation version, the
+Python/numpy/scipy versions, their BLAS builds and thread settings, platform
+and core count, unit accounting, stage timings aggregated from the telemetry
+spans, and the full counter dump.  ``repro run`` writes one per scenario under
 ``<store>/manifests/`` (latest run wins), and ``repro stats`` renders them.
 
 The config hash is a SHA-256 over the canonical-JSON scenario document —
@@ -91,23 +91,30 @@ def _blas_build(module: Any) -> Optional[Dict[str, str]]:
     return {"name": str(blas.get("name", "unknown")), "version": str(blas.get("version", "unknown"))}
 
 
-def environment() -> Dict[str, Any]:
+def environment(openblas_defaulted: bool = False) -> Dict[str, Any]:
     """The interpreter, solver build, BLAS, platform and core count of this process.
 
     SLSQP's LAPACK calls run on scipy's BLAS, whose thread count the
-    ``*_NUM_THREADS`` variables set (``None`` when unset), so both go into
-    every manifest.
+    ``*_NUM_THREADS`` variables set, so both go into every manifest.  The
+    variables are recorded as the caller passed them (``None`` when unset).
+    ``openblas_defaulted`` says that the caller left ``OPENBLAS_NUM_THREADS``
+    unset and the process set it to 1 before loading numpy, as the ``repro``
+    CLI does.
     """
     import numpy
     import scipy
 
+    threads = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    if openblas_defaulted:
+        threads["OPENBLAS_NUM_THREADS"] = None
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "numpy_blas": _blas_build(numpy),
         "scipy_blas": _blas_build(scipy),
-        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+        "blas_threads": threads,
+        "openblas_defaulted": openblas_defaulted,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
     }
@@ -122,13 +129,18 @@ def build_manifest(
     elapsed_seconds: float,
     stage_timings: Optional[Mapping[str, Mapping[str, float]]] = None,
     counters: Optional[Mapping[str, int]] = None,
+    openblas_defaulted: bool = False,
 ) -> Dict[str, Any]:
     """Assemble a manifest document (plain JSON-serialisable data).
 
     ``stage_timings``/``counters`` come from an enabled telemetry
     collector; with telemetry off the manifest still records the config
-    hash, revision, environment, unit accounting, and wall-clock.
+    hash, revision, NLP formulation version, environment (see
+    :func:`environment` for ``openblas_defaulted``), unit accounting, and
+    wall-clock.
     """
+    from ..offline.nlp import FORMULATION_VERSION
+
     git_rev, git_dirty = git_state()
     manifest: Dict[str, Any] = {
         "manifest_format": MANIFEST_FORMAT,
@@ -136,7 +148,8 @@ def build_manifest(
         "config_hash": config_hash(config),
         "git_rev": git_rev,
         "git_dirty": git_dirty,
-        "environment": environment(),
+        "formulation": FORMULATION_VERSION,
+        "environment": environment(openblas_defaulted),
         "created_unix": time.time(),
         "computed": computed,
         "skipped": skipped,

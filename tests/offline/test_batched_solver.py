@@ -16,13 +16,18 @@ import numpy as np
 import pytest
 
 from repro.analysis.preemption import expand_fully_preemptive
+from repro.core.task import Task
+from repro.core.taskset import TaskSet
 from repro.offline import SolveMemo, plan_expansions, solve_nlp
+from repro.offline import batched_solver
 from repro.offline.batched_solver import plan_key, solve_signature
 from repro.offline.acs import ACSScheduler
 from repro.offline.baselines import ConstantSpeedScheduler, MaxSpeedScheduler
 from repro.offline.nlp import ReducedNLP, SolverOptions
 from repro.offline.stochastic import StochasticACSScheduler
 from repro.offline.wcs import WCSScheduler
+from repro.scenarios.store import signature_key
+from repro.workloads.cnc import cnc_taskset
 
 
 def assert_schedules_identical(left, right):
@@ -176,10 +181,10 @@ class TestSolveMemo:
         assert signature_key(solve_signature(nlp)) != here
 
     @pytest.mark.parametrize("mode, x0, key", [
-        ("wcec", None, "45a57093b69d6d2cf20e32840d7108a3a6c49c4d598bf85ff3106c8c46ad0fe9"),
-        ("acec", None, "82458c0e04f72dec57f58aabfd012e3309979ead24843eed268b3b7212ad8474"),
+        ("wcec", None, "6aa67472f8d820c648b06085b3d32448d3cc1af28d38bbf2ece62cabfa009af0"),
+        ("acec", None, "ca3cc0a2b68e1170c56f067550ffd6cc2230ba0e004a2a30ff189f4c375e2a8f"),
         ("acec", [4.0, 9.0, 14.0, 19.0, 2000.0, 6000.0],
-         "e292e69edfdc905c85168a4afab59feee3fd14f669bf91c199cdcbba2c69a5ed"),
+         "6fd53a727eee0034be059366dd639a1c7c96715a6229b811b7b6e3ca612bc3f2"),
     ], ids=["wcs", "acs", "acs-x0"])
     def test_memo_keys_are_pinned(self, processor, two_task_set, monkeypatch,
                                   mode, x0, key):
@@ -197,6 +202,83 @@ class TestSolveMemo:
         nlp = ReducedNLP(expand_fully_preemptive(two_task_set), processor, workload_mode=mode)
         start = None if x0 is None else np.array(x0)
         assert signature_key(solve_signature(nlp, start)) == key
+
+
+def solve_key(taskset, processor, mode="wcec", **nlp_options):
+    nlp = ReducedNLP(expand_fully_preemptive(taskset), processor, workload_mode=mode, **nlp_options)
+    return signature_key(solve_signature(nlp))
+
+
+def tasks_with(**changes):
+    """The ``two_task_set`` fixture's tasks, with ``changes`` applied to task A."""
+    a = {"name": "A", "period": 10, "wcec": 3000, "acec": 1500, "bcec": 600, **changes}
+    return TaskSet([Task(**a), Task("B", period=20, wcec=8000, acec=4400, bcec=800)],
+                   name="two-tasks")
+
+
+class TestSolveKey:
+    """A solve is keyed by what its NLP reads: what the objective never
+    runs stays out of the key, and everything it does read moves it."""
+
+    def test_wcs_key_ignores_acec_bcec_and_names_while_acs_key_moves_with_acec(self, processor):
+        base = tasks_with()
+        renamed = TaskSet([Task("A2", period=10, wcec=3000, acec=1500, bcec=600),
+                           Task("B2", period=20, wcec=8000, acec=4400, bcec=800)],
+                          name="renamed")
+        other_cycles = tasks_with(acec=2500, bcec=2000)
+        assert solve_key(renamed, processor) == solve_key(base, processor)
+        assert solve_key(other_cycles, processor) == solve_key(base, processor)
+        assert solve_key(renamed, processor, "acec") == solve_key(base, processor, "acec")
+        assert solve_key(tasks_with(bcec=1200), processor, "acec") == solve_key(base, processor, "acec")
+        assert solve_key(other_cycles, processor, "acec") != solve_key(base, processor, "acec")
+        assert solve_key(base, processor, "acec") != solve_key(base, processor)
+
+    def test_scenario_cycles_are_keyed_by_job_position(self, processor):
+        """A scenario names its jobs; the key holds its cycles by position."""
+        base, renamed = tasks_with(), tasks_with(name="A2")
+
+        def scenario_key(taskset, cycles):
+            expansion = expand_fully_preemptive(taskset)
+            actual = {instance.key: cycles for instance in expansion.instances}
+            nlp = ReducedNLP(expansion, processor, scenarios=[(1.0, actual)])
+            return signature_key(solve_signature(nlp))
+
+        assert scenario_key(renamed, 2000.0) == scenario_key(base, 2000.0)
+        assert scenario_key(base, 2500.0) != scenario_key(base, 2000.0)
+
+    def test_every_input_the_nlp_reads_moves_the_key(self, processor, monkeypatch):
+        base = solve_key(tasks_with(), processor)
+        assert solve_key(tasks_with(wcec=3500), processor) != base
+        assert solve_key(tasks_with(ceff=2.0), processor) != base
+        monkeypatch.setattr(batched_solver, "FORMULATION_VERSION",
+                            batched_solver.FORMULATION_VERSION + 1)
+        assert solve_key(tasks_with(), processor) != base
+
+    def test_the_order_of_a_priority_tie_moves_the_key(self, processor):
+        """Equal periods share one RM priority level; names order the tie."""
+
+        def tied(first, second):
+            return TaskSet([Task(first, period=10, wcec=2000, acec=1000, bcec=400),
+                            Task(second, period=10, wcec=3000, acec=1500, bcec=600)])
+
+        assert solve_key(tied("A", "B"), processor) == solve_key(tied("C", "D"), processor)
+        assert solve_key(tied("B", "A"), processor) != solve_key(tied("A", "B"), processor)
+
+    def test_cnc_wcs_solve_at_ratio_0_9_replays_the_ratio_0_1_record(self, processor):
+        """Figure 6(b) solves each WCS problem once across BCEC/WCEC ratios."""
+
+        def wcs_nlp(ratio):
+            taskset = cnc_taskset(processor, bcec_wcec_ratio=ratio)
+            return ReducedNLP(expand_fully_preemptive(taskset), processor, workload_mode="wcec")
+
+        memo = SolveMemo()
+        solve_nlp(wcs_nlp(0.1), memo=memo)
+        replayed = solve_nlp(wcs_nlp(0.9), memo=memo)
+        assert (memo.computed, memo.hits) == (1, 1)
+        fresh = wcs_nlp(0.9).solve()
+        assert_schedules_identical(replayed, fresh)
+        # The hit is rebuilt against the asking expansion: its ACEC fills the average budgets.
+        assert [e.avg_budget for e in replayed.entries] == [e.avg_budget for e in fresh.entries]
 
 
 class TestPlanKey:

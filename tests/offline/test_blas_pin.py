@@ -47,14 +47,19 @@ print(json.dumps({entry.key: memo.get(entry.key) for entry in memo.entries()}, s
 
 def memo_payloads(root, threads):
     """Plan ``SPEC`` in a fresh interpreter; its solve-memo records as canonical JSON."""
+    proc = subprocess.run([sys.executable, "-c", PLAN, str(root), json.dumps(SPEC)],
+                          env=child_env(threads), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def child_env(threads):
+    """This process's environment for a child, with ``OPENBLAS_NUM_THREADS`` unset or ``threads``."""
     env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    proc = subprocess.run([sys.executable, "-c", PLAN, str(root), json.dumps(SPEC)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]
+    return env
 
 
 def openblas():
@@ -134,3 +139,61 @@ class TestSingleBlasThread:
         assert "solve.blas.pinned" not in telemetry.counters
         assert memo.lookup(signature_key(solve_signature(nlp))) is None
         assert memo.lookup(signature_key(solve_signature(nlp, blas_threads="unpinned"))) is not None
+
+
+#: Runs ``python -m repro store ls`` in this interpreter, then prints the
+#: thread counts of numpy's and scipy's OpenBLAS (``null`` when not found).
+CLI_THREADS = """
+import ctypes, json, runpy, sys
+from pathlib import Path
+sys.argv = ["repro", "store", "ls", "--store", sys.argv[1]]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+import numpy
+from repro.offline.nlp import _scipy_openblas
+
+def numpy_threads():
+    package = Path(numpy.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                        *package.glob(".dylibs/libscipy_openblas64_*")]):
+        try:
+            get_threads = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return get_threads()
+    return None
+
+import scipy.linalg  # loads scipy's OpenBLAS, as a solve does
+scipy_library = _scipy_openblas()
+print(json.dumps({"numpy": numpy_threads(),
+                  "scipy": None if scipy_library is None else scipy_library[0]()}))
+"""
+
+
+class TestCliStartsOpenBlasOnOneThread:
+    """numpy's and scipy's OpenBLAS each start one thread per core when they
+    load, and the idle ones spin beside the main thread.  The CLI defaults
+    ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads; ``import repro`` loads
+    no numpy, so library importers keep their own threads."""
+
+    def test_importing_the_package_loads_no_numpy(self):
+        probe = "import sys, repro\nprint('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], env=child_env(None),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("threads, expected", [(None, 1), ("2", 2)], ids=["unset", "explicit-2"])
+    def test_cli_default_yields_to_the_callers_count(self, tmp_path, threads, expected):
+        openblas()
+        if expected > (os.cpu_count() or 1):
+            pytest.skip("OpenBLAS caps its threads at the core count")
+        proc = subprocess.run([sys.executable, "-c", CLI_THREADS, str(tmp_path / "store")],
+                              env=child_env(threads), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert counts["scipy"] == expected
+        assert counts["numpy"] in (expected, None)  # None: numpy built against another BLAS

@@ -1,11 +1,31 @@
 """Tests for the reduced NLP assembly (variable packing, constraints, repair)."""
 
+import hashlib
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.analysis.preemption import expand_fully_preemptive
 from repro.core.errors import SchedulingError
-from repro.offline.nlp import ReducedNLP, SolverOptions
+from repro.offline.evaluation import evaluate_vectors
+from repro.offline.nlp import FORMULATION_VERSION, ReducedNLP, SolverOptions
+
+
+def test_formulation_version_follows_the_functions_that_define_the_nlp():
+    """Every solve key and unit key carries ``FORMULATION_VERSION``, so a
+    change to the NLP must bump it, or stored solves of the old NLP would be
+    replayed as answers to the new one.  A change to any of these functions
+    fails here until the version and the hash are bumped together."""
+    defining = [ReducedNLP.linear_constraints, ReducedNLP.bounds, ReducedNLP.pack,
+                ReducedNLP.unpack, ReducedNLP._repair, ReducedNLP.objective,
+                ReducedNLP.initial_guess, ReducedNLP.fallback_vectors, evaluate_vectors]
+    source = "".join(inspect.getsource(function) for function in defining)
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    pinned = (1, "8bc4b707d4205a34ab08ff9eef63fcc5b5691fa64a25661a4b3131f69b9f1583")
+    assert (FORMULATION_VERSION, digest) == pinned, (
+        "the functions that define the NLP changed: bump FORMULATION_VERSION "
+        "and re-pin this hash")
 
 
 class TestVariablePacking:
@@ -217,12 +237,14 @@ class TestVectorizedJacobian:
             assert np.array_equal(nlp.jacobian(x), expected)
 
     def test_solve_identical_with_and_without_jacobian(self, three_task_set, processor):
+        """The column-walk jacobian against scipy's own differences of the
+        reference objective (the compiled evaluation switched off)."""
         expansion = expand_fully_preemptive(three_task_set)
-        fast = ReducedNLP(expansion, processor,
-                          options=SolverOptions(maxiter=60)).solve()
-        slow = ReducedNLP(expansion, processor,
-                          options=SolverOptions(maxiter=60,
-                                                vectorized_jacobian=False)).solve()
+        options = SolverOptions(maxiter=60)
+        fast = ReducedNLP(expansion, processor, options=options).solve()
+        reference = ReducedNLP(expansion, processor, options=options)
+        reference._compiled = None
+        slow = reference.solve()
         assert fast.end_times() == slow.end_times()
         assert fast.wc_budgets() == slow.wc_budgets()
         assert fast.objective_value == slow.objective_value

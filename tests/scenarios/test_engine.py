@@ -101,10 +101,10 @@ class TestCommittedStoreKeys:
     numpy/scipy release."""
 
     @pytest.mark.parametrize(("name", "profile", "key"), [
-        ("figure6a", "smoke", "3eb545d889feb3ec27f093b3a97e47f3ad01404a34cb49c266712f43afed5e42"),
-        ("figure6b", "smoke", "516e8708dcdb1cb1346d1f8e327b8afbc81022bdd82775b7564fbb91bc2f12ee"),
-        ("scalability", "smoke", "71024a27df51c57387c2527a5fe7f49408e5b58ddebcfc5832c9cc641b46d8ee"),
-        ("motivation", None, "bf170a311b7c2bbe949ae4b3dc052b4ba66e566d7bed01b49bb2d9da3ec1adfa"),
+        ("figure6a", "smoke", "97aab8e35d17d1e26ba2d7bfdedc753c64e6a71b12aa16ad91cbe2b4665d9d54"),
+        ("figure6b", "smoke", "93a65c1ab747a40f4610f7349183a7be24dcba93086d3670b45d217ea43a1563"),
+        ("scalability", "smoke", "7ecb6ace2c5379f5484e5932873991376eb810f2b363a4930db18ed22566f8a3"),
+        ("motivation", None, "91d95b3e6d7dc7021d7aab672382ed409dc042a7e116763eecb49631c009db71"),
     ])
     def test_first_unit_key_is_pinned(self, name, profile, key, monkeypatch):
         import numpy
@@ -126,6 +126,18 @@ class TestCommittedStoreKeys:
         spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / f"{name}.toml", profile=profile)
         here = ScenarioEngine().compile(spec).points[0].unit_keys[0]
         monkeypatch.setattr(scipy, "__version__", scipy.__version__ + ".other")
+        assert ScenarioEngine().compile(spec).points[0].unit_keys[0] != here
+
+    @pytest.mark.parametrize(("name", "profile"), [
+        ("figure6b", "smoke"), ("scalability", "smoke"), ("motivation", None),
+    ], ids=["comparison", "multicore", "motivation"])
+    def test_formulation_version_is_part_of_every_unit_key(self, name, profile, monkeypatch):
+        """A unit planned under one NLP formulation is never replayed under another."""
+        from repro.scenarios import engine
+
+        spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / f"{name}.toml", profile=profile)
+        here = ScenarioEngine().compile(spec).points[0].unit_keys[0]
+        monkeypatch.setattr(engine, "FORMULATION_VERSION", engine.FORMULATION_VERSION + 1)
         assert ScenarioEngine().compile(spec).points[0].unit_keys[0] != here
 
 

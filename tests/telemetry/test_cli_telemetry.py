@@ -1,11 +1,18 @@
 """CLI surfaces: ``repro run --telemetry`` and ``repro stats``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.offline.nlp import FORMULATION_VERSION
 from repro.telemetry import read_jsonl, read_manifests
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Instant scenario (deterministic, no simulation) for CLI-level round trips.
 MOTIVATION = {
@@ -162,6 +169,34 @@ class TestStats:
         assert "solver health: 2 solves on one BLAS thread, 1 unpinned" in mixed
         assert ("warning: 1 of 3 solves ran with scipy's BLAS threads unpinned; "
                 "compare their results only with a tolerance") in mixed
+
+    @pytest.mark.parametrize("threads", [None, "3"], ids=["unset", "set"])
+    def test_records_the_formulation_and_the_callers_blas_threads(self, tmp_path, threads):
+        """``repro run`` in a fresh process: the manifest keeps
+        ``OPENBLAS_NUM_THREADS`` as the caller passed it, and says whether the
+        CLI defaulted it to 1; ``repro stats`` prints both and the formulation."""
+        env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        spec, store = write_spec(tmp_path, MOTIVATION), str(tmp_path / "store")
+
+        def repro(*args):
+            proc = subprocess.run([sys.executable, "-m", "repro", *args], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        repro("run", spec, "--store", store)
+        (manifest,) = read_manifests(store)
+        assert manifest["formulation"] == FORMULATION_VERSION
+        assert manifest["environment"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
+        assert manifest["environment"]["openblas_defaulted"] is (threads is None)
+        out = repro("stats", store)
+        assert f"formulation: {FORMULATION_VERSION}" in out
+        (blas,) = [line for line in out.splitlines() if line.startswith("blas:")]
+        assert f"OPENBLAS_NUM_THREADS={threads or '-'}" in blas.split()
+        assert ("CLI default: OPENBLAS_NUM_THREADS=1" in out) is (threads is None)
 
     def test_empty_store_reports_no_manifests(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path)]) == 0
