@@ -734,7 +734,7 @@ def _run_stats(args: argparse.Namespace) -> str:
             f"created: {created.strftime('%Y-%m-%d %H:%M:%S')} UTC | "
             f"git: {manifest.get('git_rev', 'unknown')[:12]}{dirty} | "
             f"config: {manifest.get('config_hash', '?')[:12]} | "
-            f"formulation: {manifest.get('formulation', '?')}",
+            f"store format: {manifest.get('store_format', '?')}",
             f"environment: python {env.get('python', '?')} | numpy {env.get('numpy', '?')} | "
             f"scipy {env.get('scipy', '?')} | {env.get('platform', '?')} | "
             f"cpus: {env.get('cpu_count', '?')}",

@@ -12,12 +12,12 @@ runs.  This module makes every repeat cost one lookup:
   records the result.
 * **The solve memo** (:class:`SolveMemo`) is a content-addressed cache keyed —
   with the result store's hashing discipline (:func:`~repro.scenarios.store.signature_key`)
-  — by what the NLP reads (:func:`solve_signature`): the formulation
-  version, the slots and jobs by position, the cycles the objective runs,
-  the horizon, the processor, the solver options, the warm-start vector and
-  the solver build (numpy/scipy versions and the BLAS thread mode).  Task
-  names, and ACEC and BCEC where the objective does not run them, stay out,
-  so problems that differ only in those share one solve.  Backed
+  — by everything solve-relevant (:func:`solve_signature`): the task set,
+  the horizon, the processor, the workload mode, the solver options, the
+  scenario set, the warm-start vector and the solver build (numpy/scipy
+  versions and the BLAS thread mode).  The task set leaves out the cycle
+  counts the NLP never reads (BCEC, and ACEC in a WCS solve), so task sets
+  that differ only in those share one solve.  Backed
   by a :class:`~repro.scenarios.store.ResultStore` the memo survives a
   killed sweep.
 * :func:`plan_key` keys a whole comparison's planning inputs, so the harness
@@ -43,7 +43,7 @@ from ..core.errors import ReproError
 from ..power.processor import ProcessorModel
 from ..telemetry.core import current as _telemetry
 from .evaluation import _EPS, CompiledEvaluation
-from .nlp import FORMULATION_VERSION, ReducedNLP
+from .nlp import ReducedNLP
 from .schedule import StaticSchedule
 
 __all__ = [
@@ -66,68 +66,50 @@ _MEMO_COMPUTED = "solve_memo.computed"
 # --------------------------------------------------------------------- #
 def solve_signature(nlp: ReducedNLP, x0: Optional[np.ndarray] = None, *,
                     blas_threads: Union[int, str] = 1) -> Dict[str, Any]:
-    """What ``nlp.solve(x0)`` reads, as a canonical dictionary.
+    """Everything that determines the outcome of ``nlp.solve(x0)``, as a canonical dictionary.
 
-    The key holds exactly the numbers :class:`ReducedNLP` and the helpers it
-    calls read, by position, so two NLPs with equal signatures hand SLSQP the
-    same problem and one solve answers both:
+    ``verbose`` is excluded (it only toggles solver chatter); every other
+    option, the task set, the horizon, the processor physics, the workload
+    mode, the scenario set and the warm start all shape the trajectory and
+    are therefore part of the key.  So does the solver build
+    (:func:`~repro.scenarios.store.solver_build`): SLSQP's trajectory
+    depends on the numpy and scipy versions and on the BLAS thread mode
+    ``blas_threads``, and a memo written under one build must never be
+    replayed as the answer under another.
 
-    * ``formulation``: :data:`~repro.offline.nlp.FORMULATION_VERSION`;
-    * ``subs``: per sub-instance, in total order, its order index, its slot
-      and the position of its job in ``expansion.instances``, whose order
-      fixes the equality rows;
-    * ``jobs``: per job, its release, deadline, priority, WCEC and its
-      task's ``ceff``, plus its rank in the ``(priority, release, task
-      name)`` order of the worst-case fallback
-      (:func:`~repro.offline.initialization.worst_case_simulation_vectors`).
-      Equal priorities are ordered by name there; the rank records that
-      order without the names;
-    * ``objective``: the workload mode and the cycles the objective runs:
-      every job's ACEC, nothing more for WCEC (already in ``jobs``), or
-      every scenario's weight and cycles by job position;
-    * the horizon, the processor physics, every solver option but
-      ``verbose`` (it only toggles solver chatter) and the warm start;
-    * the solver build (:func:`~repro.scenarios.store.solver_build`):
-      SLSQP's output bits depend on the numpy and scipy versions and on the
-      BLAS thread mode ``blas_threads``, and a memo written under one build
-      must never be replayed as the answer under another.
-
-    Names, ACEC and BCEC enter only where the objective reads them, so a
-    WCS solve answers every task set that differs from it only in those:
-    Figure 6(b) solves each WCS problem once across its BCEC/WCEC ratios.
+    The NLP never reads a task's BCEC, and reads its ACEC only in the
+    objective (the average case, or a job a scenario leaves out), so the
+    task set is keyed without them where they are not read: a WCS solve
+    answers every task set that differs only in ACEC and BCEC, and Figure
+    6(b) solves each WCS problem once across its BCEC/WCEC ratios.  A hit is
+    rebuilt against the asking NLP's expansion, so its average-case budgets
+    still come from the asking task set's ACEC.
     """
-    # Lazy import: pulling the scenario package in at module load would
-    # close an import cycle (scenarios.engine itself plans schedules).
+    # Lazy imports: pulling the reporting/scenario packages in at module load
+    # would close an import cycle (scenarios.engine itself plans schedules).
+    from ..reporting.serialization import taskset_to_dict
     from ..scenarios.store import STORE_FORMAT, processor_signature, solver_build
 
-    expansion = nlp.expansion
-    instances = expansion.instances
-    position = {instance.key: index for index, instance in enumerate(instances)}
-    ranked = sorted(instances, key=lambda i: (i.priority, i.release, i.task.name))
-    rank = {instance.key: index for index, instance in enumerate(ranked)}
-    if nlp.scenarios is not None:
-        cycles: Any = [[float(weight), [float(actual.get(instance.key, instance.acec))
-                                        for instance in instances]]
-                       for weight, actual in nlp.scenarios]
-    elif nlp.workload_mode == "acec":
-        cycles = [float(instance.acec) for instance in instances]
-    else:
-        cycles = None
+    taskset = taskset_to_dict(nlp.expansion.taskset)
+    reads_acec = nlp.workload_mode == "acec" or nlp.scenarios is not None
+    for task in taskset["tasks"]:
+        del task["bcec"]
+        if not reads_acec:
+            del task["acec"]
     options = asdict(nlp.options)
     options.pop("verbose", None)
+    scenarios = None
+    if nlp.scenarios is not None:
+        scenarios = [[weight, dict(actual)] for weight, actual in nlp.scenarios]
     return {
         "store_format": STORE_FORMAT,
         "kind": "nlp-solve",
-        "formulation": FORMULATION_VERSION,
-        "subs": [[sub.order, float(sub.slot_start), float(sub.slot_end), position[sub.instance.key]]
-                 for sub in expansion.sub_instances],
-        "jobs": [[float(instance.release), float(instance.deadline), instance.priority,
-                  float(instance.wcec), float(instance.task.ceff), rank[instance.key]]
-                 for instance in instances],
-        "objective": {"mode": nlp.workload_mode, "cycles": cycles},
-        "horizon": float(expansion.horizon),
+        "taskset": taskset,
+        "horizon": nlp.expansion.horizon,
         "processor": processor_signature(nlp.processor),
+        "workload_mode": nlp.workload_mode,
         "options": options,
+        "scenarios": scenarios,
         "x0": None if x0 is None else [float(v) for v in np.asarray(x0, dtype=float)],
         "build": solver_build(blas_threads),
     }

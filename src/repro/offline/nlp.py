@@ -53,15 +53,7 @@ from .evaluation import CompiledEvaluation, evaluate_vectors
 from .initialization import proportional_budget_vectors, worst_case_simulation_vectors
 from .schedule import StaticSchedule
 
-__all__ = ["FORMULATION_VERSION", "ReducedNLP", "SolverOptions", "single_blas_thread"]
-
-#: Version of the NLP that :class:`ReducedNLP` builds: its variables, bounds,
-#: rows, starting point, repair, fallback and objective.  Every solve-memo key
-#: and every store unit signature carries it, so results solved under one
-#: formulation are never replayed as the answer under another.  Bump it
-#: whenever any of those changes; ``tests/offline/test_nlp.py`` pins it next
-#: to a hash of the functions that define the NLP.
-FORMULATION_VERSION = 1
+__all__ = ["ReducedNLP", "SolverOptions", "single_blas_thread"]
 
 #: Telemetry counter: solver iterations summed over every computed solve.
 _SOLVE_ITERATIONS = "solve.iterations"

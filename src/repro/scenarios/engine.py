@@ -39,7 +39,6 @@ from ..experiments.harness import (
 )
 from ..experiments.motivation import MotivationConfig, run_motivation
 from ..experiments.seeding import SIMULATION_STREAM
-from ..offline.nlp import FORMULATION_VERSION
 from ..power.processor import ProcessorModel
 from ..runtime.multicore import MulticoreRunner
 from ..runtime.policies import get_policy
@@ -86,7 +85,6 @@ def _comparison_signature(job: ComparisonJob) -> Dict[str, Any]:
         "workload": _model_signature(config.workload),
         "policy": {"type": type(config.policy).__name__, "name": config.policy.name},
         "build": solver_build(),
-        "formulation": FORMULATION_VERSION,
     }
     # Added only when non-default so every pre-existing store hash is
     # preserved; trace-on payloads carry the event stream, hence must key
@@ -134,7 +132,6 @@ class _MulticoreUnit:
             "seed": self.seed,
             "fast_path": self.fast_path,
             "build": solver_build(),
-            "formulation": FORMULATION_VERSION,
         }
 
 
@@ -174,7 +171,6 @@ class _MotivationUnit:
             "bcec": self.config.bcec,
             "processor": processor_signature(self.config.resolved_processor()),
             "build": solver_build(),
-            "formulation": FORMULATION_VERSION,
         }
 
 

@@ -55,14 +55,17 @@ __all__ = [
 
 #: Version of the signature/payload contract.  Part of every signature, so a
 #: bump makes every previously stored record unreachable (and collectable via
-#: ``repro store gc --stale``).
+#: ``repro store gc --stale``).  Bump it also whenever the NLP changes, or
+#: stored solves of the old NLP would be replayed as answers to the new one:
+#: ``tests/offline/test_nlp.py`` pins it next to a hash of the functions that
+#: build and solve the NLP.
 #:
 #: 2: transition energy is no longer charged on zero-work dispatches (the
 #:    requeue/fmax-fringe fix in the runtime event loops), which changes
 #:    stored numbers for runs with a non-free transition model.
 #: 3: solves now run on one BLAS thread, so stored numbers change.
-#: 4: solve-memo keys hold only what the NLP reads, and every key carries
-#:    the NLP's formulation version.
+#: 4: solve-memo keys leave out the cycle counts the NLP never reads (BCEC,
+#:    and ACEC in a WCS solve).
 STORE_FORMAT = 4
 
 

@@ -2,7 +2,7 @@
 
 A manifest answers "what ran, from which config, at which revision, in
 which environment, and where did the time go" without replaying anything:
-config hash, git revision and dirty flag, the NLP formulation version, the
+config hash, git revision and dirty flag, the store format, the
 Python/numpy/scipy versions, their BLAS builds and thread settings, platform
 and core count, unit accounting, stage timings aggregated from the telemetry
 spans, and the full counter dump.  ``repro run`` writes one per scenario under
@@ -99,7 +99,7 @@ def environment(openblas_defaulted: bool = False) -> Dict[str, Any]:
     variables are recorded as the caller passed them (``None`` when unset).
     ``openblas_defaulted`` says that the caller left ``OPENBLAS_NUM_THREADS``
     unset and the process set it to 1 before loading numpy, as the ``repro``
-    CLI does.
+    CLI does (:mod:`repro._blas_default`).
     """
     import numpy
     import scipy
@@ -135,11 +135,11 @@ def build_manifest(
 
     ``stage_timings``/``counters`` come from an enabled telemetry
     collector; with telemetry off the manifest still records the config
-    hash, revision, NLP formulation version, environment (see
+    hash, revision, store format, environment (see
     :func:`environment` for ``openblas_defaulted``), unit accounting, and
     wall-clock.
     """
-    from ..offline.nlp import FORMULATION_VERSION
+    from ..scenarios.store import STORE_FORMAT
 
     git_rev, git_dirty = git_state()
     manifest: Dict[str, Any] = {
@@ -148,7 +148,7 @@ def build_manifest(
         "config_hash": config_hash(config),
         "git_rev": git_rev,
         "git_dirty": git_dirty,
-        "formulation": FORMULATION_VERSION,
+        "store_format": STORE_FORMAT,
         "environment": environment(openblas_defaulted),
         "created_unix": time.time(),
         "computed": computed,

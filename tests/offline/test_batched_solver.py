@@ -19,7 +19,6 @@ from repro.analysis.preemption import expand_fully_preemptive
 from repro.core.task import Task
 from repro.core.taskset import TaskSet
 from repro.offline import SolveMemo, plan_expansions, solve_nlp
-from repro.offline import batched_solver
 from repro.offline.batched_solver import plan_key, solve_signature
 from repro.offline.acs import ACSScheduler
 from repro.offline.baselines import ConstantSpeedScheduler, MaxSpeedScheduler
@@ -181,10 +180,10 @@ class TestSolveMemo:
         assert signature_key(solve_signature(nlp)) != here
 
     @pytest.mark.parametrize("mode, x0, key", [
-        ("wcec", None, "6aa67472f8d820c648b06085b3d32448d3cc1af28d38bbf2ece62cabfa009af0"),
-        ("acec", None, "ca3cc0a2b68e1170c56f067550ffd6cc2230ba0e004a2a30ff189f4c375e2a8f"),
+        ("wcec", None, "98357effaf3231b5eaba4e396d8cab8b9abd21c9b716887212e49d4da32a1706"),
+        ("acec", None, "317c771e7c2d18575898d473603fc61a5cb1245ad3e65ad5f446675cece402df"),
         ("acec", [4.0, 9.0, 14.0, 19.0, 2000.0, 6000.0],
-         "6fd53a727eee0034be059366dd639a1c7c96715a6229b811b7b6e3ca612bc3f2"),
+         "eb0af0ef661b234e9846fcee9463357bef7a68df58323a32d875f9674ae6b0e1"),
     ], ids=["wcs", "acs", "acs-x0"])
     def test_memo_keys_are_pinned(self, processor, two_task_set, monkeypatch,
                                   mode, x0, key):
@@ -217,52 +216,36 @@ def tasks_with(**changes):
 
 
 class TestSolveKey:
-    """A solve is keyed by what its NLP reads: what the objective never
-    runs stays out of the key, and everything it does read moves it."""
+    """The NLP never reads BCEC, and reads ACEC only in its objective, so a
+    solve is keyed without them where they are not read; every other input
+    it reads moves the key."""
 
-    def test_wcs_key_ignores_acec_bcec_and_names_while_acs_key_moves_with_acec(self, processor):
+    def test_wcs_key_ignores_acec_and_bcec_while_acs_key_moves_with_acec(self, processor):
         base = tasks_with()
-        renamed = TaskSet([Task("A2", period=10, wcec=3000, acec=1500, bcec=600),
-                           Task("B2", period=20, wcec=8000, acec=4400, bcec=800)],
-                          name="renamed")
         other_cycles = tasks_with(acec=2500, bcec=2000)
-        assert solve_key(renamed, processor) == solve_key(base, processor)
         assert solve_key(other_cycles, processor) == solve_key(base, processor)
-        assert solve_key(renamed, processor, "acec") == solve_key(base, processor, "acec")
         assert solve_key(tasks_with(bcec=1200), processor, "acec") == solve_key(base, processor, "acec")
         assert solve_key(other_cycles, processor, "acec") != solve_key(base, processor, "acec")
         assert solve_key(base, processor, "acec") != solve_key(base, processor)
 
-    def test_scenario_cycles_are_keyed_by_job_position(self, processor):
-        """A scenario names its jobs; the key holds its cycles by position."""
-        base, renamed = tasks_with(), tasks_with(name="A2")
+    def test_a_scenario_objective_keeps_acec_in_the_key(self, processor):
+        """A scenario runs the ACEC of every job it leaves out, in either mode."""
 
-        def scenario_key(taskset, cycles):
-            expansion = expand_fully_preemptive(taskset)
-            actual = {instance.key: cycles for instance in expansion.instances}
-            nlp = ReducedNLP(expansion, processor, scenarios=[(1.0, actual)])
+        def scenario_key(taskset):
+            nlp = ReducedNLP(expand_fully_preemptive(taskset), processor, workload_mode="wcec",
+                             scenarios=[(1.0, {})])
             return signature_key(solve_signature(nlp))
 
-        assert scenario_key(renamed, 2000.0) == scenario_key(base, 2000.0)
-        assert scenario_key(base, 2500.0) != scenario_key(base, 2000.0)
+        assert scenario_key(tasks_with(acec=2500)) != scenario_key(tasks_with())
 
-    def test_every_input_the_nlp_reads_moves_the_key(self, processor, monkeypatch):
+    def test_wcec_ceff_and_the_store_format_move_the_key(self, processor, monkeypatch):
+        from repro.scenarios import store
+
         base = solve_key(tasks_with(), processor)
         assert solve_key(tasks_with(wcec=3500), processor) != base
         assert solve_key(tasks_with(ceff=2.0), processor) != base
-        monkeypatch.setattr(batched_solver, "FORMULATION_VERSION",
-                            batched_solver.FORMULATION_VERSION + 1)
+        monkeypatch.setattr(store, "STORE_FORMAT", store.STORE_FORMAT + 1)
         assert solve_key(tasks_with(), processor) != base
-
-    def test_the_order_of_a_priority_tie_moves_the_key(self, processor):
-        """Equal periods share one RM priority level; names order the tie."""
-
-        def tied(first, second):
-            return TaskSet([Task(first, period=10, wcec=2000, acec=1000, bcec=400),
-                            Task(second, period=10, wcec=3000, acec=1500, bcec=600)])
-
-        assert solve_key(tied("A", "B"), processor) == solve_key(tied("C", "D"), processor)
-        assert solve_key(tied("B", "A"), processor) != solve_key(tied("A", "B"), processor)
 
     def test_cnc_wcs_solve_at_ratio_0_9_replays_the_ratio_0_1_record(self, processor):
         """Figure 6(b) solves each WCS problem once across BCEC/WCEC ratios."""

@@ -186,6 +186,18 @@ class TestCliStartsOpenBlasOnOneThread:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("first, expected", [("", "True 1"), ("import numpy\n", "False None")],
+                             ids=["numpy-unloaded", "numpy-loaded"])
+    def test_cli_defaults_the_variable_only_before_numpy_loads(self, first, expected):
+        """A process that loaded numpy first started its BLAS threads already:
+        the CLI then sets nothing and records no default."""
+        probe = (f"import os\n{first}import repro.cli\n"
+                 "print(repro.cli._blas_default.DEFAULTED, os.environ.get('OPENBLAS_NUM_THREADS'))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=child_env(None),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
     @pytest.mark.parametrize("threads, expected", [(None, 1), ("2", 2)], ids=["unset", "explicit-2"])
     def test_cli_default_yields_to_the_callers_count(self, tmp_path, threads, expected):
         openblas()

@@ -9,23 +9,34 @@ import pytest
 from repro.analysis.preemption import expand_fully_preemptive
 from repro.core.errors import SchedulingError
 from repro.offline.evaluation import evaluate_vectors
-from repro.offline.nlp import FORMULATION_VERSION, ReducedNLP, SolverOptions
+from repro.offline.initialization import proportional_budget_vectors, worst_case_simulation_vectors
+from repro.offline.nlp import ReducedNLP, SolverOptions
+from repro.offline.schedule import StaticSchedule
+from repro.scenarios.store import STORE_FORMAT
 
 
-def test_formulation_version_follows_the_functions_that_define_the_nlp():
-    """Every solve key and unit key carries ``FORMULATION_VERSION``, so a
-    change to the NLP must bump it, or stored solves of the old NLP would be
-    replayed as answers to the new one.  A change to any of these functions
-    fails here until the version and the hash are bumped together."""
-    defining = [ReducedNLP.linear_constraints, ReducedNLP.bounds, ReducedNLP.pack,
-                ReducedNLP.unpack, ReducedNLP._repair, ReducedNLP.objective,
-                ReducedNLP.initial_guess, ReducedNLP.fallback_vectors, evaluate_vectors]
+def test_store_format_follows_the_functions_that_define_the_nlp():
+    """Every solve-memo key carries ``STORE_FORMAT``, so a change to the NLP
+    must bump it, or stored solves of the old NLP would be replayed as
+    answers to the new one.  These functions build the NLP (its variables,
+    bounds, rows and objective), start, run and repair the solve, and choose
+    the fallback; a change to any of them fails here until the hash is
+    re-pinned, and the format bumped with it if solves can change.  The
+    compiled evaluation and :meth:`ReducedNLP.jacobian` are held bitwise to
+    the reference objective and to scipy's differences by their own tests."""
+    defining = [ReducedNLP.__post_init__, ReducedNLP._build_actual_cycles,
+                ReducedNLP.pack, ReducedNLP.unpack, ReducedNLP.objective,
+                ReducedNLP.objective_reference, ReducedNLP.bounds,
+                ReducedNLP.linear_constraints, ReducedNLP.initial_guess,
+                ReducedNLP.fallback_vectors, ReducedNLP.solve, ReducedNLP._repair,
+                StaticSchedule.validate, evaluate_vectors, proportional_budget_vectors,
+                worst_case_simulation_vectors]
     source = "".join(inspect.getsource(function) for function in defining)
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    pinned = (1, "8bc4b707d4205a34ab08ff9eef63fcc5b5691fa64a25661a4b3131f69b9f1583")
-    assert (FORMULATION_VERSION, digest) == pinned, (
-        "the functions that define the NLP changed: bump FORMULATION_VERSION "
-        "and re-pin this hash")
+    pinned = (4, "7ce93954418ac2c8bc33e0a760028e662b2da3a80cc3c7b21a907a9136c3ed11")
+    assert (STORE_FORMAT, digest) == pinned, (
+        "the functions that define the NLP changed: bump STORE_FORMAT if "
+        "solves can change, and re-pin this hash")
 
 
 class TestVariablePacking:

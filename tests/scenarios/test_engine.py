@@ -101,10 +101,10 @@ class TestCommittedStoreKeys:
     numpy/scipy release."""
 
     @pytest.mark.parametrize(("name", "profile", "key"), [
-        ("figure6a", "smoke", "97aab8e35d17d1e26ba2d7bfdedc753c64e6a71b12aa16ad91cbe2b4665d9d54"),
-        ("figure6b", "smoke", "93a65c1ab747a40f4610f7349183a7be24dcba93086d3670b45d217ea43a1563"),
-        ("scalability", "smoke", "7ecb6ace2c5379f5484e5932873991376eb810f2b363a4930db18ed22566f8a3"),
-        ("motivation", None, "91d95b3e6d7dc7021d7aab672382ed409dc042a7e116763eecb49631c009db71"),
+        ("figure6a", "smoke", "1c0ca0e29649d49bc10c3b20cde692cbf537bf739f50628662ac88ae50a14690"),
+        ("figure6b", "smoke", "9972d40a4bd181130812234109297f1aaf218c35c751215de295b00e0eb94265"),
+        ("scalability", "smoke", "53ab54432590ba87bacf9ce3433da5a52b8793280f8effe2e3b8596d8ab2394e"),
+        ("motivation", None, "a2c45bbf18c2e408cbea31e7bfc0a1d006255a35de5011904ea06acabb0ad313"),
     ])
     def test_first_unit_key_is_pinned(self, name, profile, key, monkeypatch):
         import numpy
@@ -131,13 +131,13 @@ class TestCommittedStoreKeys:
     @pytest.mark.parametrize(("name", "profile"), [
         ("figure6b", "smoke"), ("scalability", "smoke"), ("motivation", None),
     ], ids=["comparison", "multicore", "motivation"])
-    def test_formulation_version_is_part_of_every_unit_key(self, name, profile, monkeypatch):
-        """A unit planned under one NLP formulation is never replayed under another."""
+    def test_store_format_is_part_of_every_unit_key(self, name, profile, monkeypatch):
+        """A unit computed under one store format (one NLP) is never replayed under another."""
         from repro.scenarios import engine
 
         spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / f"{name}.toml", profile=profile)
         here = ScenarioEngine().compile(spec).points[0].unit_keys[0]
-        monkeypatch.setattr(engine, "FORMULATION_VERSION", engine.FORMULATION_VERSION + 1)
+        monkeypatch.setattr(engine, "STORE_FORMAT", engine.STORE_FORMAT + 1)
         assert ScenarioEngine().compile(spec).points[0].unit_keys[0] != here
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.offline.nlp import FORMULATION_VERSION
+from repro.scenarios.store import STORE_FORMAT
 from repro.telemetry import read_jsonl, read_manifests
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -171,10 +171,10 @@ class TestStats:
                 "compare their results only with a tolerance") in mixed
 
     @pytest.mark.parametrize("threads", [None, "3"], ids=["unset", "set"])
-    def test_records_the_formulation_and_the_callers_blas_threads(self, tmp_path, threads):
+    def test_records_the_store_format_and_the_callers_blas_threads(self, tmp_path, threads):
         """``repro run`` in a fresh process: the manifest keeps
         ``OPENBLAS_NUM_THREADS`` as the caller passed it, and says whether the
-        CLI defaulted it to 1; ``repro stats`` prints both and the formulation."""
+        CLI defaulted it to 1; ``repro stats`` prints both and the store format."""
         env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         if threads is not None:
@@ -189,11 +189,11 @@ class TestStats:
 
         repro("run", spec, "--store", store)
         (manifest,) = read_manifests(store)
-        assert manifest["formulation"] == FORMULATION_VERSION
+        assert manifest["store_format"] == STORE_FORMAT
         assert manifest["environment"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
         assert manifest["environment"]["openblas_defaulted"] is (threads is None)
         out = repro("stats", store)
-        assert f"formulation: {FORMULATION_VERSION}" in out
+        assert f"store format: {STORE_FORMAT}" in out
         (blas,) = [line for line in out.splitlines() if line.startswith("blas:")]
         assert f"OPENBLAS_NUM_THREADS={threads or '-'}" in blas.split()
         assert ("CLI default: OPENBLAS_NUM_THREADS=1" in out) is (threads is None)
