@@ -9,7 +9,7 @@ existing single-core pipeline:
   interface, producing validated :class:`Partition` objects;
 * :mod:`repro.allocation.multicore` — :class:`MulticoreProblem` /
   :class:`MulticorePlan` and :func:`plan_multicore`, which runs the offline
-  NLP independently (and optionally in parallel) per core.
+  NLP independently per core, optionally through a solve memo.
 
 The runtime counterpart — simulating a plan on ``m`` cores — lives in
 :mod:`repro.runtime.multicore`.

@@ -9,25 +9,27 @@ vectorized Jacobian) that powers the single-core reproduction — and returns a
 :class:`MulticorePlan`: one :class:`~repro.offline.schedule.StaticSchedule`
 per populated core.
 
-Because the per-core problems are independent once the partition is fixed,
-planning parallelises trivially: ``jobs=N`` fans the per-core NLP solves out
-over a process pool, exactly like the experiment harness's sweep execution,
-and the result is identical for any worker count (each solve is a pure
-function of its core's task set).  The workers' telemetry counters come back
-with their plans, so a pooled run counts what a serial one counts.
+The per-core problems are independent once the partition is fixed, so every
+populated core is planned in one
+:func:`~repro.offline.batched_solver.plan_expansions` call, the path the
+experiment harness plans comparisons on.  Given a solve memo, a core whose
+task set was solved before (by another core count or partitioner of a sweep,
+or by an earlier run on the same store) costs one lookup, and the plan is
+bitwise the unmemoized one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
+from ..analysis.preemption import expand_fully_preemptive
 from ..core.errors import AllocationError
 from ..core.taskset import TaskSet
+from ..offline.batched_solver import SolveMemo, plan_expansions
 from ..offline.schedule import StaticSchedule
 from ..power.processor import ProcessorModel
-from ..telemetry.core import current as _telemetry, map_counted
+from ..telemetry.core import current as _telemetry
 from .partitioners import Partition, get_partitioner
 
 __all__ = ["MulticoreProblem", "MulticorePlan", "plan_multicore"]
@@ -135,46 +137,37 @@ class MulticorePlan:
         return "\n".join(lines)
 
 
-def _schedule_core(work: Tuple[TaskSet, ProcessorModel, str]) -> StaticSchedule:
-    """Worker entry point (module-level so the process pool can pickle it)."""
+def plan_multicore(problem: MulticoreProblem, *, partition: Optional[Partition] = None,
+                   memo: Optional[SolveMemo] = None) -> MulticorePlan:
+    """Partition (unless one is given) and solve the per-core offline NLPs.
+
+    Every populated core is planned in one
+    :func:`~repro.offline.batched_solver.plan_expansions` call through
+    ``memo`` (``None`` solves every NLP).  Each solve depends only on its
+    own core's task set, so the plan is bitwise the same with or without a
+    memo.
+    """
     # Imported lazily: the experiments package itself builds on this module.
     from ..experiments.harness import make_schedulers
 
-    core_taskset, processor, method = work
-    scheduler = make_schedulers([method], processor)[method]
-    return scheduler.schedule(core_taskset)
-
-
-def plan_multicore(problem: MulticoreProblem, *, jobs: int = 1,
-                   partition: Optional[Partition] = None) -> MulticorePlan:
-    """Partition (unless one is given) and solve the per-core offline NLPs.
-
-    ``jobs=1`` solves in-process; ``jobs>1`` distributes the per-core solves
-    over a :class:`~concurrent.futures.ProcessPoolExecutor`.  Each solve
-    depends only on its own core's task set, so the plan is identical for any
-    worker count.
-    """
-    if jobs < 1:
-        raise AllocationError("jobs must be at least 1")
     resolved = partition if partition is not None else problem.partition()
     if resolved.n_cores != problem.n_cores:
         raise AllocationError(
             f"partition has {resolved.n_cores} cores but the problem asks for {problem.n_cores}"
         )
     populated = resolved.used_cores()
-    work = [(resolved.core_tasksets[core], problem.processor, problem.method)
-            for core in populated]
+    methods = make_schedulers([problem.method], problem.processor)
     telemetry = _telemetry()
-    telemetry.count("plan.multicore_cores", len(work))
+    telemetry.count("plan.multicore_cores", len(populated))
     with telemetry.span("plan.multicore"):
-        if jobs == 1 or len(work) <= 1:
-            solved = [_schedule_core(unit) for unit in work]
-        else:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-                solved = list(map_counted(pool, _schedule_core, work))
+        planned = plan_expansions(
+            [(expand_fully_preemptive(resolved.core_tasksets[core]), methods)
+             for core in populated],
+            memo=memo,
+        )
     schedules: List[Optional[StaticSchedule]] = [None] * resolved.n_cores
-    for core, schedule in zip(populated, solved):
-        schedules[core] = schedule
+    for core, plans in zip(populated, planned):
+        schedules[core] = plans[problem.method]
     return MulticorePlan(
         partition=resolved,
         schedules=schedules,

@@ -240,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("--ratio", type=float, default=0.5,
                            help="BCEC/WCEC ratio of the workload")
     partition.add_argument("--seed", type=int, default=2005)
-    partition.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for the per-core NLP solves")
     partition.add_argument("--output", default="multicore_result.json",
                            help="path of the serialized MulticoreResult JSON")
     partition.set_defaults(runner=_run_partition)
@@ -521,8 +519,6 @@ def _run_trace(args: argparse.Namespace) -> str:
 def _run_partition(args: argparse.Namespace) -> str:
     if args.cores < 1:
         raise ExperimentError(f"--cores must be at least 1, got {args.cores}")
-    if args.jobs < 1:
-        raise ExperimentError(f"--jobs must be at least 1, got {args.jobs}")
     processor = ideal_processor(fmax=1000.0)
     taskset = _select_taskset(args.app, args.ratio, processor)
 
@@ -533,7 +529,7 @@ def _run_partition(args: argparse.Namespace) -> str:
         partitioner=args.partitioner,
         method=args.method,
     )
-    plan = plan_multicore(problem, jobs=args.jobs)
+    plan = plan_multicore(problem)
     runner = MulticoreRunner(
         processor, policy=args.policy,
         config=SimulationConfig(n_hyperperiods=args.hyperperiods),

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import copy
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +36,13 @@ from ..core.taskset import TaskSet
 from ..offline.acs import ACSScheduler
 from ..offline.base import VoltageScheduler
 from ..offline.baselines import ConstantSpeedScheduler, MaxSpeedScheduler
-from ..offline.batched_solver import SolveMemo, default_solve_memo, plan_expansions, plan_key
+from ..offline.batched_solver import (
+    SolveMemo,
+    default_solve_memo,
+    plan_expansions,
+    plan_key,
+    resolve_solve_memo,
+)
 from ..offline.schedule import StaticSchedule
 from ..offline.wcs import WCSScheduler
 from ..power.processor import ProcessorModel
@@ -85,26 +89,19 @@ class ComparisonConfig:
     baseline: str = "wcs"
     workload: WorkloadModel = field(default_factory=NormalWorkload)
     policy: DVSPolicy = field(default_factory=GreedySlackPolicy)
-    simulation: SimulationConfig = None
     #: Run on the lane engine where it covers the configuration (identical
     #: results either way; ``False`` pins the reference loop, e.g. for
-    #: equivalence sweeps).  Only
-    #: consulted when ``simulation`` is unset — an explicit
-    #: :class:`SimulationConfig` carries its own ``fast_path`` and wins.
+    #: equivalence sweeps).
     fast_path: bool = True
     #: Record the typed event stream on every method's
     #: :class:`~repro.runtime.results.SimulationResult` (see
     #: :mod:`repro.runtime.trace`).  Traced units take the reference loop.
-    #: Only consulted when ``simulation`` is unset.
     trace: bool = False
     #: Optional arrival model perturbing the job releases (``None`` is the
-    #: paper's strictly periodic model).  Only consulted when ``simulation``
-    #: is unset.
+    #: paper's strictly periodic model).
     arrivals: Optional["ArrivalModel"] = None
 
     def simulation_config(self) -> SimulationConfig:
-        if self.simulation is not None:
-            return self.simulation
         return SimulationConfig(n_hyperperiods=self.n_hyperperiods, seed=self.seed,
                                 fast_path=self.fast_path, trace=self.trace,
                                 arrivals=self.arrivals)
@@ -207,28 +204,6 @@ def default_schedulers(processor: ProcessorModel) -> Dict[str, VoltageScheduler]
 # --------------------------------------------------------------------- #
 # Comparison executor
 # --------------------------------------------------------------------- #
-def _resolve_solve_memo(solve_memo_root: Optional[str]) -> SolveMemo:
-    """The solve memo for a worker: persistent when a store root is given.
-
-    A root (the scenario result store's directory, as a picklable string)
-    gives every worker process its own :class:`SolveMemo` view onto the same
-    on-disk store — puts are atomic, so concurrent workers cooperate instead
-    of clashing, and a resumed sweep finds its solves.  The memo lives in a
-    ``solve-memo/`` subdirectory so the scenario store's own record listing
-    and garbage collection keep seeing only scenario payloads.  Without a
-    root the process-wide in-memory memo still deduplicates within the run.
-    """
-    if solve_memo_root is None:
-        return default_solve_memo()
-    from ..scenarios.store import ResultStore
-
-    # The memo's backing store tallies its own telemetry family, so scenario
-    # payload traffic and solve-memo traffic stay separable in a counter dump.
-    return SolveMemo(
-        ResultStore(Path(solve_memo_root) / "solve-memo", telemetry_prefix="solve_memo_store")
-    )
-
-
 #: Telemetry counter: comparisons that reused an identical comparison's plan.
 _PLAN_SHARED = "plan.shared"
 
@@ -383,7 +358,7 @@ def _run_chunk(jobs: Sequence[ComparisonJob],
     entries = [(job.resolve_taskset(), job.processor,
                 make_schedulers(job.schedulers, job.processor), job.config)
                for job in jobs]
-    return _compare_chunk(entries, _resolve_solve_memo(solve_memo_root))
+    return _compare_chunk(entries, resolve_solve_memo(solve_memo_root))
 
 
 #: Chunking rule of :func:`iter_comparisons`, in simulation units (jobs x
@@ -401,9 +376,10 @@ def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
     """Execute comparison jobs, yielding each result as soon as it is known.
 
     ``n_jobs=1`` runs in-process; ``n_jobs>1`` fans the chunks out over a
-    :class:`ProcessPoolExecutor`.  Results arrive in submission order and
-    are bitwise-identical for any ``n_jobs``, because every job derives its
-    randomness from its own coordinates.  A ``solve_memo_root`` (the
+    process pool (:func:`~repro.telemetry.core.map_counted`).  Results
+    arrive in submission order and are bitwise-identical for any
+    ``n_jobs``, because every job derives its randomness from its own
+    coordinates.  A ``solve_memo_root`` (the
     scenario store's directory) makes the offline solve memo persistent, so
     resumed or repeated sweeps skip solved NLPs.  Streaming is what lets
     incremental consumers (the scenario result store) persist every
@@ -428,11 +404,6 @@ def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
     else:
         chunks = [[job] for job in jobs]
     run_chunk = functools.partial(_run_chunk, solve_memo_root=solve_memo_root)
-    if n_jobs == 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            yield from run_chunk(chunk)
-        return
-    with ProcessPoolExecutor(max_workers=min(n_jobs, len(chunks))) as pool:
-        for results in map_counted(pool, run_chunk, chunks):
-            yield from results
+    for results in map_counted(run_chunk, chunks, n_jobs):
+        yield from results
 

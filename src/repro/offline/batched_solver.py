@@ -19,7 +19,8 @@ runs.  This module makes every repeat cost one lookup:
   counts the NLP never reads (BCEC, and ACEC in a WCS solve), so task sets
   that differ only in those share one solve.  Backed
   by a :class:`~repro.scenarios.store.ResultStore` the memo survives a
-  killed sweep.
+  killed sweep: :func:`resolve_solve_memo` is the one place that knows
+  where a scenario store keeps its solves.
 * :func:`plan_key` keys a whole comparison's planning inputs, so the harness
   plans each distinct problem of a chunk once, and :func:`plan_expansions`
   is the harness's planning entry point.
@@ -35,6 +36,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, is_dataclass
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,6 +53,7 @@ __all__ = [
     "default_solve_memo",
     "plan_expansions",
     "plan_key",
+    "resolve_solve_memo",
     "solve_nlp",
     "solve_signature",
 ]
@@ -59,6 +62,9 @@ __all__ = [
 _MEMO_HIT = "solve_memo.hit"
 _MEMO_MISS = "solve_memo.miss"
 _MEMO_COMPUTED = "solve_memo.computed"
+
+#: Solves a memo keeps in process memory, oldest out first.
+_LOCAL_ENTRIES = 512
 
 
 # --------------------------------------------------------------------- #
@@ -208,10 +214,9 @@ class SolveMemo:
     solver invocations that actually ran.
     """
 
-    def __init__(self, store: Optional[Any] = None, *, max_entries: int = 512):
+    def __init__(self, store: Optional[Any] = None):
         self._store = store
         self._local: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._max_entries = max_entries
         self._lock = threading.Lock()
         self.hits = 0
         self.computed = 0
@@ -233,7 +238,7 @@ class SolveMemo:
         _telemetry().count(_MEMO_COMPUTED)
         with self._lock:
             self._local[key] = dict(payload)
-            while len(self._local) > self._max_entries:
+            while len(self._local) > _LOCAL_ENTRIES:
                 self._local.popitem(last=False)
         if self._store is not None:
             self._store.put(key, payload, scenario="nlp-solve", label=label)
@@ -245,6 +250,28 @@ _DEFAULT_MEMO = SolveMemo()
 def default_solve_memo() -> SolveMemo:
     """The process-wide in-memory memo used when no explicit memo is given."""
     return _DEFAULT_MEMO
+
+
+def resolve_solve_memo(store_root: Optional[str]) -> SolveMemo:
+    """The solve memo for a worker: persistent when a store root is given.
+
+    A root (the scenario result store's directory, as a picklable string)
+    gives every worker process its own :class:`SolveMemo` view onto the same
+    on-disk store — puts are atomic, so concurrent workers cooperate instead
+    of clashing, and a resumed sweep finds its solves.  The memo lives in a
+    ``solve-memo/`` subdirectory so the scenario store's own record listing
+    and garbage collection keep seeing only scenario payloads.  Without a
+    root the process-wide in-memory memo still deduplicates within the run.
+    """
+    if store_root is None:
+        return default_solve_memo()
+    from ..scenarios.store import ResultStore
+
+    # The memo's backing store tallies its own telemetry family, so scenario
+    # payload traffic and solve-memo traffic stay separable in a counter dump.
+    return SolveMemo(
+        ResultStore(Path(store_root) / "solve-memo", telemetry_prefix="solve_memo_store")
+    )
 
 
 # --------------------------------------------------------------------- #

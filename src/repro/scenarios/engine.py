@@ -20,8 +20,8 @@ recomputes only the missing units.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,6 +39,7 @@ from ..experiments.harness import (
 )
 from ..experiments.motivation import MotivationConfig, run_motivation
 from ..experiments.seeding import SIMULATION_STREAM
+from ..offline.batched_solver import resolve_solve_memo
 from ..power.processor import ProcessorModel
 from ..runtime.multicore import MulticoreRunner
 from ..runtime.policies import get_policy
@@ -135,7 +136,7 @@ class _MulticoreUnit:
         }
 
 
-def _run_multicore_unit(unit: _MulticoreUnit) -> Dict[str, Any]:
+def _run_multicore_unit(unit: _MulticoreUnit, solve_memo_root: Optional[str] = None) -> Dict[str, Any]:
     """Worker entry point (module-level so the process pool can pickle it)."""
     from ..reporting.serialization import multicore_result_to_dict
 
@@ -146,7 +147,7 @@ def _run_multicore_unit(unit: _MulticoreUnit) -> Dict[str, Any]:
         partitioner=unit.partitioner,
         method=unit.method,
     )
-    plan = plan_multicore(problem)
+    plan = plan_multicore(problem, memo=resolve_solve_memo(solve_memo_root))
     runner = MulticoreRunner(
         unit.processor,
         policy=unit.policy,
@@ -437,32 +438,24 @@ class ScenarioEngine:
             self.store.put(key, payload, scenario=spec.name, label=labels[key])
             computed[key] = payload
 
+        # A disk-backed store doubles as the solve memo's persistence root:
+        # NLP solves land next to the unit payloads, so a killed sweep
+        # resumes its offline planning for free.
+        solve_memo_root = str(self.store.root) if isinstance(self.store, ResultStore) else None
         comparison_keys = [key for key in pending if isinstance(compiled.units[key], ComparisonJob)]
         if comparison_keys:
             from ..reporting.serialization import comparison_result_to_dict
 
             jobs = [compiled.units[key] for key in comparison_keys]
-            # A disk-backed store doubles as the solve memo's persistence
-            # root: NLP solves land next to the comparison payloads, so a
-            # killed sweep resumes its offline planning for free.
-            solve_memo_root = (
-                str(self.store.root) if isinstance(self.store, ResultStore) else None
-            )
             results = iter_comparisons(jobs, n_jobs=n_jobs,
                                        solve_memo_root=solve_memo_root)
             for key, result in zip(comparison_keys, results):
                 persist(key, comparison_result_to_dict(result))
         multicore_keys = [key for key in pending if isinstance(compiled.units[key], _MulticoreUnit)]
-        if multicore_keys:
-            units = [compiled.units[key] for key in multicore_keys]
-            if n_jobs == 1 or len(units) <= 1:
-                for key, unit in zip(multicore_keys, units):
-                    persist(key, _run_multicore_unit(unit))
-            else:
-                with ProcessPoolExecutor(max_workers=min(n_jobs, len(units))) as pool:
-                    payloads = map_counted(pool, _run_multicore_unit, units)
-                    for key, payload in zip(multicore_keys, payloads):
-                        persist(key, payload)
+        run_unit = functools.partial(_run_multicore_unit, solve_memo_root=solve_memo_root)
+        units = [compiled.units[key] for key in multicore_keys]
+        for key, payload in zip(multicore_keys, map_counted(run_unit, units, n_jobs)):
+            persist(key, payload)
         for key in pending:
             unit = compiled.units[key]
             if isinstance(unit, _MotivationUnit):

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import functools
 import threading
-from concurrent.futures import Executor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 __all__ = [
     "Span",
@@ -263,10 +263,9 @@ class Telemetry:
 
 #: The process-wide default collector.  Instrumentation sites resolve it
 #: through :func:`current` at call time.  A collector does not cross a
-#: process boundary: the comparison and multicore pools run each task
-#: through :func:`map_counted`, which records it under a fresh collector
-#: in the worker and adds the returned counters and observations to the
-#: parent's.
+#: process boundary: :func:`map_counted`, the one process pool, records
+#: each task under a fresh collector in the worker and adds the returned
+#: counters and observations to the parent's.
 NULL_TELEMETRY = NullTelemetry()
 
 _ACTIVE: Union[Telemetry, NullTelemetry] = NULL_TELEMETRY
@@ -315,23 +314,32 @@ def _call_counted(
     return result, telemetry.counters, telemetry.observations
 
 
-def map_counted(pool: Executor, function: Callable[..., _T], items: Iterable[Any]) -> Iterator[_T]:
-    """``pool.map(function, items)`` that keeps the workers' counters and observations.
+def map_counted(function: Callable[[Any], _T], items: Sequence[Any], n_jobs: int) -> Iterator[_T]:
+    """``function`` over ``items``, in item order, in-process or on a process pool.
 
-    With a recording collector active, every task runs through
-    :func:`_call_counted`; as its result arrives, its counters are counted
-    into that collector and its observations appended to it, in result
-    order, so a ``--jobs N`` run records what a serial run records.  With
-    telemetry off this is plain ``pool.map``.
+    One job, or at most one item, runs in-process, recording straight into
+    the active collector.  Otherwise a :class:`ProcessPoolExecutor` of
+    ``min(n_jobs, len(items))`` workers maps ``function`` (which must
+    pickle).  With a recording collector active, every pooled task runs
+    through :func:`_call_counted`; as its result arrives, its counters are
+    counted into that collector and its observations appended to it, in
+    result order, so a ``--jobs N`` run records what a serial run records.
+    Results are yielded as they arrive, so a caller can persist each one
+    before the next is done.
     """
-    telemetry = current()
-    if not telemetry.enabled:
-        yield from pool.map(function, items)
+    if n_jobs == 1 or len(items) <= 1:
+        for item in items:
+            yield function(item)
         return
-    for result, counters, observations in pool.map(functools.partial(_call_counted, function), items):
-        for name, value in counters.items():
-            telemetry.count(name, value)
-        for name, values in observations.items():
-            for value in values:
-                telemetry.observe(name, value)
-        yield result
+    telemetry = current()
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(items))) as pool:
+        if not telemetry.enabled:
+            yield from pool.map(function, items)
+            return
+        for result, counters, observations in pool.map(functools.partial(_call_counted, function), items):
+            for name, value in counters.items():
+                telemetry.count(name, value)
+            for name, values in observations.items():
+                for value in values:
+                    telemetry.observe(name, value)
+            yield result

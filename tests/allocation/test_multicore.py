@@ -6,6 +6,7 @@ from repro.allocation.multicore import MulticorePlan, MulticoreProblem, plan_mul
 from repro.core.errors import AllocationError
 from repro.core.task import Task
 from repro.core.taskset import TaskSet
+from repro.offline.batched_solver import SolveMemo
 from repro.power.presets import ideal_processor
 
 PROCESSOR = ideal_processor(fmax=1000.0)
@@ -65,17 +66,24 @@ class TestPlan:
             assert repeats * plan.schedules[core].expansion.horizon == pytest.approx(
                 plan.hyperperiod)
 
-    def test_parallel_planning_matches_serial(self, taskset):
+    def test_memoized_planning_matches_unmemoized(self, taskset):
         problem = MulticoreProblem(taskset, PROCESSOR, 3, partitioner="wfd")
-        serial = plan_multicore(problem, jobs=1)
-        parallel = plan_multicore(problem, jobs=2)
-        assert serial.partition.assignment == parallel.partition.assignment
-        for left, right in zip(serial.schedules, parallel.schedules):
+        memo = SolveMemo()
+        plain = plan_multicore(problem)
+        memoized = plan_multicore(problem, memo=memo)
+        assert memo.computed > 0
+        assert plain.partition.assignment == memoized.partition.assignment
+        for left, right in zip(plain.schedules, memoized.schedules):
             if left is None:
                 assert right is None
                 continue
             assert left.end_times() == right.end_times()
             assert left.wc_budgets() == right.wc_budgets()
+            assert left.objective_value == right.objective_value
+        # A second plan on the same memo computes nothing.
+        computed = memo.computed
+        plan_multicore(problem, memo=memo)
+        assert memo.computed == computed
 
     def test_explicit_partition_must_match_core_count(self, taskset):
         problem = MulticoreProblem(taskset, PROCESSOR, 3)

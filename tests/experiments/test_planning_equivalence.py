@@ -16,6 +16,7 @@ those of the same comparisons run one chunk each.
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from repro.offline.stochastic import StochasticACSScheduler
 from repro.power.voltage import VoltageLevels
 from repro.reporting.serialization import comparison_result_to_dict
 from repro.runtime.policies import available_policies, get_policy
-from repro.runtime.simulator import DVSSimulator, SimulationConfig
+from repro.runtime.simulator import DVSSimulator
 from repro.telemetry import Telemetry, using
 from repro.workloads.distributions import (
     BimodalWorkload,
@@ -67,9 +68,10 @@ def fingerprint(outcomes):
     }
 
 
-def run_both_plans(taskset, processor, schedulers, **config_kwargs):
+def run_both_plans(taskset, processor, schedulers, config_type=ComparisonConfig,
+                   **config_kwargs):
     """The harness result and the sequential reference, as fingerprints."""
-    config = ComparisonConfig(n_hyperperiods=2, seed=424242, **config_kwargs)
+    config = config_type(n_hyperperiods=2, seed=424242, **config_kwargs)
     # A fresh memo: the pooled schedules must come from solves, not replays.
     pooled = compare_schedulers(taskset, processor, schedulers, config,
                                 solve_memo=SolveMemo())
@@ -102,13 +104,19 @@ def test_scenario_weighted_scheduler(processor, three_task_set):
     assert pooled == sequential
 
 
+class DiscreteVoltageConfig(ComparisonConfig):
+    """A comparison simulated on a discrete voltage ladder, which no
+    :class:`ComparisonConfig` field sets."""
+
+    def simulation_config(self):
+        return replace(super().simulation_config(),
+                       voltage_levels=VoltageLevels([0.5, 1.0, 2.0, 3.0, 4.0, 5.0]))
+
+
 def test_discrete_voltage_simulation(processor, two_task_set):
-    simulation = SimulationConfig(
-        n_hyperperiods=2, seed=424242,
-        voltage_levels=VoltageLevels([0.5, 1.0, 2.0, 3.0, 4.0, 5.0]))
     pooled, sequential = run_both_plans(
         two_task_set, processor, make_schedulers(("wcs", "acs"), processor),
-        simulation=simulation)
+        config_type=DiscreteVoltageConfig)
     assert pooled == sequential
 
 

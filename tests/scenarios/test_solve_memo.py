@@ -8,7 +8,13 @@ from that memo — zero optimizer invocations — and the memo records must
 stay invisible to the scenario store's own listing and garbage collection.
 """
 
+import json
+
+from repro.allocation.multicore import MulticoreProblem
+from repro.reporting.serialization import taskset_to_dict
 from repro.scenarios import ResultStore, ScenarioEngine, ScenarioSpec
+from repro.scenarios.engine import build_taskset
+from repro.telemetry import Telemetry, using
 
 #: Real NLP-backed sweep (wcs + acs are both solver methods): 2 points.
 SWEEP = {
@@ -17,6 +23,16 @@ SWEEP = {
     "taskset": {"source": "random", "n_tasks": 3, "periods": [10.0, 20.0, 40.0]},
     "simulation": {"hyperperiods": 2, "seed": 13},
     "matrix": {"taskset.ratio": [0.2, 0.8]},
+}
+
+#: The scalability smoke grid: four cells, whose core task sets repeat.
+MULTICORE = {
+    "kind": "multicore",
+    "name": "memo-multicore",
+    "taskset": {"source": "cnc"},
+    "offline": {"methods": ["acs"], "baseline": "acs"},
+    "simulation": {"hyperperiods": 2},
+    "multicore": {"cores": [1, 2], "partitioners": ["ffd", "wfd"]},
 }
 
 
@@ -75,3 +91,38 @@ def test_warm_rerun_over_a_memory_store_still_memoizes_in_process():
     ScenarioEngine().run(spec)
     # The second run's solves all hit the in-memory memo.
     assert memo.computed == before + first_run
+
+
+def test_multicore_cores_solve_once_per_store(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    spec = ScenarioSpec.from_dict(MULTICORE)
+    cold = ScenarioEngine(store).run(spec)
+    assert cold.computed == 4
+
+    processor = spec.power.build()
+    taskset = build_taskset(spec.taskset, processor)
+    core_sets = [
+        json.dumps(taskset_to_dict(core_set), sort_keys=True)
+        for cores in spec.multicore.cores
+        for partitioner in spec.multicore.partitioners
+        for core_set in MulticoreProblem(taskset, processor, cores, partitioner).partition().core_tasksets
+        if core_set is not None
+    ]
+    assert len(set(core_sets)) < len(core_sets)
+    # ACS solves three NLPs per core task set: from the default guess, the
+    # WCS problem, and from the WCS solution.  Each is stored once.
+    memo_records = ResultStore(tmp_path / "store" / "solve-memo").entries()
+    assert len(memo_records) == 3 * len(set(core_sets))
+
+    def payload_bytes():
+        return {entry.key: json.dumps(store.get(entry.key), sort_keys=True)
+                for entry in store.entries()}
+
+    cold_payloads = payload_bytes()
+    with using(Telemetry()) as telemetry:
+        forced = ScenarioEngine(store).run(spec, force=True)
+    assert forced.computed == 4
+    assert telemetry.counters["solve_memo.hit"] == 3 * len(core_sets)
+    assert "solve_memo.computed" not in telemetry.counters
+    assert payload_bytes() == cold_payloads
+    assert forced.points == cold.points

@@ -1,5 +1,6 @@
-"""Unit tests for the telemetry collector: spans, counters, activation."""
+"""Unit tests for the telemetry collector: spans, counters, activation, pools."""
 
+import os
 import threading
 
 import pytest
@@ -13,7 +14,7 @@ from repro.telemetry import (
     deactivate,
     using,
 )
-from repro.telemetry.core import _NULL_SPAN
+from repro.telemetry.core import _NULL_SPAN, map_counted
 
 
 class TestActivation:
@@ -146,3 +147,26 @@ class TestCounters:
         timings = telemetry.stage_timings()
         assert timings["wave"]["count"] == 3
         assert timings["wave"]["total_seconds"] >= 0.0
+
+
+def _square_in_process(value):
+    """A pool task (module-level, so it pickles) that records telemetry."""
+    current().count("squared")
+    current().observe("value", float(value))
+    return value * value, os.getpid()
+
+
+class TestMapCounted:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_results_in_item_order_with_every_workers_telemetry(self, n_jobs):
+        items = [3, 1, 4, 1, 5]
+        with using(Telemetry()) as telemetry:
+            results = list(map_counted(_square_in_process, items, n_jobs))
+        assert [square for square, _ in results] == [9, 1, 16, 1, 25]
+        pids = {pid for _, pid in results}
+        if n_jobs == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids
+        assert telemetry.counters == {"squared": 5}
+        assert telemetry.observations == {"value": [3.0, 1.0, 4.0, 1.0, 5.0]}

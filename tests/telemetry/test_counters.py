@@ -12,7 +12,6 @@ batched engine's own block counters.
 import numpy as np
 import pytest
 
-from repro.allocation.multicore import MulticoreProblem, plan_multicore
 from repro.analysis.preemption import expand_fully_preemptive
 from repro.core.task import Task
 from repro.core.taskset import TaskSet
@@ -22,7 +21,6 @@ from repro.runtime import batched
 from repro.runtime.simulator import SimulationConfig
 from repro.scenarios import ResultStore, ScenarioEngine, ScenarioSpec
 from repro.telemetry import Telemetry, using
-from repro.workloads.cnc import cnc_taskset
 
 #: Two work units, seconds end to end (mirrors the CLI test sweep).
 SPEC = {
@@ -151,7 +149,7 @@ class TestPooledRun:
         assert serial["sim.soa_width"]
         assert pooled.get("sim.soa_width") == serial["sim.soa_width"]
 
-    def test_multicore_pool_workers_report_their_solves(self):
+    def test_multicore_pool_workers_report_their_solves(self, tmp_path):
         spec = ScenarioSpec.from_dict({
             "kind": "multicore",
             "name": "counter-multicore",
@@ -160,29 +158,18 @@ class TestPooledRun:
             "simulation": {"hyperperiods": 2},
             "multicore": {"cores": [1, 2], "partitioners": ["wfd"]},
         })
-        solves = []
+        counters = []
         for n_jobs in (1, 2):
+            # A fresh store per side: the process-wide memo of a storeless
+            # engine would answer the second run's solves.
             with using(Telemetry()) as telemetry:
-                ScenarioEngine().run(spec, n_jobs=n_jobs)
-            solves.append(sum(count for name, count in telemetry.counters.items()
-                              if name.startswith("solve.status.")))
-        assert solves[0] == solves[1] > 0
-
-
-    def test_plan_multicore_pool_workers_report_their_solves(self):
-        """``plan_multicore(jobs=2)`` (``repro partition --jobs``) counts the
-        solver work its pool workers did, as a serial plan does."""
-        processor = ideal_processor(fmax=1000.0)
-        problem = MulticoreProblem(cnc_taskset(processor, bcec_wcec_ratio=0.5), processor,
-                                   2, partitioner="wfd")
-        solves = []
-        for jobs in (1, 2):
-            with using(Telemetry()) as telemetry:
-                plan_multicore(problem, jobs=jobs)
-            solves.append({name: count for name, count in telemetry.counters.items()
-                           if name.startswith("solve.")})
-        assert solves[0]["solve.iterations"] > 0
-        assert solves[1] == solves[0]
+                ScenarioEngine(ResultStore(tmp_path / f"jobs{n_jobs}")).run(spec, n_jobs=n_jobs)
+            counters.append(telemetry.counters)
+        for run in counters:
+            statuses = [count for name, count in run.items() if name.startswith("solve.status.")]
+            assert sum(statuses) == run["solve_memo.miss"] > 0
+        lookups = [run.get("solve_memo.hit", 0) + run["solve_memo.miss"] for run in counters]
+        assert lookups[0] == lookups[1]
 
 
 class TestSimulationRoute:

@@ -200,7 +200,6 @@ class TestMain:
 
     @pytest.mark.parametrize("argv", [
         ["partition", "--cores", "0"],
-        ["partition", "--app", "demo", "--jobs", "0"],
         ["scalability", "--cores", "two"],
         ["scalability", "--cores", ""],
         ["scalability", "--partitioners", "oracle"],
