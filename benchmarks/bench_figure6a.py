@@ -3,7 +3,7 @@
 The paper sweeps 2–10 tasks and BCEC/WCEC ∈ {0.1, 0.5, 0.9} with 100 task sets
 × 1000 hyperperiods per point.  The benchmark runs a scaled-down scenario
 document through the scenario engine (the full setting is available through
-``repro-experiments figure6a --full``) and checks the figure's two trends:
+``repro figure6a --full``) and checks the figure's two trends:
 
 * the improvement of ACS over WCS grows with the number of tasks, and
 * it shrinks as the BCEC/WCEC ratio approaches 1.

@@ -1,4 +1,4 @@
-"""Command-line entry point: ``python -m repro`` or the ``repro-experiments`` script.
+"""Command-line interface: ``python -m repro`` or the ``repro`` script (see ``repro.__main__``).
 
 Sub-commands regenerate the paper's experiments and print the corresponding
 table to standard output:
@@ -145,7 +145,7 @@ SCALABILITY: Dict[str, Any] = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+        prog="repro",
         description="Regenerate the experiments of the DATE 2005 ACS paper.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -752,7 +752,7 @@ def _run_stats(args: argparse.Namespace) -> str:
         sections.append("\n".join(lines))
     if not sections:
         sections.append(f"store {store_dir}: no run manifests "
-                        "(run `repro-experiments run ... --store` first)")
+                        "(run `repro run ... --store` first)")
     if args.telemetry:
         spans: List[dict] = []
         counters_total: dict = {}

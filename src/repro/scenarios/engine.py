@@ -297,8 +297,13 @@ class ScenarioEngine:
             )
             methods = tuple(point_spec.offline.methods)
             point = CompiledPoint(coords=coords, label=_coord_label(coords) or spec.name)
+            # A fixed source gives every repetition the same task set, so the
+            # point's jobs share one (nothing assigns to a TaskSet after this).
+            fixed = None
+            if point_spec.taskset.source != "random":
+                fixed = build_taskset(point_spec.taskset, processor)
             for repetition in range(simulation.repetitions):
-                if point_spec.taskset.source == "random":
+                if fixed is None:
                     generator_kwargs: Dict[str, Any] = {
                         "n_tasks": point_spec.taskset.n_tasks,
                         "target_utilization": point_spec.taskset.utilization,
@@ -322,7 +327,7 @@ class ScenarioEngine:
                     job = ComparisonJob(
                         processor=processor,
                         config=config.with_derived_seed(*path, SIMULATION_STREAM),
-                        taskset=build_taskset(point_spec.taskset, processor),
+                        taskset=fixed,
                         schedulers=methods,
                     )
                 key = signature_key(_comparison_signature(job))

@@ -25,6 +25,30 @@ class TestCompile:
         assert len(compiled.units) == 18  # all units distinct (coords pin the seeds)
         assert compiled.points[0].coords == {"taskset.n_tasks": 2, "taskset.ratio": 0.1}
 
+    def test_fixed_task_set_is_built_once_per_point(self, monkeypatch):
+        from repro.scenarios import engine
+
+        build, calls = engine.build_taskset, []
+
+        def spy(taskset_spec, processor):
+            calls.append(taskset_spec.ratio)
+            return build(taskset_spec, processor)
+
+        monkeypatch.setattr(engine, "build_taskset", spy)
+        spec = ScenarioSpec.from_dict({
+            "kind": "comparison",
+            "name": "fixed",
+            "taskset": {"source": "cnc"},
+            "simulation": {"repetitions": 3},
+            "matrix": {"taskset.ratio": [0.1, 0.9]},
+        })
+        compiled = ScenarioEngine().compile(spec)
+        assert calls == [0.1, 0.9]
+        assert len(compiled.units) == 6  # the repetitions still key apart
+        for point in compiled.points:
+            tasksets = {id(compiled.units[key].taskset) for key in point.unit_keys}
+            assert len(tasksets) == 1
+
     def test_multicore_grid_is_native(self):
         spec = ScenarioSpec.from_dict({
             "kind": "multicore",

@@ -16,6 +16,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
+    def test_usage_names_the_installed_script(self):
+        assert build_parser().format_usage().startswith("usage: repro ")
+
     @pytest.mark.parametrize("command", ["motivation", "figure6a", "figure6b",
                                          "simulate", "trace", "sweep",
                                          "partition", "scalability"])
@@ -169,6 +172,10 @@ class TestMain:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+
+    def test_stats_on_an_empty_store_names_repro_run(self, capsys, tmp_path):
+        assert main(["stats", str(tmp_path / "store")]) == 0
+        assert "run `repro run ... --store` first" in capsys.readouterr().out
 
     def test_partition_runs_and_serializes(self, capsys, tmp_path):
         target = tmp_path / "multicore.json"
