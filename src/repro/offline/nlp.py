@@ -17,7 +17,26 @@ equivalent *reduced* problem:
                   * worst-case chain (paper (8)): E_m − E_{m−1} ≥ w_m / fmax
                   * release guard:                E_m − slot_start_m ≥ w_m / fmax
                   * per-job budget (paper (11)):  Σ_k w_{i,j,k} = WCEC_i
-                  * w_m ≥ 0
+                  * 0 ≤ w_m ≤ WCEC
+
+SLSQP works on a dense least-squares subproblem with one row per constraint
+and per finite bound, so it is given only the rows nothing else implies:
+every chain row, every budget sum, ``E_m ≤ slot_end_m``, ``w_m ≥ 0``, and the
+release guards not named below.  Chain and guard rows carry a margin
+(``SolverOptions.chain_margin_fraction``).  Three kinds of row are left out:
+
+* ``E_m ≥ slot_start_m``: m's release guard gives ``E_m ≥ slot_start_m +
+  margin + w_m / fmax`` with ``w_m ≥ 0``; where that guard is left out, m's
+  chain row and m−1's guard give it.
+* ``w ≤ WCEC``: the job's budget sum ``Σ w = WCEC`` with its siblings'
+  ``w ≥ 0``.
+* the release guard of sub-instance m ≥ 1 whose slot starts where m−1's
+  does: ``E_m ≥ E_{m−1} + w_m / fmax + margin ≥ slot_start_{m−1} +
+  2·margin + (w_{m−1} + w_m) / fmax``.
+
+Every chain row stays.  m's guard and ``E_{m−1} ≤ slot_end_{m−1}`` imply m's
+chain row when m−1's slot ends where m's starts or earlier, but solves without
+those chain rows stopped at the iteration cap.
 
 Setting the "actual" workload used by the objective to the WCEC instead of the
 ACEC turns the same solver into the WCS baseline (the classical static
@@ -121,7 +140,9 @@ def single_blas_thread() -> Iterator[Union[int, str]]:
 class SolverOptions:
     """Knobs for the scipy-based solver."""
 
-    maxiter: int = 200
+    #: SLSQP's iteration cap.  It only decides when a solve stops, so solves
+    #: that converge earlier pay nothing for it.
+    maxiter: int = 300
     ftol: float = 1e-8
     finite_difference_step: float = 1e-6
     method: str = "SLSQP"
@@ -371,9 +392,10 @@ class ReducedNLP:
             step = np.where(representable == 0, fallback, step)
 
         if self._bounds_lower is None:
+            # An open side is ±inf, as scipy's ``old_bound_to_new`` makes it.
             bounds = self.bounds()
-            self._bounds_lower = np.array([low for low, _ in bounds], dtype=float)
-            self._bounds_upper = np.array([high for _, high in bounds], dtype=float)
+            self._bounds_lower = np.array([-np.inf if low is None else low for low, _ in bounds])
+            self._bounds_upper = np.array([np.inf if high is None else high for _, high in bounds])
         lower_dist = x0 - self._bounds_lower
         upper_dist = self._bounds_upper - x0
         probe = x0 + step
@@ -407,11 +429,16 @@ class ReducedNLP:
         dx = perturbed - x0
         return (values - f0) / dx
 
-    def bounds(self) -> List[Tuple[float, float]]:
-        subs = self.expansion.sub_instances
-        bounds: List[Tuple[float, float]] = [(sub.slot_start, sub.slot_end) for sub in subs]
-        for sub_index in sorted(self._budget_var_index, key=lambda i: self._budget_var_index[i]):
-            bounds.append((0.0, subs[sub_index].instance.wcec))
+    def bounds(self) -> List[Tuple[Optional[float], Optional[float]]]:
+        """SLSQP's variable bounds: ``E_m ≤ slot_end_m`` and ``w ≥ 0`` only.
+
+        ``None`` leaves a side open; the other two sides of the slot box are
+        implied by kept rows (see the module docstring).
+        """
+        bounds: List[Tuple[Optional[float], Optional[float]]] = [
+            (None, sub.slot_end) for sub in self.expansion.sub_instances
+        ]
+        bounds += [(0.0, None)] * self._n_budget_vars
         return bounds
 
     def linear_constraints(self) -> List[Dict[str, object]]:
@@ -431,14 +458,16 @@ class ReducedNLP:
             return row
 
         for index, sub in enumerate(subs):
-            # E_m − slot_start_m − w_m / fmax ≥ margin
-            row = budget_coefficient_row(index, -1.0 / fmax)
-            row[index] += 1.0
-            constant = -sub.slot_start - margin
-            if index in self._fixed_budget:
-                constant -= self._fixed_budget[index] / fmax
-            inequality_rows.append(row)
-            inequality_consts.append(constant)
+            # E_m − slot_start_m − w_m / fmax ≥ margin, unless the slot starts
+            # where m−1's does: then m's chain row and m−1's guard imply it.
+            if index == 0 or sub.slot_start != subs[index - 1].slot_start:
+                row = budget_coefficient_row(index, -1.0 / fmax)
+                row[index] += 1.0
+                constant = -sub.slot_start - margin
+                if index in self._fixed_budget:
+                    constant -= self._fixed_budget[index] / fmax
+                inequality_rows.append(row)
+                inequality_consts.append(constant)
             if index >= 1:
                 # E_m − E_{m−1} − w_m / fmax ≥ margin
                 row = budget_coefficient_row(index, -1.0 / fmax)

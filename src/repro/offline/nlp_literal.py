@@ -64,7 +64,7 @@ _BIG_M = 1e3
 class LiteralNLPScheduler(VoltageScheduler):
     """Solve the paper's Section 3.2 formulation directly with SLSQP."""
 
-    options: SolverOptions = field(default_factory=lambda: SolverOptions(maxiter=300))
+    options: SolverOptions = field(default_factory=SolverOptions)
     seed_with_reduced: bool = True
 
     @property

@@ -66,7 +66,11 @@ __all__ = [
 #: 3: solves now run on one BLAS thread, so stored numbers change.
 #: 4: solve-memo keys leave out the cycle counts the NLP never reads (BCEC,
 #:    and ACEC in a WCS solve).
-STORE_FORMAT = 4
+#: 5: SLSQP is no longer given the rows other rows imply (the lower bound of
+#:    every end-time, the upper bound of every budget, and the release guards
+#:    of sub-instances that start with their predecessor), and
+#:    ``SolverOptions.maxiter`` goes from 200 to 300, so solves change.
+STORE_FORMAT = 5
 
 
 def signature_key(signature: Mapping[str, Any]) -> str:

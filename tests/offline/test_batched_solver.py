@@ -180,10 +180,10 @@ class TestSolveMemo:
         assert signature_key(solve_signature(nlp)) != here
 
     @pytest.mark.parametrize("mode, x0, key", [
-        ("wcec", None, "98357effaf3231b5eaba4e396d8cab8b9abd21c9b716887212e49d4da32a1706"),
-        ("acec", None, "317c771e7c2d18575898d473603fc61a5cb1245ad3e65ad5f446675cece402df"),
+        ("wcec", None, "aa7573a605388b13a07ef5c911e31c6f8f20c8c319ef247361b61121e35006ca"),
+        ("acec", None, "39575b75babf383528c27c76db6696da62a36b16ecbb2b711ae382838992d643"),
         ("acec", [4.0, 9.0, 14.0, 19.0, 2000.0, 6000.0],
-         "eb0af0ef661b234e9846fcee9463357bef7a68df58323a32d875f9674ae6b0e1"),
+         "ba16744044615366f7f9d856a2929c64f0dadda2ebfd6e73963e323318be2b17"),
     ], ids=["wcs", "acs", "acs-x0"])
     def test_memo_keys_are_pinned(self, processor, two_task_set, monkeypatch,
                                   mode, x0, key):

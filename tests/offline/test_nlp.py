@@ -13,18 +13,21 @@ from repro.offline.initialization import proportional_budget_vectors, worst_case
 from repro.offline.nlp import ReducedNLP, SolverOptions
 from repro.offline.schedule import StaticSchedule
 from repro.scenarios.store import STORE_FORMAT
+from repro.workloads.cnc import cnc_taskset
+from repro.workloads.gap import gap_taskset
 
 
 def test_store_format_follows_the_functions_that_define_the_nlp():
     """Every solve-memo key carries ``STORE_FORMAT``, so a change to the NLP
     must bump it, or stored solves of the old NLP would be replayed as
     answers to the new one.  These functions build the NLP (its variables,
-    bounds, rows and objective), start, run and repair the solve, and choose
+    bounds, rows and objective), set the solver's defaults (a unit key
+    carries no solver options), start, run and repair the solve, and choose
     the fallback; a change to any of them fails here until the hash is
     re-pinned, and the format bumped with it if solves can change.  The
     compiled evaluation and :meth:`ReducedNLP.jacobian` are held bitwise to
     the reference objective and to scipy's differences by their own tests."""
-    defining = [ReducedNLP.__post_init__, ReducedNLP._build_actual_cycles,
+    defining = [SolverOptions, ReducedNLP.__post_init__, ReducedNLP._build_actual_cycles,
                 ReducedNLP.pack, ReducedNLP.unpack, ReducedNLP.objective,
                 ReducedNLP.objective_reference, ReducedNLP.bounds,
                 ReducedNLP.linear_constraints, ReducedNLP.initial_guess,
@@ -33,7 +36,7 @@ def test_store_format_follows_the_functions_that_define_the_nlp():
                 worst_case_simulation_vectors]
     source = "".join(inspect.getsource(function) for function in defining)
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    pinned = (4, "7ce93954418ac2c8bc33e0a760028e662b2da3a80cc3c7b21a907a9136c3ed11")
+    pinned = (5, "f5dbd4cb51050c14f41002f5e3f3f5853c38af56e97bb9642d17236379b3fe70")
     assert (STORE_FORMAT, digest) == pinned, (
         "the functions that define the NLP changed: bump STORE_FORMAT if "
         "solves can change, and re-pin this hash")
@@ -70,11 +73,15 @@ class TestVariablePacking:
 
 class TestConstraints:
     def test_bounds_match_slots(self, two_task_set, processor):
+        """SLSQP gets each end-time's slot end and each budget's zero floor;
+        the slot start and the WCEC ceiling are implied by kept rows."""
         expansion = expand_fully_preemptive(two_task_set)
         nlp = ReducedNLP(expansion, processor)
         bounds = nlp.bounds()
+        assert len(bounds) == nlp.n_variables
         for index, sub in enumerate(expansion.sub_instances):
-            assert bounds[index] == (sub.slot_start, sub.slot_end)
+            assert bounds[index] == (None, sub.slot_end)
+        assert bounds[len(expansion):] == [(0.0, None)] * (nlp.n_variables - len(expansion))
 
     def test_feasible_point_satisfies_constraints(self, two_task_set, processor):
         from repro.offline.initialization import worst_case_simulation_vectors
@@ -188,19 +195,113 @@ class TestRepair:
         assert repaired is None
 
 
+def _named_taskset(name, request, processor):
+    """A conftest fixture by name, or the CNC set or the 4-task GAP slice of fig6b-subset."""
+    if name == "cnc":
+        return cnc_taskset(processor, target_utilization=0.7, bcec_wcec_ratio=0.1)
+    if name == "gap-4":
+        return gap_taskset(processor, target_utilization=0.7, bcec_wcec_ratio=0.1, n_tasks=4)
+    return request.getfixturevalue(name)
+
+
+def _kept_rows(nlp):
+    """The rows SLSQP is given, as ``(A_ub, b_ub, A_eq, b_eq)`` of ``A_ub x ≤ b_ub``, ``A_eq x = b_eq``."""
+    zero = np.zeros(nlp.n_variables)
+    rows = {}
+    for constraint in nlp.linear_constraints():
+        a = np.asarray(constraint["jac"](zero))
+        value = np.asarray(constraint["fun"](zero))
+        if constraint["type"] == "ineq":   # a x + b ≥ 0
+            rows["ineq"] = (-a, value)
+        else:                              # a x − b = 0
+            rows["eq"] = (a, -value)
+    return (*rows["ineq"], *rows["eq"])
+
+
+class TestImpliedRows:
+    """Every row SLSQP is not given holds at every point of the rows it is given."""
+
+    @pytest.mark.parametrize("name", ["two_task_set", "three_task_set", "cnc", "gap-4"])
+    def test_dropped_rows_are_implied(self, name, request, processor):
+        from scipy.optimize import linprog
+
+        expansion = expand_fully_preemptive(_named_taskset(name, request, processor))
+        nlp = ReducedNLP(expansion, processor)
+        subs = expansion.sub_instances
+        a_ub, b_ub, a_eq, b_eq = _kept_rows(nlp)
+        bounds = nlp.bounds()
+        n_subs, n_vars = len(subs), nlp.n_variables
+        horizon = expansion.horizon
+        margin = nlp.options.chain_margin_fraction * horizon
+        fmax = processor.fmax
+
+        def lp_minimum(cost):
+            result = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                             bounds=bounds, method="highs")
+            assert result.status == 0, result.message
+            return result.fun
+
+        def unit(index, value=1.0):
+            cost = np.zeros(n_vars)
+            cost[index] = value
+            return cost
+
+        # E_m ≥ slot_start_m.
+        start_slack = min(lp_minimum(unit(index)) - sub.slot_start for index, sub in enumerate(subs))
+        assert start_slack >= -1e-9 * horizon
+        # w ≤ WCEC, for every budget variable.
+        budget_subs = [index for index, sub in enumerate(subs)
+                       if len(expansion.sub_instances_of(sub.instance)) >= 2]
+        assert len(budget_subs) == n_vars - n_subs
+        for position, index in enumerate(budget_subs):
+            wcec = subs[index].instance.wcec
+            assert -lp_minimum(unit(n_subs + position, -1.0)) - wcec <= 1e-9 * wcec
+        # The dropped release guard E_m − slot_start_m − w_m / fmax − margin ≥ 0
+        # holds with at least one more margin of slack.
+        dropped = [index for index in range(1, n_subs)
+                   if subs[index].slot_start == subs[index - 1].slot_start]
+        assert a_ub.shape[0] == 2 * n_subs - 1 - len(dropped)
+        for index in dropped:
+            cost = unit(index)
+            if index in budget_subs:
+                cost[n_subs + budget_subs.index(index)] = -1.0 / fmax
+                constant = 0.0
+            else:
+                constant = subs[index].instance.wcec / fmax
+            slack = lp_minimum(cost) - constant - subs[index].slot_start - margin
+            assert slack >= margin - 1e-9 * horizon
+
+    @pytest.mark.parametrize(("name", "counts"), [("cnc", (35, 7, 52)), ("gap-4", (39, 9, 56))])
+    def test_row_counts_are_pinned(self, name, counts, request, processor):
+        """Inequality rows, equality rows and finite bounds of fig6b-subset's NLPs."""
+        nlp = ReducedNLP(expand_fully_preemptive(_named_taskset(name, request, processor)), processor)
+        a_ub, _, a_eq, _ = _kept_rows(nlp)
+        finite = sum((low is not None) + (high is not None) for low, high in nlp.bounds())
+        assert (a_ub.shape[0], a_eq.shape[0], finite) == counts
+
+
 class TestVectorizedJacobian:
     """The batched gradient must replay scipy's finite differences bitwise."""
 
     @staticmethod
-    def _bounds_arrays(nlp):
-        bounds = nlp.bounds()
-        return (np.array([low for low, _ in bounds]),
-                np.array([high for _, high in bounds]))
+    def _slot_box(nlp):
+        """The corners of the slot box (``[slot_start, slot_end]``, ``[0, WCEC]``) points are drawn from."""
+        subs = nlp.expansion.sub_instances
+        lower = nlp.pack([sub.slot_start for sub in subs], [0.0] * len(subs))
+        upper = nlp.pack([sub.slot_end for sub in subs], [sub.instance.wcec for sub in subs])
+        return lower, upper
+
+    @staticmethod
+    def _solver_bounds(nlp):
+        """``nlp.bounds()`` in the ±inf form scipy differences SLSQP's objective under."""
+        from scipy.optimize._constraints import old_bound_to_new
+
+        return old_bound_to_new(nlp.bounds())
 
     def test_objective_dispatch_bitwise(self, three_task_set, processor):
         expansion = expand_fully_preemptive(three_task_set)
         nlp = ReducedNLP(expansion, processor)
-        lower, upper = self._bounds_arrays(nlp)
+        lower, upper = self._slot_box(nlp)
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = lower + rng.uniform(0.0, 1.0, len(lower)) * (upper - lower)
@@ -211,17 +312,17 @@ class TestVectorizedJacobian:
 
         expansion = expand_fully_preemptive(three_task_set)
         nlp = ReducedNLP(expansion, processor)
-        lower, upper = self._bounds_arrays(nlp)
+        lower, upper = self._slot_box(nlp)
         rng = np.random.default_rng(6)
         points = [lower + rng.uniform(0.0, 1.0, len(lower)) * (upper - lower)
                   for _ in range(10)]
-        points.append(lower.copy())   # on the lower bounds: backward steps
-        points.append(upper.copy())   # on the upper bounds: sign flips
+        points.append(lower.copy())   # slot starts, zero budgets: forward steps off w ≥ 0
+        points.append(upper.copy())   # slot ends: sign flips
         for x in points:
             expected = approx_derivative(
                 nlp.objective_reference, x, method="2-point",
                 abs_step=nlp.options.finite_difference_step,
-                bounds=(lower, upper),
+                bounds=self._solver_bounds(nlp),
             )
             assert np.array_equal(nlp.jacobian(x), expected)
 
@@ -234,7 +335,7 @@ class TestVectorizedJacobian:
         expansion = expand_fully_preemptive(three_task_set)
         scenarios = sample_scenarios(expansion, NormalWorkload(), 6, seed=7)
         nlp = ReducedNLP(expansion, processor, scenarios=scenarios)
-        lower, upper = self._bounds_arrays(nlp)
+        lower, upper = self._slot_box(nlp)
         rng = np.random.default_rng(8)
         points = [lower + rng.uniform(0.0, 1.0, len(lower)) * (upper - lower)
                   for _ in range(6)]
@@ -243,7 +344,7 @@ class TestVectorizedJacobian:
             expected = approx_derivative(
                 nlp.objective_reference, x, method="2-point",
                 abs_step=nlp.options.finite_difference_step,
-                bounds=(lower, upper),
+                bounds=self._solver_bounds(nlp),
             )
             assert np.array_equal(nlp.jacobian(x), expected)
 

@@ -125,11 +125,11 @@ class TestCommittedStoreKeys:
     numpy/scipy release."""
 
     @pytest.mark.parametrize(("name", "profile", "key"), [
-        ("figure6a", "smoke", "1c0ca0e29649d49bc10c3b20cde692cbf537bf739f50628662ac88ae50a14690"),
-        ("figure6b", "smoke", "9972d40a4bd181130812234109297f1aaf218c35c751215de295b00e0eb94265"),
-        ("scalability", "smoke", "53ab54432590ba87bacf9ce3433da5a52b8793280f8effe2e3b8596d8ab2394e"),
-        ("motivation", None, "a2c45bbf18c2e408cbea31e7bfc0a1d006255a35de5011904ea06acabb0ad313"),
-    ])
+        ("figure6a", "smoke", "1f5dc2aedbb6910217f36ddc00de6d7b720e825975738346aec00fce90ee0938"),
+        ("figure6b", "smoke", "0bde99eeaa7ad73290997a0c4bd0d987adca2ad101d73c52e842f8ef035f16cf"),
+        ("scalability", "smoke", "38b4d0361b791c1aeaa3aad87cfa911a9064f9f7df0fcde32776976f83eca04a"),
+        ("motivation", None, "334ed17364fc7532b7d735c764973b462377bf44dbb6a697123ba8c8ae91a6f1"),
+    ], ids=["figure6a-smoke", "figure6b-smoke", "scalability-smoke", "motivation"])
     def test_first_unit_key_is_pinned(self, name, profile, key, monkeypatch):
         import numpy
         import scipy
