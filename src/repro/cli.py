@@ -691,6 +691,10 @@ def _counter_lines(counters: Dict[str, int]) -> List[str]:
     ``solve.blas.pinned``/``unpinned`` count the solves that ran on one BLAS
     thread or could not be pinned; an unpinned solve is flagged, because its
     numbers match a pinned solve's only within a tolerance.
+    ``solve.slsqp.kernel``/``scipy`` count the solves that ran on scipy's
+    compiled SLSQP kernel or through ``scipy.optimize.minimize``; the latter
+    is flagged, because each such process paid for importing
+    ``scipy.optimize`` (its plans are the same).
     """
     rows = [[name, value] for name, value in sorted(counters.items())]
     lines = ["", format_markdown_table(["counter", "value"], rows)]
@@ -709,6 +713,15 @@ def _counter_lines(counters: Dict[str, int]) -> List[str]:
     if unpinned:
         health.append(f"warning: {unpinned} of {pinned + unpinned} solves ran with scipy's BLAS "
                       "threads unpinned; compare their results only with a tolerance")
+    on_kernel = counters.get("solve.slsqp.kernel", 0)
+    on_scipy = counters.get("solve.slsqp.scipy", 0)
+    if on_kernel or on_scipy:
+        health.append(f"solver health: {on_kernel} solves on scipy's SLSQP kernel, "
+                      f"{on_scipy} through scipy.optimize")
+    if on_scipy:
+        health.append(f"warning: {on_scipy} of {on_kernel + on_scipy} solves ran through "
+                      "scipy.optimize (no verified SLSQP kernel for this scipy); the plans are "
+                      "the same, but each such process imported scipy.optimize")
     if health:
         lines += ["", *health]
     return lines

@@ -42,6 +42,12 @@ Setting the "actual" workload used by the objective to the WCEC instead of the
 ACEC turns the same solver into the WCS baseline (the classical static
 schedule that only considers worst-case cycles).
 
+SLSQP runs on scipy's compiled kernel through :mod:`repro.offline.slsqp`,
+which replays ``scipy.optimize.minimize``'s loop bit for bit without
+importing ``scipy.optimize``; on a scipy whose loop it has not verified, the
+solve calls ``scipy.optimize.minimize`` with the same rows as dict
+constraints.
+
 The literal formulation with explicit voltage/average-workload variables is
 available in :mod:`repro.offline.nlp_literal` and is cross-checked against
 this one in the test suite.
@@ -60,7 +66,7 @@ import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,13 +78,17 @@ from .evaluation import CompiledEvaluation, evaluate_vectors
 from .initialization import proportional_budget_vectors, worst_case_simulation_vectors
 from .schedule import StaticSchedule
 
-__all__ = ["ReducedNLP", "SolverOptions", "single_blas_thread"]
+__all__ = ["LinearRows", "ReducedNLP", "SolverOptions", "single_blas_thread"]
 
 #: Telemetry counter: solver iterations summed over every computed solve.
 _SOLVE_ITERATIONS = "solve.iterations"
 #: Telemetry counters: computed solves that ran on one BLAS thread, or could not be pinned.
 _BLAS_PINNED = "solve.blas.pinned"
 _BLAS_UNPINNED = "solve.blas.unpinned"
+#: Telemetry counters: computed solves run on scipy's compiled SLSQP kernel, or
+#: through ``scipy.optimize.minimize``.
+_SOLVER_KERNEL = "solve.slsqp.kernel"
+_SOLVER_SCIPY = "solve.slsqp.scipy"
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,9 +97,11 @@ def _scipy_openblas() -> Optional[Tuple[Callable[[], int], Callable[[int], None]
 
     scipy's wheels ship OpenBLAS as ``libscipy_openblas`` in ``scipy.libs/``
     (Linux, Windows) or ``scipy/.dylibs/`` (macOS).  By the time a solve
-    runs, ``scipy.optimize`` has loaded it, so ``CDLL`` returns the instance
-    SLSQP calls.  A scipy linked against another BLAS has no such library or
-    symbols, and its solves run unpinned.  Looked up once per process.
+    runs, the solver has loaded it (scipy's compiled SLSQP kernel, or
+    ``scipy.optimize`` where no kernel is verified), so ``CDLL`` returns the
+    instance SLSQP calls.  A scipy linked against another BLAS has no such
+    library or symbols, and its solves run unpinned.  Looked up once per
+    process.
     """
     import scipy
 
@@ -134,6 +146,32 @@ def single_blas_thread() -> Iterator[Union[int, str]]:
         yield 1
     finally:
         set_threads(previous)
+
+
+class LinearRows(NamedTuple):
+    """The linear rows of the NLP: ``a_ineq @ x + b_ineq ≥ 0``, ``a_eq @ x − b_eq = 0``."""
+
+    a_ineq: np.ndarray
+    b_ineq: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+
+    def as_dicts(self) -> List[Dict[str, object]]:
+        """The rows as ``scipy.optimize.minimize``'s dict constraints (empty groups left out)."""
+        constraints: List[Dict[str, object]] = []
+        if len(self.b_ineq):
+            constraints.append({
+                "type": "ineq",
+                "fun": lambda x, a=self.a_ineq, b=self.b_ineq: a @ x + b,
+                "jac": lambda x, a=self.a_ineq: a,
+            })
+        if len(self.b_eq):
+            constraints.append({
+                "type": "eq",
+                "fun": lambda x, a=self.a_eq, b=self.b_eq: a @ x - b,
+                "jac": lambda x, a=self.a_eq: a,
+            })
+        return constraints
 
 
 @dataclass(frozen=True)
@@ -293,15 +331,18 @@ class ReducedNLP:
         :class:`~repro.offline.evaluation.CompiledEvaluation`), otherwise to
         :meth:`objective_reference`.
         """
-        if self._compiled is not None:
+        if self._compiled is None:
+            energy = self.objective_reference(x)
+            point = np.array(x, dtype=float)
+        else:
             values = np.asarray(x, dtype=float).tolist()
             energy = self._scalar_energy(values)
-            # Memoize the last point: the solver evaluates the objective and
-            # then the gradient at the same x, and the gradient needs f0.
-            self._last_point = np.array(values)
-            self._last_value = energy
-            return energy
-        return self.objective_reference(x)
+            point = np.array(values)
+        # Memoize the last point: the solver evaluates the objective and then
+        # the gradient at the same x, and the gradient needs f0.
+        self._last_point = point
+        self._last_value = energy
+        return energy
 
     def _unpack_lists(self, values: List[float]) -> Tuple[List[float], List[float]]:
         """:meth:`unpack` of a full variable-value list into plain float lists."""
@@ -373,8 +414,11 @@ class ReducedNLP:
         column moves one end-time or budget, so its energy comes from
         :meth:`CompiledEvaluation.changed_energies`, which re-walks the total
         order only from that sub-instance until the walk's state is back to
-        the unperturbed one.  The replication is pinned by tests against
-        ``scipy.optimize._numdiff.approx_derivative``.
+        the unperturbed one.  A processor without the compiled evaluation
+        (non-linear delay laws) evaluates each column with :meth:`objective`
+        at a copy of ``x`` with one entry moved, as scipy 1.17's
+        ``_dense_difference`` builds it.  The replication is pinned by tests
+        against ``scipy.optimize._numdiff.approx_derivative``.
         """
         x0 = np.asarray(x, dtype=float)
         if self._last_point is not None and np.array_equal(x0, self._last_point):
@@ -411,6 +455,14 @@ class ReducedNLP:
         # Column i of scipy's scheme is x0 with entry i moved to x0[i] +
         # step[i]: one end-time or one budget change of the unpacked vectors.
         perturbed = x0 + step
+        dx = perturbed - x0
+        if self._compiled is None:
+            values = np.empty(n_vars)
+            for index in range(n_vars):
+                column = x0.copy()
+                column[index] = x0[index] + step[index]
+                values[index] = self.objective(column)
+            return (values - f0) / dx
         moved = perturbed.tolist()
         end_times, budgets = self._unpack_lists(x0.tolist())
         n_subs = self._n_subs
@@ -426,7 +478,6 @@ class ReducedNLP:
             values = values / total_weight
         else:
             values = np.array(self._compiled[0][1].changed_energies(end_times, budgets, changes))
-        dx = perturbed - x0
         return (values - f0) / dx
 
     def bounds(self) -> List[Tuple[Optional[float], Optional[float]]]:
@@ -441,8 +492,8 @@ class ReducedNLP:
         bounds += [(0.0, None)] * self._n_budget_vars
         return bounds
 
-    def linear_constraints(self) -> List[Dict[str, object]]:
-        """Constraints in the dict form accepted by SLSQP."""
+    def linear_constraints(self) -> LinearRows:
+        """SLSQP's rows: ``a_ineq @ x + b_ineq ≥ 0`` and ``a_eq @ x − b_eq = 0``."""
         subs = self.expansion.sub_instances
         fmax = self.processor.fmax
         n_subs = self._n_subs
@@ -491,24 +542,13 @@ class ReducedNLP:
             equality_rows.append(row)
             equality_consts.append(instance.wcec)
 
-        constraints: List[Dict[str, object]] = []
-        if inequality_rows:
-            a_ineq = np.vstack(inequality_rows)
-            b_ineq = np.asarray(inequality_consts)
-            constraints.append({
-                "type": "ineq",
-                "fun": lambda x, a=a_ineq, b=b_ineq: a @ x + b,
-                "jac": lambda x, a=a_ineq: a,
-            })
-        if equality_rows:
-            a_eq = np.vstack(equality_rows)
-            b_eq = np.asarray(equality_consts)
-            constraints.append({
-                "type": "eq",
-                "fun": lambda x, a=a_eq, b=b_eq: a @ x - b,
-                "jac": lambda x, a=a_eq: a,
-            })
-        return constraints
+        def stacked(rows: List[np.ndarray], consts: List[float]) -> Tuple[np.ndarray, np.ndarray]:
+            if not rows:
+                return np.zeros((0, self._n_vars)), np.zeros(0)
+            return np.vstack(rows), np.asarray(consts)
+
+        return LinearRows(*stacked(inequality_rows, inequality_consts),
+                          *stacked(equality_rows, equality_consts))
 
     # ------------------------------------------------------------------ #
     # Solving
@@ -529,42 +569,55 @@ class ReducedNLP:
         worst-case-at-fmax schedule is returned instead, flagged in
         ``metadata["fallback"]``.
         """
-        # Deferred: scipy.optimize is the slowest import of the package and a
-        # run that replays every schedule from the solve memo never needs it.
-        from scipy import optimize
+        # Deferred: a run that replays every schedule from the solve memo
+        # loads no solver at all.
+        from . import slsqp
 
         start = self.initial_guess() if x0 is None else np.asarray(x0, dtype=float)
-        # The jacobian replays scipy's own finite-difference scheme bitwise
-        # (see :meth:`jacobian`), so the solver trajectory is identical with
-        # or without it — only the wall-clock changes.  It needs the compiled
-        # evaluation; other processors (non-linear delay laws) take scipy's.
-        use_jacobian = self._compiled is not None and self.options.method == "SLSQP"
+        options = self.options
+        rows = self.linear_constraints()
+        # Loaded before the pin, so the pin finds the OpenBLAS the solver maps.
+        kernel = slsqp.kernel() if options.method == "SLSQP" and not options.verbose else None
+        if kernel is None:
+            from scipy import optimize
         with single_blas_thread() as blas_threads:
-            result = optimize.minimize(
-                self.objective,
-                start,
-                method=self.options.method,
-                jac=self.jacobian if use_jacobian else None,
-                bounds=self.bounds(),
-                constraints=self.linear_constraints(),
-                options={
-                    "maxiter": self.options.maxiter,
-                    "ftol": self.options.ftol,
-                    "eps": self.options.finite_difference_step,
-                    "disp": self.options.verbose,
-                },
-            )
-        iterations = int(result.get("nit", -1))
+            if kernel is not None:
+                x, status, iterations, message = slsqp.minimize(
+                    self.objective, self.jacobian, start, self.bounds(), rows,
+                    maxiter=options.maxiter, ftol=options.ftol,
+                )
+            else:
+                # The jacobian replays scipy's own finite-difference scheme
+                # bitwise (see :meth:`jacobian`), so the solver trajectory is
+                # identical with or without it — only the wall-clock changes.
+                use_jacobian = self._compiled is not None and options.method == "SLSQP"
+                result = optimize.minimize(
+                    self.objective,
+                    start,
+                    method=options.method,
+                    jac=self.jacobian if use_jacobian else None,
+                    bounds=self.bounds(),
+                    constraints=rows.as_dicts(),
+                    options={
+                        "maxiter": options.maxiter,
+                        "ftol": options.ftol,
+                        "eps": options.finite_difference_step,
+                        "disp": options.verbose,
+                    },
+                )
+                x, status, message = result.x, int(result.status), str(result.message)
+                iterations = int(result.get("nit", -1))
         telemetry = _telemetry()
         if telemetry.enabled:  # the name is built only when someone records it
-            telemetry.count(f"solve.status.{int(result.status)}")
+            telemetry.count(_SOLVER_KERNEL if kernel is not None else _SOLVER_SCIPY)
+            telemetry.count(f"solve.status.{status}")
             if iterations >= 0:
                 telemetry.count(_SOLVE_ITERATIONS, iterations)
-        end_times, budgets = self.unpack(np.asarray(result.x, dtype=float))
+        end_times, budgets = self.unpack(np.asarray(x, dtype=float))
         repaired = self._repair(end_times, budgets)
         metadata = {
-            "solver_status": int(result.status),
-            "solver_message": str(result.message),
+            "solver_status": status,
+            "solver_message": message,
             "solver_iterations": iterations,
             "blas_threads": blas_threads,
             "fallback": False,

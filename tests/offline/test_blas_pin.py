@@ -19,6 +19,7 @@ import pytest
 from repro.analysis.preemption import expand_fully_preemptive
 from repro.offline import SolveMemo, solve_nlp
 from repro.offline import nlp as nlp_module
+from repro.offline import slsqp
 from repro.offline.batched_solver import solve_signature
 from repro.offline.nlp import ReducedNLP
 from repro.offline.nlp_literal import LiteralNLPScheduler
@@ -95,19 +96,26 @@ class TestSingleBlasThread:
 
     def test_solve_runs_on_one_thread_and_restores_the_callers_count(self, nlp, caller_threads,
                                                                      monkeypatch):
-        from scipy import optimize
-
+        """Every call into the solver sees one thread: each step of SLSQP's
+        compiled kernel, or ``scipy.optimize.minimize`` on an unverified scipy."""
         seen = []
-        minimize = optimize.minimize
 
-        def spying(*args, **kwargs):
-            seen.append(caller_threads())
-            return minimize(*args, **kwargs)
+        def spying(solver):
+            def spy(*args, **kwargs):
+                seen.append(caller_threads())
+                return solver(*args, **kwargs)
+            return spy
 
-        monkeypatch.setattr(optimize, "minimize", spying)
+        kernel = slsqp.kernel()
+        if kernel is not None:
+            monkeypatch.setattr(slsqp, "kernel", lambda: spying(kernel))
+        else:
+            from scipy import optimize
+
+            monkeypatch.setattr(optimize, "minimize", spying(optimize.minimize))
         with using(Telemetry()) as telemetry:
             schedule = nlp.solve()
-        assert seen == [1]
+        assert seen and set(seen) == {1}
         assert caller_threads() == 3
         assert schedule.metadata["blas_threads"] == 1
         assert telemetry.counters["solve.blas.pinned"] == 1

@@ -10,7 +10,8 @@ from repro.analysis.preemption import expand_fully_preemptive
 from repro.core.errors import SchedulingError
 from repro.offline.evaluation import evaluate_vectors
 from repro.offline.initialization import proportional_budget_vectors, worst_case_simulation_vectors
-from repro.offline.nlp import ReducedNLP, SolverOptions
+from repro.offline import slsqp
+from repro.offline.nlp import LinearRows, ReducedNLP, SolverOptions
 from repro.offline.schedule import StaticSchedule
 from repro.scenarios.store import STORE_FORMAT
 from repro.workloads.cnc import cnc_taskset
@@ -26,17 +27,18 @@ def test_store_format_follows_the_functions_that_define_the_nlp():
     the fallback; a change to any of them fails here until the hash is
     re-pinned, and the format bumped with it if solves can change.  The
     compiled evaluation and :meth:`ReducedNLP.jacobian` are held bitwise to
-    the reference objective and to scipy's differences by their own tests."""
+    the reference objective and to scipy's differences, and the SLSQP driver
+    to ``scipy.optimize.minimize``, by their own tests."""
     defining = [SolverOptions, ReducedNLP.__post_init__, ReducedNLP._build_actual_cycles,
                 ReducedNLP.pack, ReducedNLP.unpack, ReducedNLP.objective,
                 ReducedNLP.objective_reference, ReducedNLP.bounds,
-                ReducedNLP.linear_constraints, ReducedNLP.initial_guess,
-                ReducedNLP.fallback_vectors, ReducedNLP.solve, ReducedNLP._repair,
+                ReducedNLP.linear_constraints, LinearRows, ReducedNLP.initial_guess,
+                ReducedNLP.fallback_vectors, ReducedNLP.solve, slsqp.minimize, ReducedNLP._repair,
                 StaticSchedule.validate, evaluate_vectors, proportional_budget_vectors,
                 worst_case_simulation_vectors]
     source = "".join(inspect.getsource(function) for function in defining)
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    pinned = (5, "f5dbd4cb51050c14f41002f5e3f3f5853c38af56e97bb9642d17236379b3fe70")
+    pinned = (5, "e9fc9d4a208156672706191610bd9cb850e1d0ac0aa251e10d73e5394fa657d9")
     assert (STORE_FORMAT, digest) == pinned, (
         "the functions that define the NLP changed: bump STORE_FORMAT if "
         "solves can change, and re-pin this hash")
@@ -89,19 +91,19 @@ class TestConstraints:
         nlp = ReducedNLP(expansion, processor, options=SolverOptions(chain_margin_fraction=0.0))
         end_times, budgets = worst_case_simulation_vectors(expansion, processor)
         x = nlp.pack(end_times, budgets)
-        for constraint in nlp.linear_constraints():
-            values = np.asarray(constraint["fun"](x))
-            if constraint["type"] == "ineq":
-                assert (values >= -1e-6).all()
-            else:
-                assert np.abs(values).max() < 1e-6
+        rows = nlp.linear_constraints()
+        assert (rows.a_ineq @ x + rows.b_ineq >= -1e-6).all()
+        assert np.abs(rows.a_eq @ x - rows.b_eq).max() < 1e-6
 
     def test_constraint_jacobians_match_functions(self, two_task_set, processor):
+        """The dict form ``scipy.optimize.minimize`` is given when no verified kernel runs."""
         expansion = expand_fully_preemptive(two_task_set)
         nlp = ReducedNLP(expansion, processor)
         rng = np.random.default_rng(0)
         x = rng.uniform(1.0, 10.0, size=nlp.n_variables)
-        for constraint in nlp.linear_constraints():
+        rows = nlp.linear_constraints()
+        assert [constraint["type"] for constraint in rows.as_dicts()] == ["ineq", "eq"]
+        for constraint in rows.as_dicts():
             jacobian = np.asarray(constraint["jac"](x))
             base = np.asarray(constraint["fun"](x))
             step = 1e-6
@@ -206,16 +208,8 @@ def _named_taskset(name, request, processor):
 
 def _kept_rows(nlp):
     """The rows SLSQP is given, as ``(A_ub, b_ub, A_eq, b_eq)`` of ``A_ub x ≤ b_ub``, ``A_eq x = b_eq``."""
-    zero = np.zeros(nlp.n_variables)
-    rows = {}
-    for constraint in nlp.linear_constraints():
-        a = np.asarray(constraint["jac"](zero))
-        value = np.asarray(constraint["fun"](zero))
-        if constraint["type"] == "ineq":   # a x + b ≥ 0
-            rows["ineq"] = (-a, value)
-        else:                              # a x − b = 0
-            rows["eq"] = (a, -value)
-    return (*rows["ineq"], *rows["eq"])
+    rows = nlp.linear_constraints()   # a_ineq x + b_ineq ≥ 0, a_eq x − b_eq = 0
+    return -rows.a_ineq, rows.b_ineq, rows.a_eq, rows.b_eq
 
 
 class TestImpliedRows:
@@ -348,14 +342,17 @@ class TestVectorizedJacobian:
             )
             assert np.array_equal(nlp.jacobian(x), expected)
 
-    def test_solve_identical_with_and_without_jacobian(self, three_task_set, processor):
+    def test_solve_identical_with_and_without_jacobian(self, three_task_set, processor,
+                                                       monkeypatch):
         """The column-walk jacobian against scipy's own differences of the
-        reference objective (the compiled evaluation switched off)."""
+        reference objective: ``optimize.minimize(jac=None)`` with the
+        compiled evaluation switched off."""
         expansion = expand_fully_preemptive(three_task_set)
         options = SolverOptions(maxiter=60)
         fast = ReducedNLP(expansion, processor, options=options).solve()
         reference = ReducedNLP(expansion, processor, options=options)
         reference._compiled = None
+        monkeypatch.setattr(slsqp, "kernel", lambda: None)
         slow = reference.solve()
         assert fast.end_times() == slow.end_times()
         assert fast.wc_budgets() == slow.wc_budgets()
@@ -363,7 +360,9 @@ class TestVectorizedJacobian:
         assert fast.metadata["solver_iterations"] == slow.metadata["solver_iterations"]
         assert fast.metadata["solver_status"] == slow.metadata["solver_status"]
 
-    def test_cmos_processor_falls_back_to_scipy(self, three_task_set, cmos):
+    def test_cmos_processor_solves_on_reference_evaluation(self, three_task_set, cmos):
+        """Without the compiled evaluation, the objective and each gradient
+        column run on the reference evaluation."""
         expansion = expand_fully_preemptive(three_task_set)
         nlp = ReducedNLP(expansion, cmos, options=SolverOptions(maxiter=25))
         assert nlp._compiled is None

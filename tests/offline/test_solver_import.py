@@ -1,11 +1,15 @@
 """The solver stack loads on the first solve, never at import.
 
-``scipy.optimize`` is the slowest import of the package, and most runs never
-call it: a warm solve memo, a warm result store, ``repro stats``/``store``/
-``submit``.  ``ReducedNLP.solve`` imports it itself, and looks up scipy's
-OpenBLAS to pin its threads only then, so importing ``repro`` and replaying
-every schedule from the memo must leave both unloaded.  Each check runs in a
-fresh interpreter, since this test process has long since loaded them.
+The solver stack is scipy's compiled SLSQP kernel (``_slsqplib``), which maps
+scipy's OpenBLAS, and, on a scipy whose SLSQP loop
+:mod:`repro.offline.slsqp` has not verified, ``scipy.optimize``: the slowest
+import of the package.  Most runs never solve: a warm solve memo, a warm
+result store, ``repro stats``/``store``/``submit``.  ``ReducedNLP.solve``
+loads the solver itself, and looks up scipy's OpenBLAS to pin its threads
+only then, so importing ``repro`` and replaying every schedule from the memo
+must leave both unloaded, and a cold solve on the kernel must leave
+``scipy.optimize`` unloaded.  Each check runs in a fresh interpreter, since
+this test process has long since loaded them.
 """
 
 import json
@@ -15,6 +19,9 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
+from repro.offline import slsqp
 from repro.scenarios import ResultStore, ScenarioEngine, ScenarioSpec
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -65,6 +72,9 @@ def test_warm_memo_run_leaves_the_optimizer_unloaded(tmp_path):
     assert cold.computed == 2
     rerun = f"""
 import json
+import pytest
+
+from repro.offline import slsqp
 from repro.scenarios import ResultStore, ScenarioEngine, ScenarioSpec
 spec = ScenarioSpec.from_dict(json.loads({json.dumps(SPEC)!r}))
 result = ScenarioEngine(ResultStore({str(root)!r})).run(spec, force=True)
@@ -72,3 +82,21 @@ assert result.computed == 2, result.computed
 assert result.points == json.loads({json.dumps(cold.points)!r}), result.points
 """
     assert loads_solver(rerun) == (False, False)
+
+
+def test_cold_solve_on_the_kernel_leaves_scipy_optimize_unloaded():
+    if slsqp.kernel() is None:
+        import scipy
+
+        pytest.skip(f"scipy {scipy.__version__} has no verified SLSQP kernel")
+    solve = """
+from repro.analysis.preemption import expand_fully_preemptive
+from repro.offline.nlp import ReducedNLP
+from repro.power.presets import ideal_processor
+from repro.workloads.cnc import cnc_taskset
+processor = ideal_processor(fmax=1000.0)
+taskset = cnc_taskset(processor, target_utilization=0.7, bcec_wcec_ratio=0.5)
+schedule = ReducedNLP(expand_fully_preemptive(taskset), processor, workload_mode="wcec").solve()
+assert schedule.metadata["solver_status"] == 0, schedule.metadata
+"""
+    assert loads_solver(solve) == (False, LINUX)

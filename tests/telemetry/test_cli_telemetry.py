@@ -170,6 +170,24 @@ class TestStats:
         assert ("warning: 1 of 3 solves ran with scipy's BLAS threads unpinned; "
                 "compare their results only with a tolerance") in mixed
 
+    def test_reports_which_solver_path_ran_and_warns_on_scipy(self, capsys, tmp_path):
+        from repro.telemetry import build_manifest, write_manifest
+
+        for scenario, counters in (("kernel", {"solve.status.0": 3, "solve.slsqp.kernel": 3}),
+                                   ("scipy", {"solve.status.0": 3, "solve.slsqp.kernel": 1,
+                                              "solve.slsqp.scipy": 2})):
+            write_manifest(tmp_path, build_manifest(
+                scenario=scenario, config={}, computed=1, skipped=0,
+                elapsed_seconds=0.0, counters=counters))
+        assert main(["stats", str(tmp_path)]) == 0
+        kernel, scipy = capsys.readouterr().out.split("== scipy")
+        assert "solver health: 3 solves on scipy's SLSQP kernel, 0 through scipy.optimize" in kernel
+        assert "warning" not in kernel
+        assert "solver health: 1 solves on scipy's SLSQP kernel, 2 through scipy.optimize" in scipy
+        assert ("warning: 2 of 3 solves ran through scipy.optimize (no verified SLSQP kernel "
+                "for this scipy); the plans are the same, but each such process imported "
+                "scipy.optimize") in scipy
+
     @pytest.mark.parametrize("threads", [None, "3"], ids=["unset", "set"])
     def test_records_the_store_format_and_the_callers_blas_threads(self, tmp_path, threads):
         """``repro run`` in a fresh process: the manifest keeps

@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.preemption import expand_fully_preemptive
 from repro.core.task import Task
 from repro.core.taskset import TaskSet
+from repro.offline import slsqp
 from repro.offline.baselines import ConstantSpeedScheduler
 from repro.power.presets import ideal_processor
 from repro.runtime import batched
@@ -71,6 +72,14 @@ class TestColdRun:
         modes = [count for name, count in counters.items() if name.startswith("solve.blas.")]
         assert sum(modes) == counters["solve_memo.computed"]
 
+    def test_every_computed_solve_counts_its_solver_path(self, runs):
+        """On a verified scipy every solve runs on the compiled SLSQP kernel;
+        elsewhere every one runs through ``scipy.optimize.minimize``."""
+        _, counters = runs["cold"]
+        path = "kernel" if slsqp.kernel() is not None else "scipy"
+        paths = {name: count for name, count in counters.items() if name.startswith("solve.slsqp.")}
+        assert paths == {f"solve.slsqp.{path}": counters["solve_memo.computed"]}
+
     def test_computed_solves_count_their_iterations(self, runs):
         _, counters = runs["cold"]
         assert counters["solve.iterations"] > 0
@@ -104,7 +113,8 @@ class TestForcedRun:
         assert "solve_memo.miss" not in counters
         # Memoized solves mean the solver never runs at all.
         assert "solve.iterations" not in counters
-        assert not any(name.startswith(("solve.status.", "solve.blas.")) for name in counters)
+        assert not any(name.startswith(("solve.status.", "solve.blas.", "solve.slsqp."))
+                       for name in counters)
 
     def test_bitwise_equal_results_across_all_three_runs(self, runs):
         cold, warm, forced = (runs[k][0] for k in ("cold", "warm", "forced"))
