@@ -26,9 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..analysis.preemption import expand_fully_preemptive
 from ..core.task import Task
 from ..core.taskset import TaskSet
 from ..offline.acs import ACSScheduler
+from ..offline.batched_solver import SolveMemo
 from ..offline.evaluation import average_case_energy, worst_case_energy
 from ..offline.nonpreemptive import frame_based_taskset
 from ..offline.wcs import WCSScheduler
@@ -107,14 +109,20 @@ class MotivationResult:
         return format_markdown_table(headers, rows, float_format=".4g")
 
 
-def run_motivation(config: Optional[MotivationConfig] = None) -> MotivationResult:
-    """Reproduce the motivational example end to end."""
+def run_motivation(config: Optional[MotivationConfig] = None,
+                   memo: Optional[SolveMemo] = None) -> MotivationResult:
+    """Reproduce the motivational example end to end.
+
+    WCS and ACS plan one expansion through one solve memo (``memo``, or a
+    fresh one), so ACS's WCS warm start replays the WCS solve.
+    """
     cfg = config or MotivationConfig()
     processor = cfg.resolved_processor()
-    taskset = motivation_taskset(cfg)
+    expansion = expand_fully_preemptive(motivation_taskset(cfg))
+    memo = SolveMemo() if memo is None else memo
 
-    wcs_schedule = WCSScheduler(processor).schedule(taskset)
-    acs_schedule = ACSScheduler(processor).schedule(taskset)
+    wcs_schedule = WCSScheduler(processor).schedule_expansion(expansion, memo=memo)
+    acs_schedule = ACSScheduler(processor).schedule_expansion(expansion, memo=memo)
 
     return MotivationResult(
         wcs_end_times=wcs_schedule.end_times(),

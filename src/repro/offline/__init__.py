@@ -17,15 +17,12 @@ from .nlp import ReducedNLP, SolverOptions
 from .nlp_literal import LiteralNLPScheduler
 from .nonpreemptive import explicit_order_policy, frame_based_taskset
 from .schedule import ScheduledSubInstance, StaticSchedule
-from .stochastic import StochasticACSScheduler, sample_scenarios
 from .wcs import WCSScheduler
 
 __all__ = [
     "VoltageScheduler",
     "ACSScheduler",
     "WCSScheduler",
-    "StochasticACSScheduler",
-    "sample_scenarios",
     "SolveMemo",
     "default_solve_memo",
     "plan_expansions",

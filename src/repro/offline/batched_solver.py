@@ -14,12 +14,12 @@ runs.  This module makes every repeat cost one lookup:
   with the result store's hashing discipline (:func:`~repro.scenarios.store.signature_key`)
   — by everything solve-relevant (:func:`solve_signature`): the task set,
   the horizon, the processor, the workload mode, the solver options, the
-  scenario set, the warm-start vector and the solver build (numpy/scipy
-  versions and the BLAS thread mode).  The task set leaves out the cycle
-  counts the NLP never reads (BCEC, and ACEC in a WCS solve), so task sets
-  that differ only in those share one solve.  Backed
-  by a :class:`~repro.scenarios.store.ResultStore` the memo survives a
-  killed sweep: :func:`resolve_solve_memo` is the one place that knows
+  warm-start vector and the solver build (numpy/scipy versions and the BLAS
+  thread mode).  The task set leaves out the cycle counts the NLP never
+  reads (BCEC, and ACEC in a WCS solve), so task sets that differ only in
+  those share one solve.  Backed by a
+  :class:`~repro.scenarios.store.ResultStore` the memo survives a killed
+  sweep: :func:`resolve_solve_memo` is the one place that knows
   where a scenario store keeps its solves.
 * :func:`plan_key` keys a whole comparison's planning inputs, so the harness
   plans each distinct problem of a chunk once, and :func:`plan_expansions`
@@ -74,22 +74,20 @@ def solve_signature(nlp: ReducedNLP, x0: Optional[np.ndarray] = None, *,
                     blas_threads: Union[int, str] = 1) -> Dict[str, Any]:
     """Everything that determines the outcome of ``nlp.solve(x0)``, as a canonical dictionary.
 
-    ``verbose`` is excluded (it only toggles solver chatter); every other
-    option, the task set, the horizon, the processor physics, the workload
-    mode, the scenario set and the warm start all shape the trajectory and
-    are therefore part of the key.  So does the solver build
+    Every solver option, the task set, the horizon, the processor physics,
+    the workload mode and the warm start shape the trajectory and are
+    therefore part of the key.  So does the solver build
     (:func:`~repro.scenarios.store.solver_build`): SLSQP's trajectory
     depends on the numpy and scipy versions and on the BLAS thread mode
     ``blas_threads``, and a memo written under one build must never be
     replayed as the answer under another.
 
-    The NLP never reads a task's BCEC, and reads its ACEC only in the
-    objective (the average case, or a job a scenario leaves out), so the
-    task set is keyed without them where they are not read: a WCS solve
-    answers every task set that differs only in ACEC and BCEC, and Figure
-    6(b) solves each WCS problem once across its BCEC/WCEC ratios.  A hit is
-    rebuilt against the asking NLP's expansion, so its average-case budgets
-    still come from the asking task set's ACEC.
+    The NLP never reads a task's BCEC, and reads its ACEC only in an ACS
+    objective, so the task set is keyed without them where they are not
+    read: a WCS solve answers every task set that differs only in ACEC and
+    BCEC, and Figure 6(b) solves each WCS problem once across its BCEC/WCEC
+    ratios.  A hit is rebuilt against the asking NLP's expansion, so its
+    average-case budgets still come from the asking task set's ACEC.
     """
     # Lazy imports: pulling the reporting/scenario packages in at module load
     # would close an import cycle (scenarios.engine itself plans schedules).
@@ -97,16 +95,12 @@ def solve_signature(nlp: ReducedNLP, x0: Optional[np.ndarray] = None, *,
     from ..scenarios.store import STORE_FORMAT, processor_signature, solver_build
 
     taskset = taskset_to_dict(nlp.expansion.taskset)
-    reads_acec = nlp.workload_mode == "acec" or nlp.scenarios is not None
     for task in taskset["tasks"]:
         del task["bcec"]
-        if not reads_acec:
+        if nlp.workload_mode != "acec":
             del task["acec"]
-    options = asdict(nlp.options)
-    options.pop("verbose", None)
-    scenarios = None
-    if nlp.scenarios is not None:
-        scenarios = [[weight, dict(actual)] for weight, actual in nlp.scenarios]
+    # Format 5's key shape: the next STORE_FORMAT bump drops "scenarios" and options["method"].
+    options = {**asdict(nlp.options), "method": "SLSQP"}
     return {
         "store_format": STORE_FORMAT,
         "kind": "nlp-solve",
@@ -115,7 +109,7 @@ def solve_signature(nlp: ReducedNLP, x0: Optional[np.ndarray] = None, *,
         "processor": processor_signature(nlp.processor),
         "workload_mode": nlp.workload_mode,
         "options": options,
-        "scenarios": scenarios,
+        "scenarios": None,
         "x0": None if x0 is None else [float(v) for v in np.asarray(x0, dtype=float)],
         "build": solver_build(blas_threads),
     }
@@ -419,29 +413,14 @@ def _evaluate_drain(batch: Sequence[Any]) -> None:
             request.value = request.nlp._scalar_energy(request.payload)
         return
     lanes: List[Tuple[CompiledEvaluation, np.ndarray, np.ndarray]] = []
-    plan: List[Tuple[Any, int, int]] = []
     for request in batch:
-        nlp = request.nlp
         if request.kind == "scalar":
             columns = np.asarray(request.payload, dtype=float)[:, None]
         else:
             columns = np.asarray(request.payload, dtype=float)
-        ends, budgets = nlp._unpack_batch(columns)
-        first_lane = len(lanes)
-        for _, evaluator in nlp._compiled:
-            lanes.append((evaluator, ends, budgets))
-        plan.append((request, first_lane, len(lanes)))
-    results = stacked_energies(lanes)
-    for request, first_lane, last_lane in plan:
-        nlp = request.nlp
-        if nlp.scenarios is not None:
-            total_weight = sum(weight for weight, _ in nlp.scenarios)
-            energy = np.zeros(results[first_lane].shape[0])
-            for (weight, _), lane_energy in zip(nlp._compiled, results[first_lane:last_lane]):
-                energy += weight * lane_energy
-            energy = energy / total_weight
-        else:
-            energy = results[first_lane]
+        ends, budgets = request.nlp._unpack_batch(columns)
+        lanes.append((request.nlp._compiled, ends, budgets))
+    for request, energy in zip(batch, stacked_energies(lanes)):
         request.value = float(energy[0]) if request.kind == "scalar" else energy
 
 

@@ -38,9 +38,11 @@ Every chain row stays.  m's guard and ``E_{m−1} ≤ slot_end_{m−1}`` imply m
 chain row when m−1's slot ends where m's starts or earlier, but solves without
 those chain rows stopped at the iteration cap.
 
-Setting the "actual" workload used by the objective to the WCEC instead of the
-ACEC turns the same solver into the WCS baseline (the classical static
-schedule that only considers worst-case cycles).
+The objective is one walk of the total order at one workload per job.
+Setting that workload to the WCEC instead of the ACEC turns the same solver
+into the WCS baseline (the classical static schedule that only considers
+worst-case cycles).  The paper plans for the average case and names a
+probability-weighted objective only as an option; this module does not build it.
 
 SLSQP runs on scipy's compiled kernel through :mod:`repro.offline.slsqp`,
 which replays ``scipy.optimize.minimize``'s loop bit for bit without
@@ -183,8 +185,6 @@ class SolverOptions:
     maxiter: int = 300
     ftol: float = 1e-8
     finite_difference_step: float = 1e-6
-    method: str = "SLSQP"
-    verbose: bool = False
     #: Fraction of the hyperperiod added as slack to the worst-case chain
     #: constraints inside the solver.  SLSQP may violate its constraints by a
     #: small amount; the margin keeps the *true* chain constraint satisfiable
@@ -213,22 +213,10 @@ class ReducedNLP:
     processor: ProcessorModel
     workload_mode: str = "acec"
     options: SolverOptions = field(default_factory=SolverOptions)
-    #: Optional list of ``(weight, {job key: actual cycles})`` scenarios.  When
-    #: given, the objective becomes the weighted mean energy over the scenarios
-    #: instead of the single ACEC/WCEC evaluation — this is the
-    #: probability-weighted objective the paper mentions as an option when the
-    #: workload distribution is known (used by the stochastic ACS variant).
-    scenarios: Optional[List[Tuple[float, Dict[str, float]]]] = None
 
     def __post_init__(self) -> None:
         if self.workload_mode not in ("acec", "wcec"):
             raise SchedulingError(f"workload_mode must be 'acec' or 'wcec', got {self.workload_mode!r}")
-        if self.scenarios is not None:
-            if not self.scenarios:
-                raise SchedulingError("scenarios must be a non-empty list when given")
-            total_weight = sum(weight for weight, _ in self.scenarios)
-            if total_weight <= 0:
-                raise SchedulingError("scenario weights must sum to a positive value")
         subs = self.expansion.sub_instances
         self._n_subs = len(subs)
         # Budgets are decision variables only for jobs split into 2+ sub-instances.
@@ -262,24 +250,15 @@ class ReducedNLP:
             budget_template[sub_index] = value
         self._budget_template = budget_template
 
-        # Compiled (batched) objective: one evaluator per workload scenario.
-        # Only linear-law processors vectorize bitwise; everything else keeps
-        # the reference evaluation path.
+        # Compiled objective.  Only linear-law processors evaluate it
+        # bitwise; everything else keeps the reference evaluation path.
         self._bounds_lower: Optional[np.ndarray] = None
         self._bounds_upper: Optional[np.ndarray] = None
         self._last_point: Optional[np.ndarray] = None
         self._last_value: float = 0.0
-        self._compiled: Optional[List[Tuple[float, CompiledEvaluation]]] = None
+        self._compiled: Optional[CompiledEvaluation] = None
         if CompiledEvaluation.supported(self.processor):
-            if self.scenarios is not None:
-                self._compiled = [
-                    (weight, CompiledEvaluation(self.expansion, self.processor, actual))
-                    for weight, actual in self.scenarios
-                ]
-            else:
-                self._compiled = [
-                    (1.0, CompiledEvaluation(self.expansion, self.processor, self._actual_cycles))
-                ]
+            self._compiled = CompiledEvaluation(self.expansion, self.processor, self._actual_cycles)
 
     # ------------------------------------------------------------------ #
     # Variable packing
@@ -355,27 +334,11 @@ class ReducedNLP:
     def _scalar_energy(self, values: List[float]) -> float:
         """Compiled scalar objective of a full variable-value list."""
         end_times, budgets = self._unpack_lists(values)
-        if self.scenarios is not None:
-            total_weight = sum(weight for weight, _ in self.scenarios)
-            energy = 0.0
-            for weight, evaluator in self._compiled:
-                energy += weight * evaluator.energy_from_lists(end_times, budgets)
-            return energy / total_weight
-        return self._compiled[0][1].energy_from_lists(end_times, budgets)
+        return self._compiled.energy_from_lists(end_times, budgets)
 
     def objective_reference(self, x: np.ndarray) -> float:
         """The uncompiled objective (kept as the equivalence oracle)."""
         end_times, budgets = self.unpack(x)
-        if self.scenarios is not None:
-            total_weight = sum(weight for weight, _ in self.scenarios)
-            energy = 0.0
-            for weight, actual_cycles in self.scenarios:
-                outcome = evaluate_vectors(
-                    self.expansion, end_times, budgets, self.processor,
-                    actual_cycles, collect_details=False,
-                )
-                energy += weight * outcome.energy
-            return energy / total_weight
         outcome = evaluate_vectors(
             self.expansion, end_times, budgets, self.processor,
             self._actual_cycles, collect_details=False,
@@ -394,13 +357,7 @@ class ReducedNLP:
                 "objective_batch requires the compiled evaluation (linear-law processor)"
             )
         end_times, budgets = self._unpack_batch(np.asarray(x_columns, dtype=float))
-        if self.scenarios is not None:
-            total_weight = sum(weight for weight, _ in self.scenarios)
-            energy = np.zeros(end_times.shape[1])
-            for weight, evaluator in self._compiled:
-                energy += weight * evaluator.energies(end_times, budgets)
-            return energy / total_weight
-        return self._compiled[0][1].energies(end_times, budgets)
+        return self._compiled.energies(end_times, budgets)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Forward-difference gradient, each column re-walked only where it changes.
@@ -469,15 +426,7 @@ class ReducedNLP:
         changes = [(index, False, moved[index]) for index in range(n_subs)]
         changes += [(sub_index, True, moved[n_subs + position])
                     for position, sub_index in enumerate(self._budget_var_subs_list)]
-        if self.scenarios is not None:
-            # The scenarios are weighted in the order of :meth:`_scalar_energy`.
-            total_weight = sum(weight for weight, _ in self.scenarios)
-            values = np.zeros(n_vars)
-            for weight, evaluator in self._compiled:
-                values += weight * np.array(evaluator.changed_energies(end_times, budgets, changes))
-            values = values / total_weight
-        else:
-            values = np.array(self._compiled[0][1].changed_energies(end_times, budgets, changes))
+        values = np.array(self._compiled.changed_energies(end_times, budgets, changes))
         return (values - f0) / dx
 
     def bounds(self) -> List[Tuple[Optional[float], Optional[float]]]:
@@ -563,11 +512,14 @@ class ReducedNLP:
     def solve(self, x0: Optional[np.ndarray] = None) -> StaticSchedule:
         """Run the solver and return a validated :class:`StaticSchedule`.
 
-        The raw solver output is repaired (budgets renormalised, end-times
-        pushed forward to restore the worst-case chain) before validation; if
-        no feasible repaired schedule emerges, the guaranteed-feasible
-        worst-case-at-fmax schedule is returned instead, flagged in
-        ``metadata["fallback"]``.
+        SLSQP runs on scipy's compiled kernel (:func:`repro.offline.slsqp.kernel`),
+        or, on a scipy whose loop that driver has not verified, through
+        ``scipy.optimize.minimize`` with the same rows and bounds and, given a
+        compiled evaluation, the same :meth:`jacobian`.  The raw solver output
+        is repaired (budgets renormalised, end-times pushed forward to restore
+        the worst-case chain) before validation; if no feasible repaired
+        schedule emerges, the guaranteed-feasible worst-case-at-fmax schedule
+        is returned instead, flagged in ``metadata["fallback"]``.
         """
         # Deferred: a run that replays every schedule from the solve memo
         # loads no solver at all.
@@ -577,7 +529,7 @@ class ReducedNLP:
         options = self.options
         rows = self.linear_constraints()
         # Loaded before the pin, so the pin finds the OpenBLAS the solver maps.
-        kernel = slsqp.kernel() if options.method == "SLSQP" and not options.verbose else None
+        kernel = slsqp.kernel()
         if kernel is None:
             from scipy import optimize
         with single_blas_thread() as blas_threads:
@@ -590,19 +542,17 @@ class ReducedNLP:
                 # The jacobian replays scipy's own finite-difference scheme
                 # bitwise (see :meth:`jacobian`), so the solver trajectory is
                 # identical with or without it — only the wall-clock changes.
-                use_jacobian = self._compiled is not None and options.method == "SLSQP"
                 result = optimize.minimize(
                     self.objective,
                     start,
-                    method=options.method,
-                    jac=self.jacobian if use_jacobian else None,
+                    method="SLSQP",
+                    jac=self.jacobian if self._compiled is not None else None,
                     bounds=self.bounds(),
                     constraints=rows.as_dicts(),
                     options={
                         "maxiter": options.maxiter,
                         "ftol": options.ftol,
                         "eps": options.finite_difference_step,
-                        "disp": options.verbose,
                     },
                 )
                 x, status, message = result.x, int(result.status), str(result.message)

@@ -154,8 +154,7 @@ class LiteralNLPScheduler(VoltageScheduler):
                     {"type": "ineq", "fun": constraints_vector},
                     {"type": "eq", "fun": equality_vector},
                 ],
-                options={"maxiter": self.options.maxiter, "ftol": self.options.ftol,
-                         "disp": self.options.verbose},
+                options={"maxiter": self.options.maxiter, "ftol": self.options.ftol},
             )
 
         _, e_opt, _, w_opt, _, _ = self._blocks(np.asarray(result.x, dtype=float), n)

@@ -175,8 +175,8 @@ class _MotivationUnit:
         }
 
 
-def _run_motivation_unit(unit: _MotivationUnit) -> Dict[str, Any]:
-    result = run_motivation(unit.config)
+def _run_motivation_unit(unit: _MotivationUnit, solve_memo_root: Optional[str] = None) -> Dict[str, Any]:
+    result = run_motivation(unit.config, memo=resolve_solve_memo(solve_memo_root))
     return {
         "wcs_end_times": list(result.wcs_end_times),
         "acs_end_times": list(result.acs_end_times),
@@ -464,7 +464,7 @@ class ScenarioEngine:
         for key in pending:
             unit = compiled.units[key]
             if isinstance(unit, _MotivationUnit):
-                persist(key, _run_motivation_unit(unit))
+                persist(key, _run_motivation_unit(unit, solve_memo_root))
         return computed
 
     # ------------------------------------------------------------------ #

@@ -7,6 +7,10 @@ from repro.experiments.motivation import (
     motivation_taskset,
     run_motivation,
 )
+from repro.offline.acs import ACSScheduler
+from repro.offline.evaluation import average_case_energy, worst_case_energy
+from repro.offline.nlp import ReducedNLP
+from repro.offline.wcs import WCSScheduler
 
 
 class TestMotivationTaskset:
@@ -61,3 +65,29 @@ class TestRunMotivation:
         config = MotivationConfig(wcec=4000.0, acec=1600.0, bcec=800.0)
         result = run_motivation(config)
         assert result.improvement_average_case_percent > 0.0
+
+    def test_wcs_is_solved_once(self, monkeypatch):
+        """ACS's WCS warm start replays the WCS solve: a cold run makes 3
+        solves where planning WCS and ACS apart makes 4, and returns their
+        end-times and energies bit for bit."""
+        processor = MotivationConfig().resolved_processor()
+        solves = []
+        solve = ReducedNLP.solve
+
+        def counted(nlp, x0=None):
+            solves.append(nlp.workload_mode)
+            return solve(nlp, x0)
+
+        monkeypatch.setattr(ReducedNLP, "solve", counted)
+        wcs = WCSScheduler(processor).schedule(motivation_taskset())
+        acs = ACSScheduler(processor).schedule(motivation_taskset())
+        assert solves == ["wcec", "acec", "wcec", "acec"]
+        solves.clear()
+        result = run_motivation()
+        assert solves == ["wcec", "acec", "acec"]
+        assert result.wcs_end_times == wcs.end_times()
+        assert result.acs_end_times == acs.end_times()
+        assert result.wcs_worst_case_energy == worst_case_energy(wcs, processor)
+        assert result.wcs_average_case_energy == average_case_energy(wcs, processor)
+        assert result.acs_average_case_energy == average_case_energy(acs, processor)
+        assert result.acs_worst_case_energy == worst_case_energy(acs, processor)

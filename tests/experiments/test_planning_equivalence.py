@@ -6,8 +6,7 @@ Its :class:`ComparisonResult` must be bitwise-identical to
 the plain reference — every scheduler's own ``schedule_expansion`` followed
 by one ``DVSSimulator.run`` per method — schedules *and* the simulations run
 on top of them, across the full online matrix (all four DVS policies x all
-four workload models), with the scenario-weighted stochastic scheduler in
-the mix, and under a discrete-voltage simulation config.
+four workload models) and under a discrete-voltage simulation config.
 
 A chunk of comparisons plans each distinct problem once and shares the
 schedules among the comparisons that pose it; the payloads must equal
@@ -30,7 +29,6 @@ from repro.experiments.harness import (
 )
 from repro.offline.batched_solver import SolveMemo
 from repro.offline.nlp import ReducedNLP
-from repro.offline.stochastic import StochasticACSScheduler
 from repro.power.voltage import VoltageLevels
 from repro.reporting.serialization import comparison_result_to_dict
 from repro.runtime.policies import available_policies, get_policy
@@ -94,13 +92,6 @@ def test_policy_workload_matrix(processor, two_task_set, policy, workload):
     pooled, sequential = run_both_plans(
         two_task_set, processor, make_schedulers(("wcs", "acs"), processor),
         policy=get_policy(policy), workload=workload)
-    assert pooled == sequential
-
-
-def test_scenario_weighted_scheduler(processor, three_task_set):
-    schedulers = dict(make_schedulers(("wcs", "acs"), processor))
-    schedulers["acs_stochastic"] = StochasticACSScheduler(processor, n_scenarios=4)
-    pooled, sequential = run_both_plans(three_task_set, processor, schedulers)
     assert pooled == sequential
 
 

@@ -5,11 +5,11 @@ solve memo.  Its whole value rests on a hard promise: every
 :class:`StaticSchedule` it returns is *bitwise identical* to the one the
 scheduler's own unmemoized ``schedule_expansion`` produces — same end times,
 same budgets, same objective value, float for float.  These tests hold it to
-that promise across every registered scheduler (including the
-scenario-weighted stochastic ACS and the x0-seeded ACS solve), across
-task sets, and through the memo (warm replays must recompute nothing and
-still hand out fresh, independently mutable schedule objects).  The memo's
-keys are pinned, so a refactor cannot silently orphan an on-disk memo.
+that promise across every registered scheduler (including the x0-seeded
+ACS solve), across task sets, and through the memo (warm replays must
+recompute nothing and still hand out fresh, independently mutable schedule
+objects).  The memo's keys are pinned, so a refactor cannot silently orphan
+an on-disk memo.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from repro.offline.batched_solver import plan_key, solve_signature
 from repro.offline.acs import ACSScheduler
 from repro.offline.baselines import ConstantSpeedScheduler, MaxSpeedScheduler
 from repro.offline.nlp import ReducedNLP, SolverOptions
-from repro.offline.stochastic import StochasticACSScheduler
 from repro.offline.wcs import WCSScheduler
 from repro.scenarios.store import signature_key
 from repro.workloads.cnc import cnc_taskset
@@ -42,7 +41,6 @@ def all_schedulers(processor):
     return {
         "wcs": WCSScheduler(processor),
         "acs": ACSScheduler(processor),
-        "acs_stochastic": StochasticACSScheduler(processor, n_scenarios=4),
         "max_speed": MaxSpeedScheduler(processor),
         "constant_speed": ConstantSpeedScheduler(processor),
     }
@@ -124,8 +122,8 @@ class TestSolveMemo:
 
     def test_replayed_schedules_are_independently_mutable(self, processor,
                                                           two_task_set):
-        """Memo replays hand out fresh objects: mutating one result (as the
-        stochastic scheduler does with ``method``) must not corrupt the memo."""
+        """Memo replays hand out fresh objects: a caller that mutates one
+        result (its ``method``, say) must not corrupt the memo."""
         memo = SolveMemo()
         expansion = expand_fully_preemptive(two_task_set)
         nlp = ReducedNLP(expansion, processor, workload_mode="wcec")
@@ -228,16 +226,6 @@ class TestSolveKey:
         assert solve_key(other_cycles, processor, "acec") != solve_key(base, processor, "acec")
         assert solve_key(base, processor, "acec") != solve_key(base, processor)
 
-    def test_a_scenario_objective_keeps_acec_in_the_key(self, processor):
-        """A scenario runs the ACEC of every job it leaves out, in either mode."""
-
-        def scenario_key(taskset):
-            nlp = ReducedNLP(expand_fully_preemptive(taskset), processor, workload_mode="wcec",
-                             scenarios=[(1.0, {})])
-            return signature_key(solve_signature(nlp))
-
-        assert scenario_key(tasks_with(acec=2500)) != scenario_key(tasks_with())
-
     def test_wcec_ceff_and_the_store_format_move_the_key(self, processor, monkeypatch):
         from repro.scenarios import store
 
@@ -287,7 +275,6 @@ class TestPlanKey:
             (two_task_set, processor, pair(ACSScheduler(processor, seed_with_wcs=False))),
             (two_task_set, processor,
              pair(ACSScheduler(processor, options=SolverOptions(maxiter=50)))),
-            (two_task_set, processor, pair(StochasticACSScheduler(processor))),
             (two_task_set, processor, {"wcs": WCSScheduler(processor)}),
             (two_task_set, processor, {"acs": ACSScheduler(processor),
                                        "wcs": WCSScheduler(processor)}),
