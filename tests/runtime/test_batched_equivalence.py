@@ -15,7 +15,9 @@ so no case can silently compare the reference loop with itself.  They cover
 * heterogeneous multi-unit batches (different schedules, policies, horizon
   lengths in one lock-step advance),
 * block boundaries: one hyperperiod per block, ragged blocks (a horizon that
-  is not a multiple of the block length) and the default lane budget, and
+  is not a multiple of the block length) and the default lane budget,
+* budgets used up at block start and twice in a row mid-hyperperiod, and
+  padded lanes whose job width narrows in compaction, and
 * every fallback configuration (CMOS law, discrete voltages, timelines,
   subclassed policies, ``fast_path=False``), which must route per unit to
   the reference loop and still return the right result.
@@ -267,6 +269,70 @@ def test_mixed_batch_with_arrivals_and_compaction(linear_processor, taskset, mon
         monkeypatch.setattr(batched_engine, "LANE_BUDGET", budget)
         for result, reference in zip(simulate_batch(units), alone, strict=True):
             assert_identical(result, reference, blocks)
+
+
+def test_used_up_budgets_padding_and_narrowing(linear_processor, wcs_schedule, monkeypatch):
+    """Positions move where budgets run out, and padded lanes narrow in compaction.
+
+    Both ``mid`` jobs get a zero first budget, so they move to their second
+    entry at block start (the second job long before its release).  ``lo``
+    uses up a small first budget, then moves twice in a row past two zero
+    middle budgets, mid-hyperperiod.  The siblings carry the WCEC.  A six-job
+    schedule pads its rows to the seven-job width; on worst-case work its
+    lanes outlast the seven-job lanes on best-case work, so compaction
+    narrows the width.  Every other unit has sporadic arrivals, so a release
+    can fall after its first slot start.
+    """
+    from repro.workloads.arrivals import SporadicArrivals
+
+    expansion = wcs_schedule.expansion
+    sub = {(s.instance.task.name, s.instance.job_index, s.sub_index): k
+           for k, s in enumerate(expansion.sub_instances)}
+    budgets = list(wcs_schedule.wc_budgets())
+    for job in (0, 1):
+        budgets[sub["mid", job, 0]], budgets[sub["mid", job, 1]] = 0.0, 4200.0
+    budgets[sub["lo", 0, 0]], budgets[sub["lo", 0, 3]] = 600.0, 8400.0
+    budgets[sub["lo", 0, 1]] = budgets[sub["lo", 0, 2]] = 0.0
+    used_up = StaticSchedule.from_vectors(
+        expansion, wcs_schedule.end_times(), budgets, method="used-up")
+    six_jobs = WCSScheduler(linear_processor).schedule_expansion(expand_fully_preemptive(TaskSet([
+        Task("x", period=10, wcec=1500, acec=700, bcec=200),
+        Task("y", period=40, wcec=9000, acec=6000, bcec=3000),
+        Task("z", period=40, wcec=9000, acec=6000, bcec=3000),
+    ], name="six-jobs")))
+    specs = []
+    for index, policy in enumerate(available_policies() * 2):
+        schedule, workload = ((used_up, FixedWorkload(mode="bcec")) if index < 4
+                              else (six_jobs, FixedWorkload(mode="wcec")))
+        arrivals = SporadicArrivals(max_jitter=1.5) if (index + index // 4) % 2 else None
+        specs.append((schedule, policy, workload,
+                      SimulationConfig(n_hyperperiods=5 + index, arrivals=arrivals)))
+    alone = [
+        run_reference(schedule, linear_processor, policy, config, workload,
+                      np.random.default_rng(800 + index))
+        for index, (schedule, policy, workload, config) in enumerate(specs)
+    ]
+    widths = []
+    compact = batched_engine._SoAEngine._compact
+
+    def recording_compact(engine):
+        before = engine.unfinished.shape[1]
+        compact(engine)
+        widths.append((before, engine.unfinished.shape[1]))
+
+    monkeypatch.setattr(batched_engine._SoAEngine, "_compact", recording_compact)
+    for blocks, budget in lane_budgets(len(specs)).items():
+        units = [
+            BatchUnit(schedule=schedule, processor=linear_processor, policy=policy,
+                      config=config, workload=workload,
+                      rng=np.random.default_rng(800 + index))
+            for index, (schedule, policy, workload, config) in enumerate(specs)
+        ]
+        assert all(batch_fallback_reason(unit) is None for unit in units)
+        monkeypatch.setattr(batched_engine, "LANE_BUDGET", budget)
+        for result, reference in zip(simulate_batch(units), alone, strict=True):
+            assert_identical(result, reference, blocks)
+    assert (7, 6) in widths
 
 
 def test_reference_loop_unit_in_a_mixed_batch(linear_processor, wcs_schedule, monkeypatch):

@@ -225,3 +225,5 @@ class TestBatchedSimulation:
         assert telemetry.counters["sim.batched_units"] == 3
         assert telemetry.counters["sim.lane_blocks"] == 4
         assert telemetry.observations["sim.soa_width"] == [6.0, 5.0, 4.0, 1.0]
+        # The four blocks' lock-step iterations, summed.
+        assert telemetry.counters["sim.lane_steps"] == 20

@@ -78,3 +78,26 @@ def test_more_abnormal_solves_fail(recorded, field, value):
     worse = copy.deepcopy(recorded)
     worse["solves"][0][field] = value
     assert len(plan_oracle.compare(recorded, worse)) == 1
+
+
+#: The motivation table's spec (``examples/scenarios/motivation.toml``), as JSON.
+MOTIVATION = {
+    "kind": "motivation",
+    "name": "motivation",
+    "motivation": {"frame_length": 20.0, "wcec": 5000.0, "acec": 1500.0, "bcec": 500.0},
+    "power": {"model": "ideal", "vmax": 5.0, "vmin": 0.5, "fmax": 1000.0},
+}
+
+
+def test_motivation_record_holds_its_plans(tmp_path):
+    # The motivation table plans through ``schedule_expansion``, not through
+    # a ``plan_expansions`` call, and its plans are recorded all the same.
+    spec = tmp_path / "motivation.json"
+    spec.write_text(json.dumps(MOTIVATION), encoding="utf-8")
+    record = plan_oracle.record(str(spec))
+    labels = {row["label"]: key for key, row in record["plans"].items()}
+    assert sorted(labels) == ["motivation/acs", "motivation/wcs"]
+    worse = copy.deepcopy(record)
+    worse["plans"][labels["motivation/acs"]]["objective"] *= 1 + 1e-5
+    (problem,) = plan_oracle.compare(record, worse)
+    assert problem.startswith("motivation/acs")

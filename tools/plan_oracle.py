@@ -66,11 +66,11 @@ def _plan_key(expansion: Any, scheduler: Any, method: str) -> str:
 def _recording(plans: Dict[str, Dict[str, Any]], solves: List[Dict[str, Any]]) -> Iterator[None]:
     """Record every plan and every computed solve made inside the block.
 
-    Comparisons and multicore units plan through their module's
-    ``plan_expansions``, and every computed solve runs ``ReducedNLP.solve``,
-    so wrapping those three names sees all of a run's planning.
+    Every planning path (comparisons, multicore cores, the motivation table)
+    runs ``schedule_expansion`` of a scheduler class in the harness registry,
+    and every computed solve runs ``ReducedNLP.solve``, so wrapping those
+    sees all of a run's planning.
     """
-    from repro.allocation import multicore
     from repro.experiments import harness
     from repro.offline.nlp import ReducedNLP
 
@@ -86,31 +86,27 @@ def _recording(plans: Dict[str, Dict[str, Any]], solves: List[Dict[str, Any]]) -
         })
         return schedule
 
-    def recorded(plan_expansions: Any) -> Any:
-        def plan(items: Sequence[Any], memo: Any = None) -> Any:
-            items = list(items)
-            planned = plan_expansions(items, memo=memo)
-            for (expansion, methods), schedules in zip(items, planned):
-                for method, schedule in schedules.items():
-                    key = _plan_key(expansion, methods[method], method)
-                    plans.setdefault(key, {
-                        "label": f"{expansion.taskset.name}/{method}",
-                        **_metadata_row(schedule.objective_value, schedule.metadata),
-                    })
-            return planned
+    def recorded(schedule_expansion: Any) -> Any:
+        def plan(scheduler: Any, expansion: Any, *, memo: Any = None) -> Any:
+            schedule = schedule_expansion(scheduler, expansion, memo=memo)
+            plans.setdefault(_plan_key(expansion, scheduler, scheduler.name), {
+                "label": f"{expansion.taskset.name}/{scheduler.name}",
+                **_metadata_row(schedule.objective_value, schedule.metadata),
+            })
+            return schedule
         return plan
 
-    patched = [(harness, "plan_expansions"), (multicore, "plan_expansions")]
-    originals = [getattr(module, name) for module, name in patched]
+    classes = list(dict.fromkeys(harness._SCHEDULER_FACTORIES.values()))
+    originals = [cls.schedule_expansion for cls in classes]
     ReducedNLP.solve = recorded_solve
-    for (module, name), original in zip(patched, originals):
-        setattr(module, name, recorded(original))
+    for cls, original in zip(classes, originals):
+        cls.schedule_expansion = recorded(original)
     try:
         yield
     finally:
         ReducedNLP.solve = solve
-        for (module, name), original in zip(patched, originals):
-            setattr(module, name, original)
+        for cls, original in zip(classes, originals):
+            cls.schedule_expansion = original
 
 
 def record(spec_path: str, profile: Optional[str] = None) -> Dict[str, Any]:
