@@ -6,8 +6,10 @@ chart of the ACS static schedule and of one simulated hyperperiod (so the
 preemptions and the reclaimed slack are visible), and reports the runtime
 energy improvement.  Also demonstrates saving the deployable schedule to JSON.
 
-Run with:  python examples/gap_avionics_case_study.py
+Run with:  python examples/gap_avionics_case_study.py [--quick]
 """
+
+import argparse
 
 import numpy as np
 
@@ -20,14 +22,22 @@ from repro import (
     ideal_processor,
     improvement_percent,
 )
-from repro.reporting import render_static_schedule, render_timeline, save_json, schedule_to_dict
+from repro.reporting import render_static_schedule, render_trace, save_json, schedule_to_dict
 from repro.workloads.gap import gap_taskset
 
 
 def main() -> None:
-    processor = ideal_processor()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="smoke-test size (4-task GAP slice, fewer hyperperiods)")
+    args = parser.parse_args()
+    n_hyperperiods = 5 if args.quick else 50
     # The eight highest-rate GAP tasks keep the example fast; drop n_tasks for the full set.
-    taskset = gap_taskset(processor, target_utilization=0.7, bcec_wcec_ratio=0.1, n_tasks=8)
+    gap_tasks = 4 if args.quick else 8
+
+    processor = ideal_processor()
+    taskset = gap_taskset(processor, target_utilization=0.7, bcec_wcec_ratio=0.1,
+                          n_tasks=gap_tasks)
     print(taskset.describe())
     print()
 
@@ -38,12 +48,12 @@ def main() -> None:
     print()
 
     simulator = DVSSimulator(processor, config=SimulationConfig(n_hyperperiods=1, seed=3,
-                                                                record_timeline=True))
-    trace = simulator.run(acs, NormalWorkload(), np.random.default_rng(3))
-    print(render_timeline(trace.timeline, processor, width=100))
+                                                                trace=True))
+    result = simulator.run(acs, NormalWorkload(), np.random.default_rng(3))
+    print(render_trace(result.trace, processor, width=100))
     print()
 
-    comparison = DVSSimulator(processor, config=SimulationConfig(n_hyperperiods=50))
+    comparison = DVSSimulator(processor, config=SimulationConfig(n_hyperperiods=n_hyperperiods))
     acs_energy = comparison.run(acs, NormalWorkload(), np.random.default_rng(1)).mean_energy_per_hyperperiod
     wcs_energy = comparison.run(wcs, NormalWorkload(), np.random.default_rng(1)).mean_energy_per_hyperperiod
     print(f"WCS energy per hyperperiod: {wcs_energy:,.0f}")

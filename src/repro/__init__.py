@@ -5,8 +5,8 @@ The package implements the paper's ACS offline voltage scheduler together with
 every substrate it needs:
 
 * :mod:`repro.core` — periodic task / job / sub-instance model;
-* :mod:`repro.power` — DVS processor model (delay law, energy law, discrete
-  levels, transition overheads);
+* :mod:`repro.power` — DVS processor model (delay law, energy law,
+  transition overheads);
 * :mod:`repro.analysis` — schedulability analysis and the fully preemptive
   schedule expansion;
 * :mod:`repro.offline` — the ACS NLP, the WCS baseline, the literal NLP
@@ -60,15 +60,15 @@ _EXPORTS = {
                       "response_times", "is_schedulable", "breakdown_frequency")),
         ("allocation", ("Partition", "Partitioner", "available_partitioners", "get_partitioner",
                         "MulticoreProblem", "MulticorePlan", "plan_multicore")),
-        ("power", ("ProcessorModel", "VoltageLevels", "TransitionModel", "ideal_processor",
-                   "cmos_processor", "normalized_processor")),
+        ("power", ("ProcessorModel", "TransitionModel", "ideal_processor", "cmos_processor",
+                   "normalized_processor")),
         ("offline", ("ACSScheduler", "WCSScheduler", "LiteralNLPScheduler", "MaxSpeedScheduler",
                      "ConstantSpeedScheduler", "StaticSchedule", "SolverOptions",
                      "average_case_energy", "worst_case_energy", "frame_based_taskset")),
         ("runtime", ("DVSSimulator", "SimulationConfig", "SimulationResult", "MulticoreRunner",
                      "MulticoreResult", "DVSPolicy", "StaticReplayPolicy", "GreedySlackPolicy",
-                     "LookaheadSlackPolicy", "NoReclamationPolicy", "ProportionalSlackPolicy",
-                     "available_policies", "get_policy", "improvement_percent")),
+                     "LookaheadSlackPolicy", "ProportionalSlackPolicy", "available_policies",
+                     "get_policy", "improvement_percent")),
         ("scenarios", ("ScenarioSpec", "ScenarioLoader", "ScenarioEngine", "ScenarioResult",
                        "ResultStore", "load_scenario")),
         ("workloads", ("NormalWorkload", "UniformWorkload", "FixedWorkload", "BimodalWorkload",

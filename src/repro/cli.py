@@ -473,6 +473,8 @@ def _run_simulate(args: argparse.Namespace) -> str:
 def _run_trace(args: argparse.Namespace) -> str:
     if args.hyperperiods < 1:
         raise ExperimentError(f"--hyperperiods must be at least 1, got {args.hyperperiods}")
+    if args.width < 20:
+        raise ExperimentError(f"--width must be at least 20 columns, got {args.width}")
     processor = ideal_processor(fmax=1000.0)
     taskset = _select_taskset(args.app, args.ratio, processor)
 

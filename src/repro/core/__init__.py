@@ -9,7 +9,6 @@ exception hierarchy.
 from .errors import (
     AllocationError,
     AnalysisError,
-    DeadlineMissError,
     ExperimentError,
     InfeasibleTaskSetError,
     InvalidProcessorError,
@@ -47,7 +46,6 @@ __all__ = [
     "SchedulingError",
     "OptimizationError",
     "SimulationError",
-    "DeadlineMissError",
     "WorkloadError",
     "ExperimentError",
     # tasks

@@ -53,23 +53,6 @@ class SimulationError(ReproError):
     """The runtime simulator detected an internal inconsistency."""
 
 
-class DeadlineMissError(SimulationError):
-    """A job missed its deadline during simulation.
-
-    The simulator only raises this when configured with
-    ``on_deadline_miss="raise"``; by default misses are recorded in the result
-    object instead.
-    """
-
-    def __init__(self, message: str, *, task: str = "", job_index: int = -1,
-                 deadline: float = float("nan"), finish_time: float = float("nan")) -> None:
-        super().__init__(message)
-        self.task = task
-        self.job_index = job_index
-        self.deadline = deadline
-        self.finish_time = finish_time
-
-
 class WorkloadError(ReproError):
     """A workload generator was asked for an impossible configuration."""
 

@@ -1,7 +1,7 @@
 """Execution-trace data structures.
 
-Both the offline schedulers (for their nominal schedules) and the runtime
-simulator (for actual traces) produce a :class:`Timeline`: an ordered list of
+A simulation's event trace projects onto a :class:`Timeline`
+(:meth:`~repro.runtime.trace.EventTrace.to_timeline`): an ordered list of
 :class:`ExecutionSegment` records, each describing a contiguous stretch of
 processor time spent executing one sub-instance at one voltage/frequency
 operating point.  The timeline can validate basic physical invariants (no

@@ -38,14 +38,9 @@ class ACSScheduler(VoltageScheduler):
         The DVS processor model.
     options:
         Solver options forwarded to :class:`~repro.offline.nlp.ReducedNLP`.
-    seed_with_wcs:
-        When true (default) the solver is warm-started from the WCS solution,
-        which makes the optimisation both faster and never worse than the
-        baseline in terms of the average-case objective.
     """
 
     options: SolverOptions = field(default_factory=SolverOptions)
-    seed_with_wcs: bool = True
 
     @property
     def name(self) -> str:
@@ -56,27 +51,24 @@ class ACSScheduler(VoltageScheduler):
         """Solve the average-case NLP from several starting points and keep the best.
 
         SLSQP can stall on the piecewise-smooth objective depending on where it
-        starts, so the solver is run from the default heuristic guess and — when
-        ``seed_with_wcs`` is on — from the WCS solution.  The WCS schedule
-        itself is also kept as a candidate (it is feasible for the ACS problem
-        by construction), which guarantees that ACS is never worse than the
-        baseline on the average-case objective.
+        starts, so the solver is run from the default heuristic guess and from
+        the WCS solution.  The WCS schedule itself is also kept as a candidate
+        (it is feasible for the ACS problem by construction), which guarantees
+        that ACS is never worse than the baseline on the average-case
+        objective.
         """
         nlp = ReducedNLP(expansion, self.processor, workload_mode="acec", options=self.options)
         plain = solve_nlp(nlp, memo=memo)
-        if not self.seed_with_wcs:
-            candidates = [plain]
-        else:
-            wcs_nlp = ReducedNLP(expansion, self.processor, workload_mode="wcec", options=self.options)
-            wcs_schedule = solve_nlp(wcs_nlp, memo=memo)
-            wcs_vectors = nlp.pack(wcs_schedule.end_times(), wcs_schedule.wc_budgets())
-            seeded = solve_nlp(nlp, wcs_vectors, memo=memo)
-            candidates = [plain, seeded, StaticSchedule.from_vectors(
-                expansion, wcs_schedule.end_times(), wcs_schedule.wc_budgets(),
-                method="acs",
-                objective_value=float(nlp.objective(wcs_vectors)),
-                metadata={**wcs_schedule.metadata, "seed": "wcs-as-is"},
-            )]
+        wcs_nlp = ReducedNLP(expansion, self.processor, workload_mode="wcec", options=self.options)
+        wcs_schedule = solve_nlp(wcs_nlp, memo=memo)
+        wcs_vectors = nlp.pack(wcs_schedule.end_times(), wcs_schedule.wc_budgets())
+        seeded = solve_nlp(nlp, wcs_vectors, memo=memo)
+        candidates = [plain, seeded, StaticSchedule.from_vectors(
+            expansion, wcs_schedule.end_times(), wcs_schedule.wc_budgets(),
+            method="acs",
+            objective_value=float(nlp.objective(wcs_vectors)),
+            metadata={**wcs_schedule.metadata, "seed": "wcs-as-is"},
+        )]
         best = min(candidates, key=lambda schedule: schedule.objective_value)
         best.validate(self.processor)
         return best

@@ -1,25 +1,13 @@
-"""Processor power/DVS model: delay law, energy law, discrete levels, overheads."""
+"""Processor power/DVS model: delay law, energy law, transition overheads."""
 
-from .presets import (
-    cmos_processor,
-    crusoe_like_processor,
-    ideal_processor,
-    normalized_processor,
-    xscale_like_processor,
-)
+from .presets import cmos_processor, ideal_processor, normalized_processor
 from .processor import ProcessorModel
 from .transition import TransitionModel
-from .voltage import QUANTIZATION_POLICIES, VoltageLevels, split_two_level
 
 __all__ = [
     "ProcessorModel",
-    "VoltageLevels",
     "TransitionModel",
-    "split_two_level",
-    "QUANTIZATION_POLICIES",
     "ideal_processor",
     "cmos_processor",
     "normalized_processor",
-    "crusoe_like_processor",
-    "xscale_like_processor",
 ]

@@ -3,31 +3,24 @@
 The paper does not name a specific processor; its motivational example assumes
 the clock frequency is proportional to the supply voltage with a 5 V rail, and
 its random-task-set experiments only depend on the frequency range and the
-energy-vs-voltage convexity.  These presets cover the common cases:
+energy-vs-voltage convexity.  These presets cover the common cases, all on a
+continuous voltage range:
 
 * :func:`ideal_processor` — the paper's simplified model (linear law, 5 V).
 * :func:`cmos_processor` — the full delay law with α = 2 and a 0.8 V threshold.
 * :func:`normalized_processor` — ``fmax = 1`` and ``vmax = 1``; convenient when
   execution cycles are expressed directly as worst-case execution *times* at
   maximum speed.
-* :func:`crusoe_like_processor` / :func:`xscale_like_processor` — discrete
-  level sets loosely modelled after the Transmeta Crusoe and Intel XScale
-  operating points that the DVS literature of that era commonly used.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .processor import ProcessorModel
-from .voltage import VoltageLevels
 
 __all__ = [
     "ideal_processor",
     "cmos_processor",
     "normalized_processor",
-    "crusoe_like_processor",
-    "xscale_like_processor",
 ]
 
 
@@ -50,22 +43,3 @@ def normalized_processor(*, vmin_fraction: float = 0.1, ceff: float = 1.0) -> Pr
     return ProcessorModel(vmax=1.0, vmin=vmin_fraction, fmax=1.0, ceff=ceff,
                           law="linear", name="normalized")
 
-
-def crusoe_like_processor() -> Tuple[ProcessorModel, VoltageLevels]:
-    """A Transmeta-Crusoe-like processor: 1.1–1.65 V, five discrete levels.
-
-    Returns the continuous model together with the discrete level set used by
-    the quantisation ablation.
-    """
-    processor = ProcessorModel(vmax=1.65, vmin=1.1, fmax=1.0, vth=0.5, alpha=2.0,
-                               ceff=1.0, law="cmos", name="crusoe-like")
-    levels = VoltageLevels([1.10, 1.225, 1.35, 1.475, 1.65])
-    return processor, levels
-
-
-def xscale_like_processor() -> Tuple[ProcessorModel, VoltageLevels]:
-    """An Intel-XScale-like processor: 0.75–1.8 V, five discrete levels."""
-    processor = ProcessorModel(vmax=1.8, vmin=0.75, fmax=1.0, vth=0.45, alpha=1.5,
-                               ceff=1.0, law="cmos", name="xscale-like")
-    levels = VoltageLevels([0.75, 1.0, 1.3, 1.6, 1.8])
-    return processor, levels

@@ -4,14 +4,11 @@ from .policies import (
     DVSPolicy,
     GreedySlackPolicy,
     LookaheadSlackPolicy,
-    NoReclamationPolicy,
     ProportionalSlackPolicy,
-    SlackPolicy,
     SpeedRequest,
     StaticReplayPolicy,
     available_policies,
     get_policy,
-    get_slack_policy,
 )
 from .results import DeadlineMiss, SimulationResult, improvement_percent
 from .simulator import DVSSimulator, SimulationConfig, planned_frequency_array
@@ -31,14 +28,11 @@ __all__ = [
     "EventTrace",
     "EVENT_TYPES",
     "DVSPolicy",
-    "SlackPolicy",
     "SpeedRequest",
     "StaticReplayPolicy",
-    "NoReclamationPolicy",
     "GreedySlackPolicy",
     "LookaheadSlackPolicy",
     "ProportionalSlackPolicy",
     "available_policies",
     "get_policy",
-    "get_slack_policy",
 ]

@@ -78,24 +78,23 @@ to the reference loop run on that unit alone:
 **Fallback.**  The vectorized core covers the four built-in policies (their
 arithmetic — ``static`` and ``greedy`` first and foremost, plus ``lookahead``
 and ``proportional`` — is branch-free enough to express with masks), the
-linear delay law, the stock :class:`~repro.power.transition.TransitionModel`
-and the default ``record``/no-timeline/continuous-voltage configuration.
+linear delay law and the stock
+:class:`~repro.power.transition.TransitionModel`.
 Arrival models (release jitter) are vectorized too: every unit's offsets are
 drawn in one :meth:`~repro.workloads.arrivals.ArrivalModel.sample_offsets`
 call before its workload draw — the reference loop's exact stream order —
 and jittered lanes derive their dispatch order with one row ``lexsort`` (the
 same strict total order the reference loop sorts by).
 Anything else — subclassed policies (whose hooks and overrides must observe
-the exact scalar call sequence), CMOS-law processors, discrete voltage
-levels, recorded timelines, event tracing (``SimulationConfig(trace=True)``),
-``on_deadline_miss="raise"``, and units that ask for the reference loop
-(``SimulationConfig(fast_path=False)``) — runs *per unit* on the reference
-loop (:func:`run_compiled`), so a mixed batch still returns the right result
-for every unit.  Each fallback counts one ``sim.batch_fallback.<reason>``
-telemetry counter.  Policy lifecycle hooks are not invoked from the
-vectorized core (the built-in policies define them as no-ops, which is part
-of the gate); ``on_simulation_start`` is still called per unit for symmetry
-with the reference loop.
+the exact scalar call sequence), CMOS-law processors, event tracing
+(``SimulationConfig(trace=True)``), and units that ask for the reference
+loop (``SimulationConfig(fast_path=False)``) — runs *per unit* on the
+reference loop (:func:`run_compiled`), so a mixed batch still returns the
+right result for every unit.  Each fallback counts one
+``sim.batch_fallback.<reason>`` telemetry counter.  Policy lifecycle hooks
+are not invoked from the vectorized core (the built-in policies define them
+as no-ops, which is part of the gate); ``on_simulation_start`` is still
+called per unit for symmetry with the reference loop.
 """
 
 from __future__ import annotations
@@ -181,14 +180,8 @@ def _unit_fallback_reason(unit: BatchUnit) -> Optional[str]:
     if type(policy) not in _POLICY_IDS:
         return f"policy type {type(policy).__name__} is not a built-in"
     config = unit.config
-    if config.record_timeline:
-        return "record_timeline"
     if config.trace:
         return "trace"
-    if config.on_deadline_miss != "record":
-        return f"on_deadline_miss={config.on_deadline_miss!r}"
-    if config.voltage_levels is not None:
-        return "discrete voltage levels"
     if type(config.transition_model) is not TransitionModel:
         return f"transition model type {type(config.transition_model).__name__}"
     if unit.processor.law != "linear":
@@ -919,5 +912,4 @@ class _SoAEngine:
             energy_by_task=energy_by_task,
             deadline_misses=self.misses[u],
             jobs_completed=int(self.n_jobs[s] * self.n_hp[u]),
-            timeline=None,
         )

@@ -51,15 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "SpeedRequest",
     "DVSPolicy",
-    "SlackPolicy",
     "StaticReplayPolicy",
-    "NoReclamationPolicy",
     "GreedySlackPolicy",
     "LookaheadSlackPolicy",
     "ProportionalSlackPolicy",
     "available_policies",
     "get_policy",
-    "get_slack_policy",
 ]
 
 
@@ -135,10 +132,6 @@ class DVSPolicy(ABC):
         return f"{type(self).__name__}()"
 
 
-#: Backwards-compatible alias (the seed called the protocol ``SlackPolicy``).
-SlackPolicy = DVSPolicy
-
-
 class StaticReplayPolicy(DVSPolicy):
     """Replay the offline schedule: always run at the planned worst-case speed."""
 
@@ -146,10 +139,6 @@ class StaticReplayPolicy(DVSPolicy):
 
     def frequency(self, processor: ProcessorModel, request: SpeedRequest) -> float:
         return processor.clip_frequency(request.planned_frequency)
-
-
-#: Backwards-compatible alias (the seed's name for static replay).
-NoReclamationPolicy = StaticReplayPolicy
 
 
 class GreedySlackPolicy(DVSPolicy):
@@ -233,7 +222,3 @@ def get_policy(name: str) -> DVSPolicy:
         raise ValueError(
             f"unknown DVS policy {name!r}; known: {sorted(_POLICIES)}"
         ) from None
-
-
-#: Backwards-compatible alias (the seed's registry accessor).
-get_slack_policy = get_policy

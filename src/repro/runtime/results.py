@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from ..core.timeline import Timeline
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .trace import EventTrace
 
@@ -41,7 +39,6 @@ class SimulationResult:
     energy_by_task: Dict[str, float] = field(default_factory=dict)
     deadline_misses: List[DeadlineMiss] = field(default_factory=list)
     jobs_completed: int = 0
-    timeline: Optional[Timeline] = None
     #: Typed event stream of the run (``SimulationConfig(trace=True)`` only).
     trace: Optional["EventTrace"] = None
 

@@ -25,12 +25,11 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.errors import DeadlineMissError, SimulationError
+from ..core.errors import SimulationError
 from ..core.task import TaskInstance
 from ..offline.schedule import ScheduledSubInstance, StaticSchedule
 from ..power.processor import ProcessorModel
 from ..power.transition import TransitionModel
-from ..power.voltage import VoltageLevels
 from ..workloads.arrivals import ArrivalModel
 from ..workloads.distributions import WorkloadModel, NormalWorkload
 from .policies import DVSPolicy, GreedySlackPolicy, SpeedRequest, get_policy
@@ -79,12 +78,10 @@ class SimulationConfig:
         How many hyperperiods to simulate (the paper uses 1000).
     seed:
         Seed of the workload random generator; ``None`` draws a fresh one.
-    record_timeline:
-        Keep every execution segment (memory-heavy; off by default).
     trace:
         Record the typed event stream of :mod:`repro.runtime.trace` on the
         result (``SimulationResult.trace``; memory-heavy, off by default).
-        Tracing never changes the simulated behaviour: energies, timelines
+        Tracing never changes the simulated behaviour: energies, misses
         and RNG consumption are bitwise-identical with tracing on or off,
         and when it is off no event object is allocated at all.  Only the
         reference loop traces: the lane engine cannot, so a traced unit runs
@@ -96,16 +93,10 @@ class SimulationConfig:
         the paper's strictly periodic model and consumes no randomness; a
         model draws all of a run's offsets in one vectorized call *before*
         the workload draws, keeping both engines bitwise-identical.
-    on_deadline_miss:
-        ``"record"`` (default) or ``"raise"``.
     transition_model:
         Voltage-transition overhead model; the default is the paper's
         zero-cost assumption.  Only the *energy* overhead is charged; the
         latency is assumed hidden (see DESIGN.md).
-    voltage_levels:
-        When given, requested voltages are quantised to this discrete set.
-    quantization:
-        Quantisation policy (``"ceiling"`` keeps worst-case guarantees).
     fast_path:
         Run on the lane engine of :mod:`repro.runtime.batched` (default)
         wherever it covers the configuration, and on the reference loop
@@ -118,20 +109,14 @@ class SimulationConfig:
 
     n_hyperperiods: int = 1
     seed: Optional[int] = None
-    record_timeline: bool = False
     trace: bool = False
     arrivals: Optional[ArrivalModel] = None
-    on_deadline_miss: str = "record"
     transition_model: TransitionModel = field(default_factory=TransitionModel.ideal)
-    voltage_levels: Optional[VoltageLevels] = None
-    quantization: str = "ceiling"
     fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.n_hyperperiods <= 0:
             raise SimulationError("n_hyperperiods must be positive")
-        if self.on_deadline_miss not in ("record", "raise"):
-            raise SimulationError("on_deadline_miss must be 'record' or 'raise'")
 
 
 class _JobState:
@@ -236,7 +221,7 @@ class DVSSimulator:
 
     # ------------------------------------------------------------------ #
     # Reference event loop: the bitwise-equivalence oracle, and the engine
-    # of every unit the lane engine does not cover (tracing, timelines, ...)
+    # of every unit the lane engine does not cover (tracing, CMOS law, ...)
     # ------------------------------------------------------------------ #
     def _run_reference(self, schedule: StaticSchedule, workload_model: WorkloadModel,
                        generator: np.random.Generator) -> SimulationResult:
@@ -244,9 +229,7 @@ class DVSSimulator:
         hyperperiod = expansion.horizon
         planned_frequencies = self._planned_frequencies(schedule)
 
-        # The timeline is a projection of the event stream (SegmentEnd events
-        # carry full segment records), so one internal trace serves both.
-        trace = EventTrace() if (self.config.trace or self.config.record_timeline) else None
+        trace = EventTrace() if self.config.trace else None
         energy_per_hyperperiod: List[float] = []
         energy_by_task: Dict[str, float] = {}
         misses: List[DeadlineMiss] = []
@@ -277,7 +260,6 @@ class DVSSimulator:
             transition_energy_total += hp_transition_energy
             jobs_completed += len(jobs)
 
-        timeline = trace.to_timeline() if self.config.record_timeline else None
         return SimulationResult(
             method=schedule.method,
             policy=self.policy.name,
@@ -288,8 +270,7 @@ class DVSSimulator:
             energy_by_task=energy_by_task,
             deadline_misses=misses,
             jobs_completed=jobs_completed,
-            timeline=timeline,
-            trace=trace if self.config.trace else None,
+            trace=trace,
         )
 
     # ------------------------------------------------------------------ #
@@ -374,9 +355,6 @@ class DVSSimulator:
             )
             frequency = self.policy.frequency(self.processor, request)
             voltage = self.processor.voltage_for_frequency(frequency)
-            if self.config.voltage_levels is not None:
-                voltage = self.config.voltage_levels.quantize(voltage, self.config.quantization)
-                voltage = self.processor.clip_voltage(voltage)
             frequency = self.processor.frequency(voltage)
 
             # How long can this job run before something changes?
@@ -458,23 +436,13 @@ class DVSSimulator:
                         trace.append(DeadlineMissEvent(time=time_now, task=task_name,
                                                        job_index=job.instance.job_index,
                                                        deadline=job.deadline))
-                    miss = DeadlineMiss(
+                    misses.append(DeadlineMiss(
                         task_name=task_name,
                         job_index=job.instance.job_index,
                         hyperperiod_index=hp_index,
                         deadline=job.deadline,
                         finish_time=time_now,
-                    )
-                    if self.config.on_deadline_miss == "raise":
-                        raise DeadlineMissError(
-                            f"job {job.instance.key} missed its deadline "
-                            f"({time_now:.6g} > {job.deadline:.6g})",
-                            task=task_name,
-                            job_index=job.instance.job_index,
-                            deadline=job.deadline,
-                            finish_time=time_now,
-                        )
-                    misses.append(miss)
+                    ))
             if preempted:
                 if not job.finished:
                     job.was_preempted = True

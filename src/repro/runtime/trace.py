@@ -232,9 +232,8 @@ class EventTrace:
         """Project the trace onto a :class:`~repro.core.timeline.Timeline`.
 
         Every executed segment is one :class:`SegmentEnd` event carrying the
-        full segment record, so this is lossless and bitwise-identical to the
-        timeline the engines used to assemble inline — which is why
-        ``record_timeline`` is now implemented *on top of* the event stream.
+        full segment record, so the projection is lossless: it is how a
+        simulation's timeline is obtained (run with ``trace=True``).
         """
         timeline = Timeline()
         for event in self.events:

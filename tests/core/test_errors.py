@@ -1,7 +1,5 @@
 """The exception hierarchy is part of the public API; pin its structure."""
 
-import pytest
-
 from repro.core import errors
 
 
@@ -10,7 +8,7 @@ def test_all_errors_derive_from_repro_error():
         errors.ModelError, errors.InvalidTaskError, errors.InvalidTaskSetError,
         errors.InvalidProcessorError, errors.AnalysisError, errors.InfeasibleTaskSetError,
         errors.SchedulingError, errors.OptimizationError, errors.SimulationError,
-        errors.DeadlineMissError, errors.WorkloadError, errors.ExperimentError,
+        errors.WorkloadError, errors.ExperimentError,
     ]
     for exc in exception_types:
         assert issubclass(exc, errors.ReproError)
@@ -22,14 +20,3 @@ def test_specialisation_relationships():
     assert issubclass(errors.InvalidProcessorError, errors.ModelError)
     assert issubclass(errors.InfeasibleTaskSetError, errors.AnalysisError)
     assert issubclass(errors.OptimizationError, errors.SchedulingError)
-    assert issubclass(errors.DeadlineMissError, errors.SimulationError)
-
-
-def test_deadline_miss_error_carries_context():
-    error = errors.DeadlineMissError("late", task="t", job_index=3, deadline=10.0, finish_time=11.5)
-    assert error.task == "t"
-    assert error.job_index == 3
-    assert error.deadline == 10.0
-    assert error.finish_time == 11.5
-    with pytest.raises(errors.ReproError):
-        raise error

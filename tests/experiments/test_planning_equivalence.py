@@ -6,7 +6,7 @@ Its :class:`ComparisonResult` must be bitwise-identical to
 the plain reference — every scheduler's own ``schedule_expansion`` followed
 by one ``DVSSimulator.run`` per method — schedules *and* the simulations run
 on top of them, across the full online matrix (all four DVS policies x all
-four workload models) and under a discrete-voltage simulation config.
+four workload models) and on the reference simulation loop.
 
 A chunk of comparisons plans each distinct problem once and shares the
 schedules among the comparisons that pose it; the payloads must equal
@@ -15,8 +15,6 @@ those of the same comparisons run one chunk each.
 
 import copy
 import json
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,6 @@ from repro.experiments.harness import (
 )
 from repro.offline.batched_solver import SolveMemo
 from repro.offline.nlp import ReducedNLP
-from repro.power.voltage import VoltageLevels
 from repro.reporting.serialization import comparison_result_to_dict
 from repro.runtime.policies import available_policies, get_policy
 from repro.runtime.simulator import DVSSimulator
@@ -66,10 +63,9 @@ def fingerprint(outcomes):
     }
 
 
-def run_both_plans(taskset, processor, schedulers, config_type=ComparisonConfig,
-                   **config_kwargs):
+def run_both_plans(taskset, processor, schedulers, **config_kwargs):
     """The harness result and the sequential reference, as fingerprints."""
-    config = config_type(n_hyperperiods=2, seed=424242, **config_kwargs)
+    config = ComparisonConfig(n_hyperperiods=2, seed=424242, **config_kwargs)
     # A fresh memo: the pooled schedules must come from solves, not replays.
     pooled = compare_schedulers(taskset, processor, schedulers, config,
                                 solve_memo=SolveMemo())
@@ -95,19 +91,10 @@ def test_policy_workload_matrix(processor, two_task_set, policy, workload):
     assert pooled == sequential
 
 
-class DiscreteVoltageConfig(ComparisonConfig):
-    """A comparison simulated on a discrete voltage ladder, which no
-    :class:`ComparisonConfig` field sets."""
-
-    def simulation_config(self):
-        return replace(super().simulation_config(),
-                       voltage_levels=VoltageLevels([0.5, 1.0, 2.0, 3.0, 4.0, 5.0]))
-
-
-def test_discrete_voltage_simulation(processor, two_task_set):
+def test_reference_loop_simulation(processor, two_task_set):
     pooled, sequential = run_both_plans(
         two_task_set, processor, make_schedulers(("wcs", "acs"), processor),
-        config_type=DiscreteVoltageConfig)
+        fast_path=False)
     assert pooled == sequential
 
 

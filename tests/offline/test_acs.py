@@ -50,10 +50,6 @@ class TestACS:
             entries = schedule.entries_for_instance(instance)
             assert sum(e.wc_budget for e in entries) == pytest.approx(instance.wcec, rel=1e-6)
 
-    def test_without_wcs_seed_still_valid(self, two_task_set, processor):
-        schedule = ACSScheduler(processor, seed_with_wcs=False).schedule(two_task_set)
-        schedule.validate(processor)
-
     def test_solver_options_forwarded(self, two_task_set, processor):
         options = SolverOptions(maxiter=5)
         schedule = ACSScheduler(processor, options=options).schedule(two_task_set)

@@ -77,7 +77,6 @@ class TestBitwiseEquivalence:
         """ACS's x0-seeded re-solve survives memoized planning bitwise."""
         expansion = expand_fully_preemptive(two_task_set)
         scheduler = ACSScheduler(processor)
-        assert scheduler.seed_with_wcs  # the WCS-seeded path is the default
         (batched,) = plan_expansions(
             [(expansion, {"acs": scheduler})], memo=SolveMemo())
         assert_schedules_identical(batched["acs"],
@@ -272,7 +271,6 @@ class TestPlanKey:
             (three_task_set, processor, pair(ACSScheduler(processor))),
             (two_task_set, cmos, pair(ACSScheduler(processor))),
             (two_task_set, processor, pair(ACSScheduler(cmos))),
-            (two_task_set, processor, pair(ACSScheduler(processor, seed_with_wcs=False))),
             (two_task_set, processor,
              pair(ACSScheduler(processor, options=SolverOptions(maxiter=50)))),
             (two_task_set, processor, {"wcs": WCSScheduler(processor)}),

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.power.presets import (
-    cmos_processor,
-    crusoe_like_processor,
-    ideal_processor,
-    normalized_processor,
-    xscale_like_processor,
-)
+from repro.power.presets import cmos_processor, ideal_processor, normalized_processor
 
 
 def test_ideal_processor_defaults():
@@ -30,14 +24,3 @@ def test_normalized_processor_unit_scale():
     assert processor.vmax == 1.0
     assert processor.fmax == 1.0
     assert processor.frequency(1.0) == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("factory", [crusoe_like_processor, xscale_like_processor])
-def test_discrete_presets_levels_within_range(factory):
-    processor, levels = factory()
-    assert levels.vmin >= processor.vmin - 1e-12
-    assert levels.vmax <= processor.vmax + 1e-12
-    assert len(levels) >= 3
-    # Levels must be usable operating points.
-    for voltage in levels:
-        assert processor.frequency(voltage) > 0

@@ -32,10 +32,9 @@ class TestRenderStaticSchedule:
 class TestRenderTimeline:
     def test_renders_trace_with_speed_glyphs(self, two_task_set, processor):
         schedule = WCSScheduler(processor).schedule(two_task_set)
-        simulator = DVSSimulator(processor,
-                                 config=SimulationConfig(n_hyperperiods=1, record_timeline=True))
+        simulator = DVSSimulator(processor, config=SimulationConfig(n_hyperperiods=1, trace=True))
         result = simulator.run(schedule, FixedWorkload(mode="wcec"))
-        text = render_timeline(result.timeline, processor, width=60)
+        text = render_timeline(result.trace.to_timeline(), processor, width=60)
         assert "A" in text and "B" in text
         assert any(glyph in text for glyph in "░▒▓█")
 
@@ -49,15 +48,11 @@ class TestRenderTimeline:
 
 class TestRenderTrace:
     def test_renders_from_the_event_stream(self, two_task_set, processor):
-        """The chart is the timeline projection of the typed events — byte-equal
-        to rendering the recorded timeline directly."""
+        """The chart is drawn from the typed events alone."""
         schedule = WCSScheduler(processor).schedule(two_task_set)
-        simulator = DVSSimulator(
-            processor,
-            config=SimulationConfig(n_hyperperiods=1, trace=True, record_timeline=True))
+        simulator = DVSSimulator(processor, config=SimulationConfig(n_hyperperiods=1, trace=True))
         result = simulator.run(schedule, FixedWorkload(mode="wcec"))
         text = render_trace(result.trace, processor, width=60)
-        assert text == render_timeline(result.timeline, processor, width=60)
         assert "A" in text and "B" in text
         assert any(glyph in text for glyph in "░▒▓█")
 

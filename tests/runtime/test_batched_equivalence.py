@@ -18,9 +18,9 @@ so no case can silently compare the reference loop with itself.  They cover
   is not a multiple of the block length) and the default lane budget,
 * budgets used up at block start and twice in a row mid-hyperperiod, and
   padded lanes whose job width narrows in compaction, and
-* every fallback configuration (CMOS law, discrete voltages, timelines,
-  subclassed policies, ``fast_path=False``), which must route per unit to
-  the reference loop and still return the right result.
+* every fallback configuration (CMOS law, subclassed policies,
+  ``fast_path=False``), which must route per unit to the reference loop and
+  still return the right result.
 """
 
 from dataclasses import replace
@@ -36,7 +36,6 @@ from repro.offline.schedule import StaticSchedule
 from repro.offline.wcs import WCSScheduler
 from repro.power.presets import cmos_processor, ideal_processor
 from repro.power.transition import TransitionModel
-from repro.power.voltage import VoltageLevels
 from repro.runtime import batched as batched_engine
 from repro.runtime.batched import BatchUnit, batch_fallback_reason, simulate_batch
 from repro.runtime.policies import GreedySlackPolicy, available_policies
@@ -395,27 +394,6 @@ class TestFallback:
                          config=SimulationConfig(n_hyperperiods=5),
                          workload=NormalWorkload(), rng=np.random.default_rng(99))
         self._check(unit, "cmos")
-
-    def test_discrete_voltage_levels(self, linear_processor, wcs_schedule):
-        config = SimulationConfig(
-            n_hyperperiods=5, voltage_levels=VoltageLevels([0.5, 1.0, 2.0, 5.0]))
-        unit = BatchUnit(schedule=wcs_schedule, processor=linear_processor,
-                         policy="greedy", config=config,
-                         workload=NormalWorkload(), rng=np.random.default_rng(99))
-        self._check(unit, "voltage levels")
-
-    def test_recorded_timeline(self, linear_processor, wcs_schedule):
-        config = SimulationConfig(n_hyperperiods=5, record_timeline=True)
-        unit = BatchUnit(schedule=wcs_schedule, processor=linear_processor,
-                         policy="greedy", config=config,
-                         workload=NormalWorkload(), rng=np.random.default_rng(99))
-        reason = batch_fallback_reason(unit)
-        assert reason == "record_timeline"
-        (batched,) = simulate_batch([unit])
-        alone = run_reference(wcs_schedule, linear_processor, "greedy",
-                              config, NormalWorkload(), np.random.default_rng(99))
-        assert_identical(batched, alone)
-        assert batched.timeline.segments == alone.timeline.segments
 
     def test_subclassed_policy(self, linear_processor, wcs_schedule):
         unit = BatchUnit(schedule=wcs_schedule, processor=linear_processor,

@@ -4,10 +4,10 @@ import pytest
 
 from repro.runtime.policies import (
     GreedySlackPolicy,
-    NoReclamationPolicy,
     ProportionalSlackPolicy,
     SpeedRequest,
-    get_slack_policy,
+    StaticReplayPolicy,
+    get_policy,
 )
 
 
@@ -48,11 +48,11 @@ class TestGreedy:
 
 class TestNoReclamation:
     def test_returns_planned_frequency(self, processor):
-        frequency = NoReclamationPolicy().frequency(processor, make_request())
+        frequency = StaticReplayPolicy().frequency(processor, make_request())
         assert frequency == pytest.approx(800.0)
 
     def test_clipped_to_processor_range(self, processor):
-        frequency = NoReclamationPolicy().frequency(processor, make_request(planned_frequency=1e6))
+        frequency = StaticReplayPolicy().frequency(processor, make_request(planned_frequency=1e6))
         assert frequency == processor.fmax
 
 
@@ -73,12 +73,12 @@ class TestProportional:
 class TestRegistry:
     @pytest.mark.parametrize("name,cls", [
         ("greedy", GreedySlackPolicy),
-        ("static", NoReclamationPolicy),
+        ("static", StaticReplayPolicy),
         ("proportional", ProportionalSlackPolicy),
     ])
     def test_lookup(self, name, cls):
-        assert isinstance(get_slack_policy(name), cls)
+        assert isinstance(get_policy(name), cls)
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
-            get_slack_policy("oracle")
+            get_policy("oracle")

@@ -8,17 +8,13 @@ import pytest
 from repro.offline.acs import ACSScheduler
 from repro.offline.wcs import WCSScheduler
 from repro.runtime.policies import (
-    DVSPolicy,
     GreedySlackPolicy,
     LookaheadSlackPolicy,
-    NoReclamationPolicy,
     ProportionalSlackPolicy,
-    SlackPolicy,
     SpeedRequest,
     StaticReplayPolicy,
     available_policies,
     get_policy,
-    get_slack_policy,
 )
 from repro.runtime.simulator import DVSSimulator, SimulationConfig
 from repro.workloads.distributions import FixedWorkload, UniformWorkload
@@ -33,12 +29,6 @@ def make_request(**overrides):
 
 
 class TestProtocol:
-    def test_slack_policy_is_dvs_policy(self):
-        assert SlackPolicy is DVSPolicy
-
-    def test_static_replay_alias(self):
-        assert NoReclamationPolicy is StaticReplayPolicy
-
     def test_registry_names(self):
         assert available_policies() == ("greedy", "lookahead", "proportional", "static")
 
@@ -50,7 +40,6 @@ class TestProtocol:
     ])
     def test_lookup(self, name, cls):
         assert isinstance(get_policy(name), cls)
-        assert isinstance(get_slack_policy(name), cls)  # seed-era alias
 
     def test_simulator_resolves_policy_names(self, processor):
         simulator = DVSSimulator(processor, policy="lookahead")
@@ -134,7 +123,7 @@ class TestPolicyGuarantees:
         """Greedy reclamation keeps the static schedule's worst-case guarantee."""
         simulator = DVSSimulator(
             processor, policy="greedy",
-            config=SimulationConfig(n_hyperperiods=20, on_deadline_miss="raise"),
+            config=SimulationConfig(n_hyperperiods=20),
         )
         result = simulator.run(schedules, UniformWorkload(), np.random.default_rng(99))
         assert result.met_all_deadlines
@@ -142,7 +131,7 @@ class TestPolicyGuarantees:
     def test_static_replay_never_misses_on_feasible_sets(self, schedules, processor):
         simulator = DVSSimulator(
             processor, policy="static",
-            config=SimulationConfig(n_hyperperiods=10, on_deadline_miss="raise"),
+            config=SimulationConfig(n_hyperperiods=10),
         )
         result = simulator.run(schedules, UniformWorkload(), np.random.default_rng(99))
         assert result.met_all_deadlines

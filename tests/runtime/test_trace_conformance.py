@@ -7,7 +7,7 @@ own laws are checked by ``test_trace_invariants.py`` and frozen by the
 golden traces; these tests check that
 
 * tracing is a pure observer (``trace=True`` changes no result) and the
-  timeline is a projection of the stream,
+  timeline projected from the stream accounts for every segment's energy,
 * release jitter really changes the stream, and
 * the lane engine, untraced, reproduces the traced reference loop's
   aggregates bitwise under sporadic arrivals (jitter re-ranks the
@@ -52,9 +52,9 @@ def wcs_schedule(processor, taskset):
 
 
 def run_traced(processor, schedule, policy, seed, **config_kwargs):
-    """One traced run on the reference loop, timeline recorded too."""
-    config = SimulationConfig(n_hyperperiods=7, seed=seed, trace=True, record_timeline=True,
-                              fast_path=False, **config_kwargs)
+    """One traced run on the reference loop."""
+    config = SimulationConfig(n_hyperperiods=7, seed=seed, trace=True, fast_path=False,
+                              **config_kwargs)
     simulator = DVSSimulator(processor, policy=policy, config=config)
     return simulator.run(schedule, NormalWorkload(), np.random.default_rng(seed))
 
@@ -71,8 +71,7 @@ def test_trace_off_is_bitwise_unchanged(processor, wcs_schedule):
     """Tracing must be a pure observer: trace=True changes no results."""
     outcomes = []
     for trace in (False, True):
-        config = SimulationConfig(
-            n_hyperperiods=7, seed=1, trace=trace, record_timeline=True, fast_path=False)
+        config = SimulationConfig(n_hyperperiods=7, seed=1, trace=trace, fast_path=False)
         simulator = DVSSimulator(processor, policy="greedy", config=config)
         rng = np.random.default_rng(1)
         outcomes.append(simulator.run(wcs_schedule, NormalWorkload(), rng))
@@ -80,14 +79,21 @@ def test_trace_off_is_bitwise_unchanged(processor, wcs_schedule):
     assert off.trace is None
     assert isinstance(on.trace, EventTrace)
     assert off.total_energy == on.total_energy
+    assert off.energy_per_hyperperiod == on.energy_per_hyperperiod
     assert off.energy_by_task == on.energy_by_task
-    assert off.timeline.segments == on.timeline.segments
+    assert off.deadline_misses == on.deadline_misses
 
 
 def test_timeline_is_a_projection_of_the_trace(processor, wcs_schedule):
-    """record_timeline is implemented on top of the stream — verify losslessly."""
+    """The timeline projected from the stream holds every segment the run
+    charged: folding its energies in order gives ``energy_by_task`` bitwise."""
     result = run_traced(processor, wcs_schedule, "greedy", seed=20250807)
-    assert result.trace.to_timeline().segments == result.timeline.segments
+    timeline = result.trace.to_timeline()
+    timeline.validate()
+    folded = {}
+    for segment in timeline:
+        folded[segment.task_name] = folded.get(segment.task_name, 0.0) + segment.energy
+    assert folded == result.energy_by_task
 
 
 def test_batched_engine_falls_back_when_traced(processor, wcs_schedule):

@@ -75,7 +75,7 @@ def test_trace_off_allocates_no_event_objects(monkeypatch, schedule_and_processo
     _arm_tripwires(monkeypatch)
     guarded = _run(schedule, processor, trace=False)
     assert guarded.total_energy == baseline.total_energy
-    assert guarded.trace is None and guarded.timeline is None
+    assert guarded.trace is None
 
 
 def test_tripwires_actually_cover_the_traced_path(monkeypatch, schedule_and_processor):

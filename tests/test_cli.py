@@ -167,6 +167,7 @@ class TestMain:
         ["figure6a", "--quick", "--jobs", "0"],
         ["sweep", "--quick", "--tasksets", "0"],
         ["sweep", "--quick", "--tasksets", "-1"],
+        ["trace", "--app", "demo", "--width", "19"],
     ])
     def test_bad_arguments_fail_cleanly(self, argv, capsys):
         assert main(argv) == 2
